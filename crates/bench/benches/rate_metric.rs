@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use scda_core::rate_metric::{LinkAllocator, LinkSample, MetricKind};
-use scda_core::selection::{Selector, SelectorConfig};
+use scda_core::selection::{NodeSet, Selector, SelectorConfig};
 use scda_core::tree::ServerMetrics;
 use scda_core::{ContentClass, Params, PriorityPolicy};
 use scda_simnet::NodeId;
@@ -62,11 +62,13 @@ fn bench_selector(c: &mut Criterion) {
     };
     c.bench_function("selection/write_target_200_servers", |b| {
         let sel = Selector::new(&metrics, None, &cfg);
-        b.iter(|| sel.write_target(ContentClass::Interactive, &[]))
+        let none = NodeSet::new();
+        b.iter(|| sel.write_target(ContentClass::Interactive, &none))
     });
     c.bench_function("selection/replica_target_200_servers", |b| {
         let sel = Selector::new(&metrics, None, &cfg);
-        b.iter(|| sel.replica_target(ContentClass::Passive, NodeId(3), &[NodeId(7)]))
+        let excluded = NodeSet::from_iter([NodeId(7)]);
+        b.iter(|| sel.replica_target(ContentClass::Passive, NodeId(3), &excluded))
     });
 }
 

@@ -17,10 +17,11 @@
 //!   per-level `Ř` rates that price reads, replication and on-going-flow
 //!   window updates (§VIII-D);
 //! * [`selection`] — server selection per content class, dormant-server
-//!   scale-down, and power-aware `R̂/P` ranking (§VII);
-//! * [`placement_index`] — the incremental admission fast path: raw-rate
-//!   tournament trees answering the §VII queries bit-identically to a
-//!   fresh [`Selector`] in amortized sublinear time;
+//!   scale-down, and power-aware `R̂/P` ranking (§VII), as the reference
+//!   O(n) scan;
+//! * [`placement_index`] — the incremental index every placement goes
+//!   through: raw-rate tournament trees answering the §VII queries
+//!   bit-identically to a fresh [`Selector`] in amortized sublinear time;
 //! * [`content`] — the content model: HWHR/HWLR/LWHR/LWLR classes and
 //!   access-frequency learning (§II-B);
 //! * [`energy`] — the synthetic server power/temperature model and

@@ -45,18 +45,20 @@
 //! equal maxima the highest index wins — exactly the element a
 //! left-to-right `max_by` scan would keep. The staged fallback ladders
 //! (`write_target` / `replica_target` / `read_source`) replicate the
-//! `Selector`'s filters verbatim, evaluated on the *discounted* metrics
-//! just as the runner's per-admission `Selector` sees them. The
-//! `placement_index.rs` proptest drives seeded metric churn and asserts
-//! bit-identical `(NodeId, score)` picks against a fresh `Selector`
-//! after every refresh.
+//! `Selector`'s filters verbatim, evaluated on the *discounted* rates
+//! exactly as a `Selector` over a discounted copy of the metrics would
+//! see them. The `placement_index.rs` proptest drives seeded metric
+//! churn and asserts bit-identical `(NodeId, score)` picks against a
+//! fresh `Selector` after every refresh.
 //!
-//! # Limits
+//! # Power-aware ranking
 //!
-//! Power-aware ranking (§VII-D) divides scores by measured power, which
-//! can *raise* a score above the raw rate and breaks the upper-bound
-//! invariant; queries debug-assert `!power_aware` and the runner keeps
-//! such configs on the `Selector` oracle path.
+//! With `SelectorConfig::power_aware` and an energy book the leaf score
+//! is the adjusted rate over the server's measured power, `R̂/P(t)`
+//! (§VII-D) — the same float ops as `Selector`. Dividing by a per-server
+//! power can lift a score above any function of the raw rate, so no
+//! raw-rate bound is sound for it: a power-aware query prunes nothing
+//! and visits every leaf, the O(n) the reference scan always pays.
 
 use std::cmp::Ordering;
 
@@ -115,7 +117,7 @@ impl RateDiscount for NoDiscount {
 pub struct PlaceQuery<'a, D: RateDiscount> {
     /// Energy book for dormancy / usability filters (§VII-C).
     pub energy: Option<&'a EnergyBook>,
-    /// Selection knobs (`R_scale`; `power_aware` must be off).
+    /// Selection knobs (`R_scale`, power-aware ranking).
     pub cfg: &'a SelectorConfig,
     /// Score adjustment evaluated exactly at each visited leaf.
     pub discount: &'a D,
@@ -272,7 +274,7 @@ impl PlacementIndex {
     }
 
     /// Stage-1 write placement (§VII): bit-identical to
-    /// [`crate::Selector::write_target_masked`] over the discounted
+    /// [`crate::Selector::write_target`] over the discounted
     /// metrics.
     // scda-analyze: hot(kernel.place)
     pub fn write_target<D: RateDiscount>(
@@ -301,7 +303,7 @@ impl PlacementIndex {
     }
 
     /// Stage-2 replica placement (§VII-B/C): bit-identical to
-    /// [`crate::Selector::replica_target_masked`] over the discounted
+    /// [`crate::Selector::replica_target`] over the discounted
     /// metrics.
     // scda-analyze: hot(kernel.place)
     pub fn replica_target<D: RateDiscount>(
@@ -337,7 +339,7 @@ impl PlacementIndex {
     }
 
     /// Best read source among `replicas` (§VIII-C step 3):
-    /// bit-identical to [`crate::Selector::read_source_masked`].
+    /// bit-identical to [`crate::Selector::read_source`].
     // scda-analyze: hot(kernel.place)
     pub fn read_source<D: RateDiscount>(
         &self,
@@ -363,8 +365,8 @@ impl PlacementIndex {
         .or_else(|| self.select(Tournament::Up, q, |_| false, |_, _, _| true))
     }
 
-    /// One branch-and-bound argmax: exact discounted score at leaves,
-    /// raw-rate upper bounds for pruning. `filter` sees the metric entry
+    /// One branch-and-bound argmax: exact discounted score at leaves
+    /// (over `P(t)` when power-aware), raw-rate upper bounds for pruning. `filter` sees the metric entry
     /// plus its adjusted `(down, up)` rates, matching what a `Selector`
     /// over the discounted buffer would see.
     // scda-analyze: hot(kernel.place)
@@ -375,11 +377,6 @@ impl PlacementIndex {
         excluded: impl Fn(NodeId) -> bool + Copy,
         filter: impl Fn(&ServerMetrics, f64, f64) -> bool + Copy,
     ) -> Option<(NodeId, f64)> {
-        debug_assert!(
-            !q.cfg.power_aware,
-            "power-aware ranking can exceed the raw-rate upper bounds; \
-             keep such configs on the Selector oracle path"
-        );
         if self.metrics.is_empty() {
             return None;
         }
@@ -388,6 +385,8 @@ impl PlacementIndex {
             Tournament::Up => &self.ub_up,
             Tournament::MinBoth => &self.ub_min,
         };
+        // §VII-D divisor; `None` keeps the plain rate ranking.
+        let power = if q.cfg.power_aware { q.energy } else { None };
         let mut best: Option<(NodeId, f64)> = None;
         let bound = |raw: f64| {
             if raw.is_finite() {
@@ -416,13 +415,19 @@ impl PlacementIndex {
                 if !filter(m, ad, au) {
                     return None;
                 }
-                Some(match t {
+                let rate = match t {
                     Tournament::Down => ad,
                     Tournament::Up => au,
                     Tournament::MinBoth => ad.min(au),
+                };
+                Some(match power {
+                    Some(e) => rate / e.power(m.server),
+                    None => rate,
                 })
             },
-            &bound,
+            &|raw, incumbent| {
+                power.is_none() && bound(raw).total_cmp(&incumbent) != Ordering::Greater
+            },
         );
         best
     }
@@ -430,9 +435,9 @@ impl PlacementIndex {
     /// Right-to-left depth-first descent. Visiting the right child first
     /// means higher leaf indices are seen first; combined with the
     /// strictly-greater replacement rule this reproduces `max_by`'s
-    /// keep-the-last-of-equal-maxima tie-break. A subtree is pruned when
-    /// the discount's monotone `bound` of its raw maximum cannot
-    /// strictly beat the incumbent score.
+    /// keep-the-last-of-equal-maxima tie-break. `prune(ub, incumbent)`
+    /// rejects a subtree whose raw maximum `ub` cannot strictly beat the
+    /// incumbent score.
     // scda-analyze: hot(kernel.place)
     fn descend(
         &self,
@@ -440,10 +445,10 @@ impl PlacementIndex {
         v: usize,
         best: &mut Option<(NodeId, f64)>,
         eval: &impl Fn(&ServerMetrics) -> Option<f64>,
-        bound: &impl Fn(f64) -> f64,
+        prune: &impl Fn(f64, f64) -> bool,
     ) {
         if let Some((_, incumbent)) = best {
-            if bound(ub[v]).total_cmp(incumbent) != Ordering::Greater {
+            if prune(ub[v], *incumbent) {
                 return;
             }
         }
@@ -462,8 +467,8 @@ impl PlacementIndex {
             }
             return;
         }
-        self.descend(ub, 2 * v + 1, best, eval, bound);
-        self.descend(ub, 2 * v, best, eval, bound);
+        self.descend(ub, 2 * v + 1, best, eval, prune);
+        self.descend(ub, 2 * v, best, eval, prune);
     }
 }
 
@@ -530,18 +535,18 @@ mod tests {
         ] {
             assert_eq!(
                 idx.write_target(class, &empty, &q),
-                sel.write_target_masked(class, &empty),
+                sel.write_target(class, &empty),
                 "write {class:?}"
             );
             assert_eq!(
                 idx.replica_target(class, NodeId(2), &empty, &q),
-                sel.replica_target_masked(class, NodeId(2), &empty),
+                sel.replica_target(class, NodeId(2), &empty),
                 "replica {class:?}"
             );
         }
         let all: NodeSet = metrics.iter().map(|m| m.server).collect();
-        assert_eq!(idx.read_source(&all, &q), sel.read_source_masked(&all));
-        assert_eq!(idx.read_best(&q), sel.read_source_masked(&all));
+        assert_eq!(idx.read_source(&all, &q), sel.read_source(&all));
+        assert_eq!(idx.read_best(&q), sel.read_source(&all));
     }
 
     #[test]
@@ -664,17 +669,17 @@ mod tests {
         ] {
             assert_eq!(
                 idx.write_target(class, &empty, &q),
-                sel.write_target_masked(class, &empty),
+                sel.write_target(class, &empty),
                 "write {class:?}"
             );
             assert_eq!(
                 idx.replica_target(class, NodeId(5), &empty, &q),
-                sel.replica_target_masked(class, NodeId(5), &empty),
+                sel.replica_target(class, NodeId(5), &empty),
                 "replica {class:?}"
             );
         }
         let all: NodeSet = metrics.iter().map(|m| m.server).collect();
-        assert_eq!(idx.read_source(&all, &q), sel.read_source_masked(&all));
+        assert_eq!(idx.read_source(&all, &q), sel.read_source(&all));
     }
 
     #[test]

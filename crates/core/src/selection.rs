@@ -15,7 +15,7 @@
 //! * **power-aware** — any of the above with the rate replaced by
 //!   `R̂ / P(t)` (§VII-D).
 //!
-//! All selectors take an exclusion list (a replica must not land on the
+//! All selectors take an exclusion [`NodeSet`] (a replica must not land on the
 //! primary) and operate on the deterministic `Vec<ServerMetrics>` order,
 //! so ties break identically across runs.
 
@@ -138,7 +138,10 @@ impl FromIterator<NodeId> for NodeSet {
     }
 }
 
-/// Stateless selector over a round's server metrics.
+/// Stateless selector over a round's server metrics: the reference O(n)
+/// scan. Library code places through [`crate::PlacementIndex`], which is
+/// pinned bit-for-bit against this; tests, `scda-perf`'s checksum arm
+/// and the examples are its callers.
 pub struct Selector<'a> {
     metrics: &'a [ServerMetrics],
     energy: Option<&'a EnergyBook>,
@@ -177,10 +180,6 @@ impl<'a> Selector<'a> {
         }
     }
 
-    /// The selection argmax over an arbitrary exclusion predicate. The
-    /// slice-taking [`Selector::write_target`] / [`Selector::replica_target`]
-    /// entry points wrap this with `exclude.contains`; the `_masked` forms
-    /// wrap it with an O(1) [`NodeSet`] probe.
     fn argmax_where(
         &self,
         rank: Rank,
@@ -204,29 +203,12 @@ impl<'a> Selector<'a> {
     /// Where to **write** new content of the given class (stage 1 of every
     /// §VII strategy). Active content avoids servers reserved for passive
     /// data when any other server is available.
-    pub fn write_target(&self, class: ContentClass, exclude: &[NodeId]) -> Option<(NodeId, f64)> {
-        self.write_target_by(class, |s| exclude.contains(&s))
-    }
-
-    /// [`Selector::write_target`] with exclusions as an O(1)-probe
-    /// [`NodeSet`] instead of a linear slice scan.
-    pub fn write_target_masked(
-        &self,
-        class: ContentClass,
-        exclude: &NodeSet,
-    ) -> Option<(NodeId, f64)> {
-        self.write_target_by(class, |s| exclude.contains(s))
-    }
-
-    fn write_target_by(
-        &self,
-        class: ContentClass,
-        excluded: impl Fn(NodeId) -> bool + Copy,
-    ) -> Option<(NodeId, f64)> {
+    pub fn write_target(&self, class: ContentClass, exclude: &NodeSet) -> Option<(NodeId, f64)> {
         let rank = match class {
             ContentClass::Interactive => Rank::MinBoth,
             _ => Rank::Down,
         };
+        let excluded = |s| exclude.contains(s);
         if class.is_active() {
             // Prefer servers not reserved for passive content...
             if let Some(hit) = self.argmax_where(rank, excluded, |m| {
@@ -243,33 +225,15 @@ impl<'a> Selector<'a> {
     /// Where to **replicate** content already written to `primary`
     /// (stage 2 of §VII-B/C). Semi-interactive and interactive replicas
     /// chase the best uplink so reads are fast; passive replicas go to a
-    /// dormant / near-idle server with uplink above `R_scale`.
+    /// dormant / near-idle server with uplink above `R_scale`. The primary
+    /// need not be a member of `exclude`; it is always excluded.
     pub fn replica_target(
-        &self,
-        class: ContentClass,
-        primary: NodeId,
-        exclude: &[NodeId],
-    ) -> Option<(NodeId, f64)> {
-        self.replica_target_by(class, |s| s == primary || exclude.contains(&s))
-    }
-
-    /// [`Selector::replica_target`] with exclusions as an O(1)-probe
-    /// [`NodeSet`] (the primary need not be a member; it is always
-    /// excluded).
-    pub fn replica_target_masked(
         &self,
         class: ContentClass,
         primary: NodeId,
         exclude: &NodeSet,
     ) -> Option<(NodeId, f64)> {
-        self.replica_target_by(class, |s| s == primary || exclude.contains(s))
-    }
-
-    fn replica_target_by(
-        &self,
-        class: ContentClass,
-        excluded: impl Fn(NodeId) -> bool + Copy,
-    ) -> Option<(NodeId, f64)> {
+        let excluded = |s| s == primary || exclude.contains(s);
         match class {
             ContentClass::Passive => {
                 // Dormant servers whose uplink beats the threshold first,
@@ -297,30 +261,11 @@ impl<'a> Selector<'a> {
 
     /// The best replica of `replicas` to **read** from: highest uplink rate
     /// among servers currently able to serve (§VIII-C step 3).
-    pub fn read_source(&self, replicas: &[NodeId]) -> Option<(NodeId, f64)> {
-        self.read_source_by(|s| replicas.contains(&s))
-    }
-
-    /// [`Selector::read_source`] with the replica set as an O(1)-probe
-    /// [`NodeSet`] instead of a linear slice scan.
-    pub fn read_source_masked(&self, replicas: &NodeSet) -> Option<(NodeId, f64)> {
-        self.read_source_by(|s| replicas.contains(s))
-    }
-
-    fn read_source_by(&self, holds: impl Fn(NodeId) -> bool + Copy) -> Option<(NodeId, f64)> {
-        self.metrics
-            .iter()
-            .filter(|m| holds(m.server) && self.is_usable(m))
-            .map(|m| (m.server, self.score(m, Rank::Up)))
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .or_else(|| {
-                // Fall back to a dormant replica (it will be woken).
-                self.metrics
-                    .iter()
-                    .filter(|m| holds(m.server))
-                    .map(|m| (m.server, self.score(m, Rank::Up)))
-                    .max_by(|a, b| a.1.total_cmp(&b.1))
-            })
+    pub fn read_source(&self, replicas: &NodeSet) -> Option<(NodeId, f64)> {
+        let excluded = |s| !replicas.contains(s);
+        self.argmax_where(Rank::Up, excluded, |m| self.is_usable(m))
+            // Fall back to a dormant replica (it will be woken).
+            .or_else(|| self.argmax_where(Rank::Up, excluded, |_| true))
     }
 
     fn is_dormant(&self, s: NodeId) -> bool {
@@ -353,6 +298,10 @@ mod tests {
         }
     }
 
+    fn set<const N: usize>(ids: [u32; N]) -> NodeSet {
+        ids.into_iter().map(NodeId).collect()
+    }
+
     fn cfg(r_scale: f64) -> SelectorConfig {
         SelectorConfig {
             r_scale,
@@ -366,7 +315,7 @@ mod tests {
         let c = cfg(f64::INFINITY);
         let s = Selector::new(&metrics, None, &c);
         let (bs, rate) = s
-            .write_target(ContentClass::SemiInteractiveRead, &[])
+            .write_target(ContentClass::SemiInteractiveRead, &set([]))
             .unwrap();
         assert_eq!(bs, NodeId(1));
         assert_eq!(rate, 50.0);
@@ -377,7 +326,7 @@ mod tests {
         let metrics = [m(0, 100.0, 5.0), m(1, 40.0, 40.0)];
         let c = cfg(f64::INFINITY);
         let s = Selector::new(&metrics, None, &c);
-        let (bs, rate) = s.write_target(ContentClass::Interactive, &[]).unwrap();
+        let (bs, rate) = s.write_target(ContentClass::Interactive, &set([])).unwrap();
         assert_eq!(bs, NodeId(1));
         assert_eq!(rate, 40.0);
     }
@@ -388,7 +337,7 @@ mod tests {
         let c = cfg(f64::INFINITY);
         let s = Selector::new(&metrics, None, &c);
         let (bs, _) = s
-            .write_target(ContentClass::SemiInteractiveWrite, &[NodeId(0)])
+            .write_target(ContentClass::SemiInteractiveWrite, &set([0]))
             .unwrap();
         assert_eq!(bs, NodeId(1));
     }
@@ -399,7 +348,7 @@ mod tests {
         let c = cfg(f64::INFINITY);
         let s = Selector::new(&metrics, None, &c);
         let (bs, _) = s
-            .replica_target(ContentClass::SemiInteractiveRead, NodeId(0), &[])
+            .replica_target(ContentClass::SemiInteractiveRead, NodeId(0), &set([]))
             .unwrap();
         assert_eq!(
             bs,
@@ -420,7 +369,7 @@ mod tests {
         let c = cfg(60.0);
         let s = Selector::new(&metrics, Some(&book), &c);
         let (bs, _) = s
-            .replica_target(ContentClass::Passive, NodeId(0), &[])
+            .replica_target(ContentClass::Passive, NodeId(0), &set([]))
             .unwrap();
         assert_eq!(
             bs,
@@ -435,7 +384,7 @@ mod tests {
         let metrics = [m(0, 30.0, 30.0), m(1, 40.0, 40.0), m(2, 90.0, 90.0)];
         let c = cfg(60.0);
         let s = Selector::new(&metrics, None, &c);
-        let (bs, _) = s.write_target(ContentClass::Interactive, &[]).unwrap();
+        let (bs, _) = s.write_target(ContentClass::Interactive, &set([])).unwrap();
         assert_eq!(
             bs,
             NodeId(1),
@@ -443,7 +392,7 @@ mod tests {
         );
         // But passive content goes right there.
         let (bs, _) = s
-            .replica_target(ContentClass::Passive, NodeId(0), &[])
+            .replica_target(ContentClass::Passive, NodeId(0), &set([]))
             .unwrap();
         assert_eq!(bs, NodeId(2));
     }
@@ -453,7 +402,9 @@ mod tests {
         let metrics = [m(0, 90.0, 90.0)];
         let c = cfg(60.0);
         let s = Selector::new(&metrics, None, &c);
-        assert!(s.write_target(ContentClass::Interactive, &[]).is_some());
+        assert!(s
+            .write_target(ContentClass::Interactive, &set([]))
+            .is_some());
     }
 
     #[test]
@@ -462,7 +413,7 @@ mod tests {
         let c = cfg(f64::INFINITY);
         let s = Selector::new(&metrics, None, &c);
         // Only 0 and 1 hold the content.
-        let (bs, rate) = s.read_source(&[NodeId(0), NodeId(1)]).unwrap();
+        let (bs, rate) = s.read_source(&set([0, 1])).unwrap();
         assert_eq!(bs, NodeId(1));
         assert_eq!(rate, 70.0);
     }
@@ -475,13 +426,13 @@ mod tests {
         book.scale_down(NodeId(1));
         let c = cfg(f64::INFINITY);
         let s = Selector::new(&metrics, Some(&book), &c);
-        let (bs, _) = s.read_source(&[NodeId(0), NodeId(1)]).unwrap();
+        let (bs, _) = s.read_source(&set([0, 1])).unwrap();
         assert_eq!(
             bs,
             NodeId(0),
             "active replica preferred over faster dormant one"
         );
-        let (only, _) = s.read_source(&[NodeId(1)]).unwrap();
+        let (only, _) = s.read_source(&set([1])).unwrap();
         assert_eq!(
             only,
             NodeId(1),
@@ -507,7 +458,7 @@ mod tests {
         };
         let s = Selector::new(&metrics, Some(&book), &c);
         let (bs, _) = s
-            .write_target(ContentClass::SemiInteractiveWrite, &[])
+            .write_target(ContentClass::SemiInteractiveWrite, &set([]))
             .unwrap();
         assert_eq!(bs, NodeId(1), "80/2P < 60/P: efficiency beats raw rate");
     }
@@ -532,42 +483,10 @@ mod tests {
     }
 
     #[test]
-    fn masked_forms_match_slice_forms() {
-        let metrics = [
-            m(0, 50.0, 90.0),
-            m(1, 40.0, 40.0),
-            m(2, 70.0, 10.0),
-            m(3, 70.0, 95.0),
-        ];
-        let c = cfg(60.0);
-        let s = Selector::new(&metrics, None, &c);
-        let excl_slice = [NodeId(2), NodeId(3)];
-        let excl_set: NodeSet = excl_slice.iter().copied().collect();
-        for class in [
-            ContentClass::Interactive,
-            ContentClass::SemiInteractiveWrite,
-            ContentClass::SemiInteractiveRead,
-            ContentClass::Passive,
-        ] {
-            assert_eq!(
-                s.write_target(class, &excl_slice),
-                s.write_target_masked(class, &excl_set)
-            );
-            assert_eq!(
-                s.replica_target(class, NodeId(0), &excl_slice),
-                s.replica_target_masked(class, NodeId(0), &excl_set)
-            );
-        }
-        let replicas = [NodeId(0), NodeId(1)];
-        let replica_set: NodeSet = replicas.iter().copied().collect();
-        assert_eq!(s.read_source(&replicas), s.read_source_masked(&replica_set));
-    }
-
-    #[test]
     fn empty_metrics_select_nothing() {
         let c = cfg(1.0);
         let s = Selector::new(&[], None, &c);
-        assert!(s.write_target(ContentClass::Passive, &[]).is_none());
-        assert!(s.read_source(&[NodeId(0)]).is_none());
+        assert!(s.write_target(ContentClass::Passive, &set([])).is_none());
+        assert!(s.read_source(&set([0])).is_none());
     }
 }

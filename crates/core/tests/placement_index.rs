@@ -3,8 +3,9 @@
 //! index must return a bit-identical `(server, score)` to a fresh
 //! [`Selector`] constructed over the same metrics — across every
 //! content class, both placement stages, read sourcing, arbitrary
-//! exclusion sets, dormant fleets, and a uniform congestion discount
-//! paired with its monotone prune bound.
+//! exclusion sets, dormant and waking fleets, a uniform congestion
+//! discount paired with its monotone prune bound, and §VII-D power-aware
+//! ranking over a heterogeneous energy book ticked between refreshes.
 
 use proptest::prelude::*;
 use scda_core::tree::MAX_LEVELS;
@@ -68,6 +69,8 @@ struct ChurnPlan {
     updates: Vec<(usize, f64, f64)>,
     excluded: Vec<bool>,
     dormant: Vec<bool>,
+    /// Which of the dormant servers are mid-wake (unusable, idle power).
+    waking: Vec<bool>,
     r_scale: f64,
 }
 
@@ -78,15 +81,19 @@ fn churn_plan() -> impl Strategy<Value = ChurnPlan> {
             proptest::collection::vec((0..n, rate(), rate()), 0..14),
             proptest::collection::vec(flag(), n),
             proptest::collection::vec(flag(), n),
+            proptest::collection::vec(flag(), n),
             prop_oneof![Just(30.0), Just(60.0), Just(115.0), Just(f64::INFINITY)],
         )
-            .prop_map(|(initial, updates, excluded, dormant, r_scale)| ChurnPlan {
-                initial,
-                updates,
-                excluded,
-                dormant,
-                r_scale,
-            })
+            .prop_map(
+                |(initial, updates, excluded, dormant, waking, r_scale)| ChurnPlan {
+                    initial,
+                    updates,
+                    excluded,
+                    dormant,
+                    waking,
+                    r_scale,
+                },
+            )
     })
 }
 
@@ -112,12 +119,12 @@ fn assert_matches_selector<D: RateDiscount>(
     for class in CLASSES {
         assert_eq!(
             idx.write_target(class, exclude, &q),
-            sel.write_target_masked(class, exclude),
+            sel.write_target(class, exclude),
             "{label}: write {class:?}"
         );
         assert_eq!(
             idx.replica_target(class, primary, exclude, &q),
-            sel.replica_target_masked(class, primary, exclude),
+            sel.replica_target(class, primary, exclude),
             "{label}: replica {class:?} (primary {primary:?})"
         );
     }
@@ -128,25 +135,25 @@ fn assert_matches_selector<D: RateDiscount>(
         .collect();
     assert_eq!(
         idx.read_source(&replicas, &q),
-        sel.read_source_masked(&replicas),
+        sel.read_source(&replicas),
         "{label}: read among non-excluded"
     );
     let all: NodeSet = view.iter().map(|m| m.server).collect();
     assert_eq!(
         idx.read_best(&q),
-        sel.read_source_masked(&all),
+        sel.read_source(&all),
         "{label}: read over all"
     );
 }
 
 /// One full equivalence sweep at the index's current state: undiscounted
-/// and uniformly discounted, with and without energy, empty and
-/// populated exclusion sets.
+/// and uniformly discounted, rate-ranked and power-aware, with and
+/// without energy, empty and populated exclusion sets.
 fn sweep(
     idx: &PlacementIndex,
     metrics: &[ServerMetrics],
     energy: &EnergyBook,
-    cfg: &SelectorConfig,
+    r_scale: f64,
     exclude: &NodeSet,
     step: usize,
 ) {
@@ -168,10 +175,24 @@ fn sweep(
         })
         .collect();
     let empty = NodeSet::new();
-    for energy in [None, Some(energy)] {
-        for excl in [&empty, exclude] {
-            assert_matches_selector(idx, metrics, energy, cfg, &NoDiscount, excl, "raw");
-            assert_matches_selector(idx, &discounted, energy, cfg, &discount, excl, "discounted");
+    for power_aware in [false, true] {
+        let cfg = &SelectorConfig {
+            r_scale,
+            power_aware,
+        };
+        for energy in [None, Some(energy)] {
+            for excl in [&empty, exclude] {
+                assert_matches_selector(idx, metrics, energy, cfg, &NoDiscount, excl, "raw");
+                assert_matches_selector(
+                    idx,
+                    &discounted,
+                    energy,
+                    cfg,
+                    &discount,
+                    excl,
+                    "discounted",
+                );
+            }
         }
     }
 }
@@ -191,10 +212,6 @@ proptest! {
             .enumerate()
             .map(|(i, &(d, u))| entry(i as u32, d, u))
             .collect();
-        let cfg = SelectorConfig {
-            r_scale: plan.r_scale,
-            power_aware: false,
-        };
         let exclude: NodeSet = plan
             .excluded
             .iter()
@@ -202,30 +219,49 @@ proptest! {
             .filter(|(_, &x)| x)
             .map(|(i, _)| NodeId(i as u32))
             .collect();
+        // The default model in kW: with P(t) < 1 the power-aware score
+        // R̂/P exceeds the raw rate, so a query that still pruned on
+        // raw-rate bounds would lose to the scan here.
+        let model = PowerModelConfig {
+            idle_watts: 0.15,
+            load_watts: 0.1,
+            dormant_watts: 0.015,
+            ..Default::default()
+        };
         let mut energy = EnergyBook::new(
-            PowerModelConfig::default(),
+            model,
             metrics.iter().map(|m| m.server),
             |i| 0.8 + 0.05 * (i % 8) as f64,
         );
         for (i, &d) in plan.dormant.iter().enumerate() {
             if d {
                 energy.scale_down(NodeId(i as u32));
+                if plan.waking[i] {
+                    // Wakes complete at t = 2.0 — part-way through the
+                    // longer churn plans.
+                    energy.wake(NodeId(i as u32), 0.0);
+                }
             }
         }
+        // Uneven load, so P(t) spreads beyond the heterogeneity factors
+        // and keeps moving as the book is ticked between refreshes.
+        let load = |s: NodeId| (s.0 % 5) as f64 / 4.0;
+        energy.tick(0.5, load);
 
         let mut idx = PlacementIndex::new();
         idx.refresh(&metrics);
-        sweep(&idx, &metrics, &energy, &cfg, &exclude, 0);
+        sweep(&idx, &metrics, &energy, plan.r_scale, &exclude, 0);
 
         for (step, &(i, d, u)) in plan.updates.iter().enumerate() {
             metrics[i] = entry(i as u32, d, u);
             let changed = idx.refresh(&metrics);
             prop_assert!(changed <= 1, "one-entry churn rewrites at most one leaf");
-            sweep(&idx, &metrics, &energy, &cfg, &exclude, step + 1);
+            energy.tick(0.5 + 0.25 * (step + 1) as f64, load);
+            sweep(&idx, &metrics, &energy, plan.r_scale, &exclude, step + 1);
         }
 
         // A no-op refresh is free and changes nothing.
         prop_assert_eq!(idx.refresh(&metrics), 0);
-        sweep(&idx, &metrics, &energy, &cfg, &exclude, n);
+        sweep(&idx, &metrics, &energy, plan.r_scale, &exclude, n);
     }
 }

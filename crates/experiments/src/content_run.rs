@@ -17,7 +17,8 @@ use rand::{Rng, SeedableRng};
 use scda_core::nodes::ContentMeta;
 use scda_core::{
     AccessStats, BlockServer, ClassifierConfig, ContentClass, ContentId, ControlTree, Direction,
-    MetricKind, NameService, Params, ProtocolCosts, Selector, SelectorConfig,
+    MetricKind, NameService, NoDiscount, NodeSet, Params, PlaceQuery, PlacementIndex,
+    ProtocolCosts, RateDiscount, SelectorConfig, ServerMetrics,
 };
 use scda_metrics::{FctStats, FlowRecord};
 use scda_simnet::builders::ThreeTierConfig;
@@ -134,6 +135,31 @@ struct PendingOpen {
     transport: AnyTransport,
 }
 
+/// Write placement's storage tie-breaker: among servers advertising
+/// (nearly) the same rate, the NNS prefers the emptier disk — "balance
+/// load among all data ... servers automatically" (§XII). The
+/// 5%-per-object discount is far smaller than any real rate differential.
+struct StorageTieBreak<'a>(&'a BTreeMap<NodeId, BlockServer>);
+
+impl RateDiscount for StorageTieBreak<'_> {
+    fn adjust(&self, m: &ServerMetrics) -> (f64, f64) {
+        let k = self.0.get(&m.server).map_or(0, BlockServer::object_count);
+        (m.path_down / (1.0 + 0.05 * k as f64), m.path_up)
+    }
+}
+
+/// Read placement's outstanding-reads discount: the NNS discounts
+/// holders it has already directed readers at (same mechanism as the
+/// headline runner).
+struct OutstandingReads<'a>(&'a BTreeMap<NodeId, u32>);
+
+impl RateDiscount for OutstandingReads<'_> {
+    fn adjust(&self, m: &ServerMetrics) -> (f64, f64) {
+        let k = self.0.get(&m.server).copied().unwrap_or(0);
+        (m.path_down, m.path_up / (1.0 + k as f64))
+    }
+}
+
 /// Sample a Zipf-distributed index in `[0, n)`.
 fn zipf_index(rng: &mut StdRng, n: usize, s: f64) -> usize {
     // Inverse-CDF over the truncated harmonic weights; n stays small
@@ -160,7 +186,19 @@ pub fn run_content(cfg: &ContentRunConfig) -> ContentRunResult {
         .enumerate()
         .flat_map(|(r, rack)| rack.iter().map(move |&s| (s, r)))
         .collect();
-    let rack_members: Vec<Vec<NodeId>> = tree.servers.clone();
+    // Replica scope as an exclusion set per rack: everything outside it.
+    let out_of_rack: Vec<NodeSet> = tree
+        .servers
+        .iter()
+        .map(|rack| {
+            servers
+                .iter()
+                .copied()
+                .filter(|s| !rack.contains(s))
+                .collect()
+        })
+        .collect();
+    let no_exclusions = NodeSet::new();
     let clients = tree.clients.clone();
     let params = Params {
         tau: cfg.tau,
@@ -197,8 +235,6 @@ pub fn run_content(cfg: &ContentRunConfig) -> ContentRunResult {
     let mut purposes: BTreeMap<FlowId, Purpose> = BTreeMap::new();
     let mut pending: Vec<PendingOpen> = Vec::new();
 
-    // Outstanding reads per server: the NNS discounts holders it has
-    // already directed readers at (same mechanism as the headline runner).
     let mut outstanding_reads: BTreeMap<NodeId, u32> = BTreeMap::new();
     let mut write_fct = FctStats::new();
     let mut read_fct = FctStats::new();
@@ -208,9 +244,10 @@ pub fn run_content(cfg: &ContentRunConfig) -> ContentRunResult {
     let mut reads_skipped = 0usize;
 
     let mut link_loads = vec![0.0_f64; n_links];
-    // Reused across every selection below — `server_metrics_into` refills
-    // it without reallocating, so per-arrival placement stays alloc-free.
+    // Every placement below is a query on this index, refreshed from the
+    // tree's metrics after each control round.
     let mut metrics_buf = Vec::new();
+    let mut pindex = PlacementIndex::new();
     {
         let loads = link_loads.clone();
         let mut tel = Tel {
@@ -220,6 +257,8 @@ pub fn run_content(cfg: &ContentRunConfig) -> ContentRunResult {
         };
         ct.control_round(0.0, &mut tel);
     }
+    ct.server_metrics_into(&mut metrics_buf);
+    pindex.refresh(&metrics_buf);
 
     struct Tel<'a> {
         net: &'a mut Network,
@@ -253,25 +292,15 @@ pub fn run_content(cfg: &ContentRunConfig) -> ContentRunResult {
             let content = ContentId(catalog.len() as u64);
             let size = cfg.median_size * (0.3 + 1.4 * rng.random::<f64>());
             let client = clients[rng.random_range(0..clients.len())];
-            // Rate-aware placement with a storage tie-breaker: among
-            // servers advertising (nearly) the same rate, the NNS prefers
-            // the emptier disk — "balance load among all data ... servers
-            // automatically" (§XII). The 5%-per-object discount is far
-            // smaller than any real rate differential.
-            ct.server_metrics_into(&mut metrics_buf);
-            for m in &mut metrics_buf {
-                let k = stores
-                    .get(&m.server)
-                    .map(BlockServer::object_count)
-                    .unwrap_or(0);
-                let tie_break = 1.0 + 0.05 * k as f64;
-                m.path_down /= tie_break;
-                m.r0_down /= tie_break;
-            }
-            let sel = Selector::new(&metrics_buf, None, &selector_cfg);
             let primary = match cfg.selection {
                 SelectionPolicy::BestRate => {
-                    sel.write_target(ContentClass::SemiInteractiveRead, &[])
+                    let q = PlaceQuery {
+                        energy: None,
+                        cfg: &selector_cfg,
+                        discount: &StorageTieBreak(&stores),
+                    };
+                    pindex
+                        .write_target(ContentClass::SemiInteractiveRead, &no_exclusions, &q)
                         .expect("servers exist")
                         .0
                 }
@@ -327,16 +356,18 @@ pub fn run_content(cfg: &ContentRunConfig) -> ContentRunResult {
             let meta = ns.lookup_mut(content).expect("registered");
             meta.stats.record_read(now);
             let holders = meta.holders();
-            ct.server_metrics_into(&mut metrics_buf);
-            for m in &mut metrics_buf {
-                if let Some(&k) = outstanding_reads.get(&m.server) {
-                    m.path_up /= 1.0 + k as f64;
-                    m.r0_up /= 1.0 + k as f64;
-                }
-            }
-            let sel = Selector::new(&metrics_buf, None, &selector_cfg);
             let holder = match cfg.selection {
-                SelectionPolicy::BestRate => sel.read_source(&holders).expect("holders exist").0,
+                SelectionPolicy::BestRate => {
+                    let q = PlaceQuery {
+                        energy: None,
+                        cfg: &selector_cfg,
+                        discount: &OutstandingReads(&outstanding_reads),
+                    };
+                    pindex
+                        .read_source(&holders.iter().copied().collect(), &q)
+                        .expect("holders exist")
+                        .0
+                }
                 SelectionPolicy::Random => holders[rng.random_range(0..holders.len())],
             };
             *outstanding_reads.entry(holder).or_insert(0) += 1;
@@ -393,6 +424,8 @@ pub fn run_content(cfg: &ContentRunConfig) -> ContentRunResult {
                 ct.control_round(now, &mut tel);
                 link_loads = loads;
             }
+            ct.server_metrics_into(&mut metrics_buf);
+            pindex.refresh(&metrics_buf);
             // Refresh on-going flows (§VIII-D).
             let ids: Vec<FlowId> = purposes.keys().copied().collect();
             for id in ids {
@@ -430,30 +463,28 @@ pub fn run_content(cfg: &ContentRunConfig) -> ContentRunResult {
                     });
                     // Replicate per §VIII-B.
                     let meta = ns.lookup(content).expect("registered");
-                    ct.server_metrics_into(&mut metrics_buf);
-                    let sel = Selector::new(&metrics_buf, None, &selector_cfg);
                     // Restrict candidates to the primary's rack when the
                     // scope says so — exclude everything outside it.
-                    let out_of_scope: Vec<NodeId> = match cfg.replica_scope {
-                        ReplicaScope::Global => Vec::new(),
-                        ReplicaScope::SameRack => {
-                            let rack = rack_of[&meta.primary];
-                            servers
-                                .iter()
-                                .copied()
-                                .filter(|s| !rack_members[rack].contains(s))
-                                .collect()
-                        }
+                    let out_of_scope = match cfg.replica_scope {
+                        ReplicaScope::Global => &no_exclusions,
+                        ReplicaScope::SameRack => &out_of_rack[rack_of[&meta.primary]],
                     };
                     let replica = match cfg.selection {
-                        SelectionPolicy::BestRate => sel
-                            .replica_target(meta.class, meta.primary, &out_of_scope)
-                            .map(|(r, _)| r),
+                        SelectionPolicy::BestRate => {
+                            let q = PlaceQuery {
+                                energy: None,
+                                cfg: &selector_cfg,
+                                discount: &NoDiscount,
+                            };
+                            pindex
+                                .replica_target(meta.class, meta.primary, out_of_scope, &q)
+                                .map(|(r, _)| r)
+                        }
                         SelectionPolicy::Random => {
                             let candidates: Vec<NodeId> = servers
                                 .iter()
                                 .copied()
-                                .filter(|s| *s != meta.primary && !out_of_scope.contains(s))
+                                .filter(|s| *s != meta.primary && !out_of_scope.contains(*s))
                                 .collect();
                             if candidates.is_empty() {
                                 None

@@ -44,7 +44,7 @@ pub use policy::{
     PlacementCtx, RandomPlacement, RunAccounting, SpawnSpec, TcpTransport, TransportPolicy,
 };
 pub use randtcp::RandTcpControl;
-pub use scda::ScdaControl;
+pub use scda::{OutstandingDiscount, ScdaControl};
 
 /// How the control plane picks block servers — the ablation knob that
 /// separates SCDA's two wins (smart selection vs explicit rates).

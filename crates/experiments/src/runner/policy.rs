@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use scda_audit::Audit;
-use scda_core::{ContentClass, EnergyBook, Selector, SelectorConfig, ServerMetrics};
+use scda_core::{ContentClass, NodeSet, PlaceQuery, PlacementIndex};
 use scda_metrics::{FctStats, FlowRecord, ThroughputSeries};
 use scda_obs::Obs;
 use scda_simnet::{FlowId, NodeId};
@@ -28,6 +28,7 @@ use scda_transport::{AnyTransport, CompletedFlow, FlowDriver, Reno, RenoConfig, 
 use scda_workloads::{FlowDirection, FlowSpec};
 
 use super::kernel::PendingStart;
+use super::scda::OutstandingDiscount;
 use super::RunResult;
 
 /// Everything a [`Placement`] policy may consult when picking a server.
@@ -36,17 +37,18 @@ pub struct PlacementCtx<'a> {
     pub class: ContentClass,
     /// Upload or download.
     pub direction: FlowDirection,
-    /// Per-server metrics, already discounted for outstanding
-    /// assignments by the control policy (empty when the composition has
-    /// no control plane).
-    pub metrics: &'a [ServerMetrics],
     /// Every block server, in construction order.
     pub servers: &'a [NodeId],
-    /// Energy book, when the run accounts energy (dormancy-aware and
-    /// power-aware ranking read it).
-    pub energy: Option<&'a EnergyBook>,
-    /// Selector configuration (R_scale, power awareness).
-    pub selector: &'a SelectorConfig,
+    /// The control plane's placement index over the round's raw
+    /// per-server metrics (empty when the composition has no control
+    /// plane). `index.metrics()` is the undiscounted candidate set.
+    pub index: &'a PlacementIndex,
+    /// This admission's query on it: the energy book (dormancy-aware
+    /// and power-aware ranking read it), the selector configuration
+    /// (R_scale, power awareness) and the discount for the NNS's
+    /// outstanding assignments — `query.discount.adjust(m)` turns an
+    /// entry of `index.metrics()` into the rates the stock policy ranks.
+    pub query: &'a PlaceQuery<'a, OutstandingDiscount>,
 }
 
 /// Server-selection policy: place one request.
@@ -55,33 +57,21 @@ pub trait Placement {
     /// no server qualifies (the kernel treats that as fatal — every
     /// scenario has at least one server).
     fn place(&mut self, ctx: &PlacementCtx<'_>) -> Option<(NodeId, f64)>;
-
-    /// Whether this policy's picks are reproduced bit-identically by the
-    /// control plane's incremental placement index
-    /// ([`scda_core::PlacementIndex`]), letting admission skip the
-    /// per-request metrics scan. Only the staged §VII argmax the index
-    /// mirrors may say yes; custom policies default to the per-admission
-    /// oracle path.
-    fn index_compatible(&self) -> bool {
-        false
-    }
 }
 
-/// SCDA §VII class-aware best-rate selection over the discounted
-/// per-server metrics.
+/// SCDA §VII class-aware best-rate selection: the staged argmax over
+/// the discounted per-server rates, answered by the placement index.
 pub struct BestRatePlacement;
 
 impl Placement for BestRatePlacement {
     fn place(&mut self, ctx: &PlacementCtx<'_>) -> Option<(NodeId, f64)> {
-        let sel = Selector::new(ctx.metrics, ctx.energy, ctx.selector);
         match ctx.direction {
-            FlowDirection::Write => sel.write_target(ctx.class, &[]),
-            FlowDirection::Read => sel.read_source(ctx.servers),
+            FlowDirection::Write => ctx
+                .index
+                .write_target(ctx.class, &NodeSet::new(), ctx.query),
+            // Every server holds the content in the headline scenarios.
+            FlowDirection::Read => ctx.index.read_best(ctx.query),
         }
-    }
-
-    fn index_compatible(&self) -> bool {
-        true
     }
 }
 

@@ -6,7 +6,7 @@
 //! no SLA detector (that asymmetry *is* the paper's point) — so the
 //! policy overrides only admission.
 
-use scda_core::{ProtocolCosts, SelectorConfig};
+use scda_core::{PlaceQuery, PlacementIndex, ProtocolCosts, SelectorConfig};
 use scda_simnet::builders::ThreeTierTree;
 use scda_simnet::{FlowId, NodeId};
 use scda_transport::FlowDriver;
@@ -14,15 +14,13 @@ use scda_workloads::{FlowDirection, FlowSpec};
 
 use super::class_of;
 use super::policy::{Admission, ControlPolicy, Placement, PlacementCtx, TransportPolicy};
+use super::scda::OutstandingDiscount;
 
 /// Control policy for the RandTCP baseline: random placement, TCP
 /// handshake pricing, and nothing else.
 pub struct RandTcpControl {
     servers: Vec<NodeId>,
     clients: Vec<NodeId>,
-    /// A neutral selector config for the placement context (random
-    /// placement never reads it, but the context carries one).
-    selector: SelectorConfig,
 }
 
 impl RandTcpControl {
@@ -31,10 +29,6 @@ impl RandTcpControl {
         RandTcpControl {
             servers: tree.all_servers(),
             clients: tree.clients.clone(),
-            selector: SelectorConfig {
-                r_scale: f64::INFINITY,
-                power_aware: false,
-            },
         }
     }
 }
@@ -54,14 +48,19 @@ impl ControlPolicy for RandTcpControl {
         transport: &mut dyn TransportPolicy,
     ) -> Admission {
         let client = self.clients[f.client % self.clients.len()];
+        // No control plane: an empty index under a neutral query (random
+        // placement reads neither, but the context carries them).
         let (server, _) = placement
             .place(&PlacementCtx {
                 class: class_of(f.kind),
                 direction: f.direction,
-                metrics: &[],
                 servers: &self.servers,
-                energy: None,
-                selector: &self.selector,
+                index: &PlacementIndex::new(),
+                query: &PlaceQuery {
+                    energy: None,
+                    cfg: &SelectorConfig::default(),
+                    discount: &OutstandingDiscount::default(),
+                },
             })
             .expect("at least one server exists");
         let (src, dst) = match f.direction {

@@ -18,8 +18,8 @@ use scda_audit::{
 use scda_core::{
     ContentClass, ControlTree, Direction, EnergyBook, LinkAllocator, LinkSample, Mitigation,
     NoDiscount, NodeSet, OpenFlowSjf, Params, PlaceQuery, PlacementIndex, PriorityPolicy,
-    ProtocolCosts, RateCaps, RateDiscount, ResourceBook, Selector, ServerMetrics, SlaMonitor,
-    SnapshotStream, Telemetry,
+    ProtocolCosts, RateCaps, RateDiscount, ResourceBook, ServerMetrics, SlaMonitor, SnapshotStream,
+    Telemetry,
 };
 use scda_obs::{metric, phase, Candidate, TraceEvent, MAX_CANDIDATES};
 use scda_simnet::builders::ThreeTierTree;
@@ -83,38 +83,73 @@ struct FlowCtl {
     class: AuditClass,
 }
 
-/// The NNS's outstanding-load congestion discount as a
-/// [`RateDiscount`], so the placement index can evaluate the exact
-/// per-admission score at the leaves it visits: k not-yet-visible flows
-/// on a level-h link of capacity C shift a per-flow share r to
-/// r/(1 + k·r/C), and the candidate's score is the minimum over its
-/// path levels. The float operations mirror the oracle path's discount
-/// loop term for term, so both paths produce bit-identical scores.
-/// `adjusted ≤ raw` holds per level (k ≥ 0), satisfying the
-/// branch-and-bound soundness contract.
-struct OutstandingDiscount<'a> {
-    outstanding: &'a BTreeMap<NodeId, u32>,
-    outstanding_rack: &'a [u32],
-    outstanding_agg: &'a [u32],
-    outstanding_total: u32,
-    server_coord: &'a BTreeMap<NodeId, (usize, usize)>,
-    level_caps: &'a [f64; 4],
+/// The NNS's outstanding (pending + in-flight) assignments, tracked at
+/// every tree level, and the congestion discount they imply as a
+/// [`RateDiscount`]: the NNS knows where it sent work that has not
+/// finished and discounts each candidate's advertised rate by the share
+/// those flows will claim at the server link, its rack's edge uplink,
+/// its aggregation link and the trunk — so bursts spread across racks
+/// instead of herding onto one momentary "best" server between control
+/// rounds. k not-yet-visible flows on a level-h link of capacity C shift
+/// a per-flow share r to r/(1 + k·r/C) (i.e. C/N -> C/(N + k)), and the
+/// candidate's score is the minimum over its path levels, evaluated
+/// exactly at the leaves the placement index visits. `adjusted ≤ raw`
+/// holds per level (k ≥ 0), satisfying the branch-and-bound soundness
+/// contract. The default value — no servers, nothing outstanding — is
+/// what a composition without a control plane hands its placement.
+#[derive(Debug, Default)]
+pub struct OutstandingDiscount {
+    per_server: BTreeMap<NodeId, u32>,
+    per_rack: Vec<u32>,
+    per_agg: Vec<u32>,
+    total: u32,
+    /// Rack / aggregation coordinates per server.
+    server_coord: BTreeMap<NodeId, (usize, usize)>,
+    /// Per-level capacities (server link, edge uplink, aggregation,
+    /// trunk) the discount divides by.
+    level_caps: [f64; 4],
 }
 
-impl RateDiscount for OutstandingDiscount<'_> {
+impl OutstandingDiscount {
+    fn coord(&self, server: NodeId) -> (usize, usize) {
+        *self.server_coord.get(&server).expect("server has coords")
+    }
+
+    /// One more assignment on `server`'s path.
+    fn book(&mut self, server: NodeId) {
+        let (rack, agg) = self.coord(server);
+        *self.per_server.entry(server).or_insert(0) += 1;
+        self.per_rack[rack] += 1;
+        self.per_agg[agg] += 1;
+        self.total += 1;
+    }
+
+    /// An assignment on `server`'s path finished.
+    fn release(&mut self, server: NodeId) {
+        let (rack, agg) = self.coord(server);
+        if let Some(k) = self.per_server.get_mut(&server) {
+            *k = k.saturating_sub(1);
+        }
+        self.per_rack[rack] = self.per_rack[rack].saturating_sub(1);
+        self.per_agg[agg] = self.per_agg[agg].saturating_sub(1);
+        self.total = self.total.saturating_sub(1);
+    }
+}
+
+impl RateDiscount for OutstandingDiscount {
     // scda-analyze: hot(kernel.place)
     fn adjust(&self, m: &ServerMetrics) -> (f64, f64) {
-        let &(rack, agg) = self.server_coord.get(&m.server).expect("server has coords");
-        let k0 = self.outstanding.get(&m.server).copied().unwrap_or(0) as f64;
+        let (rack, agg) = self.coord(m.server);
+        let k0 = self.per_server.get(&m.server).copied().unwrap_or(0) as f64;
         let counts = [
             k0,
-            self.outstanding_rack[rack] as f64,
-            self.outstanding_agg[agg] as f64,
-            self.outstanding_total as f64,
+            self.per_rack[rack] as f64,
+            self.per_agg[agg] as f64,
+            self.total as f64,
         ];
         let mut adj_down = f64::INFINITY;
         let mut adj_up = f64::INFINITY;
-        for (h, (&k, &cap)) in counts.iter().zip(self.level_caps).enumerate() {
+        for (h, (&k, &cap)) in counts.iter().zip(&self.level_caps).enumerate() {
             let rd = m.down_levels[h];
             adj_down = adj_down.min(rd / (1.0 + k * rd / cap));
             let ru = m.up_levels[h];
@@ -131,7 +166,7 @@ impl RateDiscount for OutstandingDiscount<'_> {
     // the shared trunk count shrinks every score uniformly.
     // scda-analyze: hot(kernel.place)
     fn bound(&self, raw: f64) -> f64 {
-        let k = self.outstanding_total as f64;
+        let k = self.total as f64;
         raw / (1.0 + k * raw / self.level_caps[3])
     }
 }
@@ -168,24 +203,9 @@ pub struct ScdaControl {
     /// Client-side RMs: allocators for the WAN links the RA tree does not
     /// cover ("FES agents associated with the UCL clients").
     client_alloc: Vec<(LinkAllocator, LinkAllocator)>,
-    /// Rack / aggregation coordinates per server, for path-level
-    /// outstanding-load discounting.
-    server_coord: BTreeMap<NodeId, (usize, usize)>,
-    /// Per-level capacities (server link, edge uplink, aggregation,
-    /// trunk) the admission discount divides by.
-    level_caps: [f64; 4],
     link_loads: Vec<f64>,
-    // Outstanding (pending + in-flight) flows, tracked at every tree
-    // level: the NNS knows where it sent work that has not finished and
-    // discounts each candidate's advertised rate by the share those flows
-    // will claim at the server link, its rack's edge uplink, its
-    // aggregation link and the trunk — so bursts spread across racks
-    // instead of herding onto one momentary "best" server between control
-    // rounds.
-    outstanding: BTreeMap<NodeId, u32>,
-    outstanding_rack: Vec<u32>,
-    outstanding_agg: Vec<u32>,
-    outstanding_total: u32,
+    /// Outstanding assignments per tree level — the admission discount.
+    outstanding: OutstandingDiscount,
     flow_ctl: BTreeMap<FlowId, FlowCtl>,
     /// Audit class of admitted-but-not-yet-opened flows (populated only
     /// when auditing; drained into [`FlowCtl`] at open time).
@@ -193,19 +213,13 @@ pub struct ScdaControl {
     /// Recent dormant-server wakeups `(time, server)`, kept within the
     /// wake-latency + τ window for violation attribution (§VII-C).
     recent_wakes: Vec<(f64, NodeId)>,
-    /// Scratch buffer for per-arrival selection metrics (reused to keep
-    /// the hot path allocation-free at the 16k-server scale).
+    /// Scratch buffer the round's metrics are read into on their way to
+    /// the index (reused: no per-round allocation at the 16k-server scale).
     metrics_buf: Vec<ServerMetrics>,
     /// Persistent placement index over the raw per-server path rates,
-    /// refreshed from the control tree's metric deltas once per round.
-    /// When the composition's placement policy is index-compatible (and
-    /// the run is unobserved and not power-aware), admission answers its
-    /// staged argmax here instead of scanning `metrics_buf` — the same
-    /// pick, bit for bit, in amortized sublinear time.
+    /// refreshed from the control tree's metric deltas once per round;
+    /// every admission and replica pick is a query on it.
     pindex: PlacementIndex,
-    /// Always-empty exclusion set for index queries (kept as a field so
-    /// the admission hot path never allocates).
-    no_exclusions: NodeSet,
     resources: Option<ResourceBook>,
     /// Original capacities of links that received reserve bandwidth, to
     /// bound how far mitigation may grow them.
@@ -235,14 +249,17 @@ impl ScdaControl {
                 server_coord.insert(srv, (r, tree.agg_of_rack[r]));
             }
         }
-        let n_racks = tree.servers.len();
-        let n_aggs = tree.aggs.len();
         let params = Params {
             tau: sc.tau,
             drain_horizon: sc.tau,
             ..opts.params.clone()
         };
         let mut ct = ControlTree::from_three_tier(tree, params.clone(), opts.metric);
+        assert!(
+            (ct.hmax() as usize) < scda_core::tree::MAX_LEVELS,
+            "OutstandingDiscount::bound needs the deepest cached level \
+             to equal the path rate (true for trees of depth ≤ MAX_LEVELS)"
+        );
         ct.set_obs(opts.obs.clone());
         let costs = ProtocolCosts {
             control_hop: params.control_hop_delay,
@@ -280,19 +297,20 @@ impl ScdaControl {
             ct,
             costs,
             client_alloc,
-            server_coord,
-            level_caps: [x, x, sc.topo.k_factor * x, sc.topo.trunk_mult * x],
             link_loads: vec![0.0_f64; tree.topo.link_count()],
-            outstanding: BTreeMap::new(),
-            outstanding_rack: vec![0u32; n_racks],
-            outstanding_agg: vec![0u32; n_aggs],
-            outstanding_total: 0,
+            outstanding: OutstandingDiscount {
+                per_server: BTreeMap::new(),
+                per_rack: vec![0u32; tree.servers.len()],
+                per_agg: vec![0u32; tree.aggs.len()],
+                total: 0,
+                server_coord,
+                level_caps: [x, x, sc.topo.k_factor * x, sc.topo.trunk_mult * x],
+            },
             flow_ctl: BTreeMap::new(),
             pending_class: BTreeMap::new(),
             recent_wakes: Vec::new(),
             metrics_buf: Vec::new(),
             pindex: PlacementIndex::new(),
-            no_exclusions: NodeSet::new(),
             resources,
             boosted: BTreeMap::new(),
             energy,
@@ -347,124 +365,56 @@ impl ControlPolicy for ScdaControl {
     ) -> Admission {
         let client = self.clients[f.client % self.clients.len()];
 
-        // Discount each candidate's advertised rate by the NNS's own
-        // outstanding assignments: k not-yet-visible flows on a level-h
-        // link of capacity C shift a per-flow share r to r/(1 + k·r/C)
-        // (i.e. C/N -> C/(N + k)). The candidate's score is the minimum
-        // over its path levels — so a server in a quiet rack outranks
-        // one whose rack or aggregation uplink is already spoken for.
-        //
-        // Fast path: when the placement policy is the staged §VII argmax
-        // the placement index mirrors — and nothing needs the full
-        // discounted candidate set (no trace events) and ranking stays
-        // under the raw-rate upper bounds (not power-aware) — answer the
-        // query from the index, evaluating the discount only at the
-        // leaves branch-and-bound actually visits. Bit-identical to the
-        // oracle path below; `observed_run_matches_unobserved_*` and the
-        // placement-index proptests hold the two together.
-        let class = class_of(f.kind);
-        let fast = placement.index_compatible()
-            && !self.opts.obs.is_enabled()
-            && !self.opts.selector.power_aware;
-        let (server, _sel_rate) = if fast {
-            debug_assert!(
-                (self.ct.hmax() as usize) < scda_core::tree::MAX_LEVELS,
-                "OutstandingDiscount::bound needs the deepest cached level \
-                 to equal the path rate (true for trees of depth ≤ MAX_LEVELS)"
-            );
-            let discount = OutstandingDiscount {
-                outstanding: &self.outstanding,
-                outstanding_rack: &self.outstanding_rack,
-                outstanding_agg: &self.outstanding_agg,
-                outstanding_total: self.outstanding_total,
-                server_coord: &self.server_coord,
-                level_caps: &self.level_caps,
-            };
-            let q = PlaceQuery {
-                energy: self.energy.as_ref(),
-                cfg: &self.opts.selector,
-                discount: &discount,
-            };
-            match f.direction {
-                FlowDirection::Write => self.pindex.write_target(class, &self.no_exclusions, &q),
-                FlowDirection::Read => self.pindex.read_best(&q),
-            }
-            .expect("at least one server exists")
-        } else {
-            // Oracle path: materialize the full discounted candidate set
-            // and scan it. The per-level rates come from the
-            // ServerMetrics level cache, keeping even this path free of
-            // tree walks and allocations.
-            // scda-analyze: allow(determinism, per-stage wall-clock profiling; gated on obs and never read by sim state)
-            let t = self.opts.obs.is_enabled().then(std::time::Instant::now);
-            self.ct.server_metrics_into(&mut self.metrics_buf);
-            for m in self.metrics_buf.iter_mut() {
-                let &(rack, agg) = self.server_coord.get(&m.server).expect("server has coords");
-                let k0 = self.outstanding.get(&m.server).copied().unwrap_or(0) as f64;
-                let counts = [
-                    k0,
-                    self.outstanding_rack[rack] as f64,
-                    self.outstanding_agg[agg] as f64,
-                    self.outstanding_total as f64,
-                ];
-                let mut adj_down = f64::INFINITY;
-                let mut adj_up = f64::INFINITY;
-                for (h, (&k, &cap)) in counts.iter().zip(&self.level_caps).enumerate() {
-                    let rd = m.down_levels[h];
-                    adj_down = adj_down.min(rd / (1.0 + k * rd / cap));
-                    let ru = m.up_levels[h];
-                    adj_up = adj_up.min(ru / (1.0 + k * ru / cap));
-                }
-                m.path_down = adj_down;
-                m.path_up = adj_up;
-                m.r0_down /= 1.0 + k0;
-                m.r0_up /= 1.0 + k0;
-            }
-            let picked = placement.place(&PlacementCtx {
-                class,
-                direction: f.direction,
-                metrics: &self.metrics_buf,
-                servers: &self.servers,
-                energy: self.energy.as_ref(),
-                selector: &self.opts.selector,
-            });
-            let (server, sel_rate) = picked.expect("at least one server exists");
-            if let Some(t) = t {
-                self.opts.obs.phase_add(phase::PLACE, t.elapsed());
-            }
-            self.opts.obs.emit_with(|| {
-                // The NNS's decision, with the top of the candidate set it
-                // chose from (discounted per-direction path rates).
-                let mut candidates: Vec<Candidate> = self
-                    .metrics_buf
-                    .iter()
-                    .map(|m| Candidate {
+        // One path for every run: the placement policy answers from the
+        // index under the outstanding-load discount, evaluated only at
+        // the leaves branch-and-bound visits. An observed run decides
+        // with the same code and only *reports* more.
+        let q = PlaceQuery {
+            energy: self.energy.as_ref(),
+            cfg: &self.opts.selector,
+            discount: &self.outstanding,
+        };
+        let ctx = PlacementCtx {
+            class: class_of(f.kind),
+            direction: f.direction,
+            servers: &self.servers,
+            index: &self.pindex,
+            query: &q,
+        };
+        let (server, sel_rate) = self
+            .opts
+            .obs
+            .time_phase(phase::PLACE, || placement.place(&ctx))
+            .expect("at least one server exists");
+        self.opts.obs.emit_with(|| {
+            // The NNS's decision, with the top of the candidate set it
+            // chose from (discounted per-direction path rates).
+            let mut candidates: Vec<Candidate> = self
+                .pindex
+                .metrics()
+                .iter()
+                .map(|m| {
+                    let (down, up) = self.outstanding.adjust(m);
+                    Candidate {
                         server: m.server.0,
                         rate: match f.direction {
-                            FlowDirection::Write => m.path_down,
-                            FlowDirection::Read => m.path_up,
+                            FlowDirection::Write => down,
+                            FlowDirection::Read => up,
                         },
-                    })
-                    .collect();
-                candidates.sort_by(|a, b| b.rate.total_cmp(&a.rate));
-                candidates.truncate(MAX_CANDIDATES);
-                TraceEvent::ServerSelected {
-                    now,
-                    flow: id.0,
-                    server: server.0,
-                    rate: sel_rate,
-                    candidates,
-                }
-            });
-            (server, sel_rate)
-        };
-        *self.outstanding.entry(server).or_insert(0) += 1;
-        {
-            let &(rack, agg) = self.server_coord.get(&server).expect("server has coords");
-            self.outstanding_rack[rack] += 1;
-            self.outstanding_agg[agg] += 1;
-            self.outstanding_total += 1;
-        }
+                    }
+                })
+                .collect();
+            candidates.sort_by(|a, b| b.rate.total_cmp(&a.rate));
+            candidates.truncate(MAX_CANDIDATES);
+            TraceEvent::ServerSelected {
+                now,
+                flow: id.0,
+                server: server.0,
+                rate: sel_rate,
+                candidates,
+            }
+        });
+        self.outstanding.book(server);
 
         // Waking a dormant server costs its transition latency before
         // the connection can open (§VII-C).
@@ -845,16 +795,7 @@ impl ControlPolicy for ScdaControl {
         );
         if let Some(ctl) = &ctl {
             if !is_internal {
-                if let Some(k) = self.outstanding.get_mut(&ctl.server) {
-                    *k = k.saturating_sub(1);
-                }
-                let &(rack, agg) = self
-                    .server_coord
-                    .get(&ctl.server)
-                    .expect("server has coords");
-                self.outstanding_rack[rack] = self.outstanding_rack[rack].saturating_sub(1);
-                self.outstanding_agg[agg] = self.outstanding_agg[agg].saturating_sub(1);
-                self.outstanding_total = self.outstanding_total.saturating_sub(1);
+                self.outstanding.release(ctl.server);
             }
         }
         if is_internal {
@@ -869,27 +810,18 @@ impl ControlPolicy for ScdaControl {
             let size = size.expect("external completion has a recorded size");
             let primary = ctl.as_ref().expect("write flow has control state").server;
             // Replica selection ranks on the *raw* (undiscounted) round
-            // metrics, which is exactly the placement index's mirror —
-            // so the index answers directly unless power-aware ranking
-            // forces the Selector oracle.
-            let replica_pick = if self.opts.selector.power_aware {
-                self.ct.server_metrics_into(&mut self.metrics_buf);
-                let sel =
-                    Selector::new(&self.metrics_buf, self.energy.as_ref(), &self.opts.selector);
-                sel.replica_target(ContentClass::SemiInteractiveRead, primary, &[])
-            } else {
-                let q = PlaceQuery {
-                    energy: self.energy.as_ref(),
-                    cfg: &self.opts.selector,
-                    discount: &NoDiscount,
-                };
-                self.pindex.replica_target(
-                    ContentClass::SemiInteractiveRead,
-                    primary,
-                    &self.no_exclusions,
-                    &q,
-                )
+            // metrics, which is exactly the placement index's mirror.
+            let q = PlaceQuery {
+                energy: self.energy.as_ref(),
+                cfg: &self.opts.selector,
+                discount: &NoDiscount,
             };
+            let replica_pick = self.pindex.replica_target(
+                ContentClass::SemiInteractiveRead,
+                primary,
+                &NodeSet::new(),
+                &q,
+            );
             if let Some((replica, _)) = replica_pick {
                 let rate = self
                     .ct

@@ -7,9 +7,13 @@
 //! the `scda-analyze` determinism lint exist to protect. Any per-process
 //! hash seeding, wall-clock leakage, or entropy draw in the kernel,
 //! control plane or transport shows up here as a single flipped bit.
+//! The same comparison pins an observed run against its unobserved twin:
+//! watching a run must not change which code places a request.
 
-use scda_experiments::runner::{run_randtcp, run_scda, RunResult, ScdaOptions};
+use scda_core::SelectorConfig;
+use scda_experiments::runner::{run_randtcp, run_scda, EnergyOptions, RunResult, ScdaOptions};
 use scda_experiments::{Group, Scale};
+use scda_obs::Obs;
 
 /// Compare every float of a run's accounting by exact bit pattern —
 /// `assert_eq!` on `f64` would also be exact, but comparing `to_bits`
@@ -67,4 +71,41 @@ fn randtcp_runs_are_bit_identical() {
     let second = run_randtcp(&sc);
     assert!(first.completed > 0, "scenario must exercise the kernel");
     assert_bit_identical(&first, &second);
+}
+
+#[test]
+fn observed_power_aware_run_matches_unobserved() {
+    // Observation and §VII-D ranking both used to move admission onto a
+    // separate scan; now every run decides through the placement index
+    // and an observed one only reports more. Writes with replication, so
+    // the power-aware replica pick is covered too.
+    let sc = Group::DatacenterK3.scenario(Scale::Quick, 42);
+    let opts = ScdaOptions {
+        selector: SelectorConfig {
+            r_scale: 0.5 * sc.topo.base_bw_bps / 8.0,
+            power_aware: true,
+        },
+        energy: Some(EnergyOptions::default()),
+        replicate_writes: true,
+        ..Default::default()
+    };
+    let plain = run_scda(&sc, &opts);
+    let obs = Obs::enabled();
+    let observed = run_scda(
+        &sc,
+        &ScdaOptions {
+            obs: obs.clone(),
+            ..opts
+        },
+    );
+    assert!(plain.replications_completed > 0, "replica picks exercised");
+    assert_bit_identical(&plain, &observed);
+    assert_eq!(plain.energy_joules, observed.energy_joules);
+
+    let trace = obs.trace_jsonl().expect("enabled handle has a trace");
+    let selected = trace.matches("\"event\":\"server_selected\"").count();
+    assert_eq!(
+        selected, observed.requested,
+        "one server_selected event per external admission"
+    );
 }

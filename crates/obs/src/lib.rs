@@ -43,7 +43,7 @@ pub mod phase {
     /// Transport-drive stage: one fluid tick plus completion accounting.
     pub const TICK: &str = "kernel.tick";
     /// Placement query: one server pick against the incremental
-    /// placement index (or its fresh-`Selector` oracle fallback).
+    /// placement index.
     pub const PLACE: &str = "kernel.place";
     /// Route resolution: shortest-path handle lookup / interning for a
     /// (src, dst) pair in the routing cache.
@@ -224,6 +224,7 @@ impl Obs {
         if self.core.is_none() {
             return f();
         }
+        // scda-analyze: allow(determinism, wall-clock profiling; read only when enabled, charged to the profiler and never returned to the caller)
         let t0 = Instant::now();
         let r = f();
         self.phase_add(phase, t0.elapsed());

@@ -110,11 +110,11 @@ fn main() {
         .expect("fleet is non-empty")
         .server;
     let (passive_replica, _) = sel
-        .replica_target(ContentClass::Passive, primary, &[])
+        .replica_target(ContentClass::Passive, primary, &NodeSet::new())
         .expect("a replica target exists");
     println!("passive replica  -> {passive_replica} (dormant, stays asleep for cold data)");
     let (interactive, _) = sel
-        .write_target(ContentClass::Interactive, &[])
+        .write_target(ContentClass::Interactive, &NodeSet::new())
         .expect("an active server exists");
     println!("interactive write -> {interactive} (active server, not reserved for passive data)");
     assert_ne!(passive_replica, interactive);
@@ -126,7 +126,7 @@ fn main() {
     };
     let sel_power = Selector::new(&metrics, Some(&energy), &cfg_power);
     let (efficient, score) = sel_power
-        .write_target(ContentClass::SemiInteractiveWrite, &[])
+        .write_target(ContentClass::SemiInteractiveWrite, &NodeSet::new())
         .expect("fleet is non-empty");
     println!("\npower-aware write target: {efficient} (best R̂/P = {score:.0} bytes/joule)",);
 

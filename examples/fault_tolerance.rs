@@ -143,7 +143,7 @@ fn main() {
         power_aware: false,
     };
     let sel = Selector::new(&metrics, None, &cfg);
-    let replicas = [victim_server, tree.servers[1][0]];
+    let replicas = NodeSet::from_iter([victim_server, tree.servers[1][0]]);
     let (source, rate) = sel.read_source(&replicas).expect("replicas exist");
     println!(
         "read reassignment: {} of the two replicas now serves (available uplink {:.1} MB/s)",

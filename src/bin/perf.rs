@@ -512,7 +512,7 @@ fn bench_churn_hyperscale(opens_per_iter: u64, iters: u64) -> ScenarioResult {
     /// bounds stay informative (`k·r/C ≲ 1`). Far past that — tens of
     /// thousands of never-completing opens — the trunk term flattens
     /// every score toward `C/k` and branch-and-bound degrades to the
-    /// same O(n) scan the oracle pays (still winning, by skipping the
+    /// same O(n) scan the reference pays (still winning, by skipping the
     /// per-open metrics copy).
     const ACTIVE_WINDOW: usize = 64;
 
@@ -689,9 +689,9 @@ fn bench_churn_hyperscale(opens_per_iter: u64, iters: u64) -> ScenarioResult {
                 let sel = Selector::new(&buf, None, &sel_cfg);
                 let (is_write, class) = workload(j);
                 let (pick, _) = if is_write {
-                    sel.write_target(class, &[])
+                    sel.write_target(class, &no_excl)
                 } else {
-                    sel.read_source_masked(&all_servers)
+                    sel.read_source(&all_servers)
                 }
                 .expect("at least one server exists");
                 naive.admit(srv_of_node[pick.index()], &coord);

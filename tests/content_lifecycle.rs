@@ -63,7 +63,7 @@ fn write_replicate_read_round_trip() {
     let content = ContentId(99);
     let size = 8e6;
     let (primary, rate) = sel
-        .write_target(ContentClass::SemiInteractiveRead, &[])
+        .write_target(ContentClass::SemiInteractiveRead, &NodeSet::new())
         .expect("servers exist");
     assert!(rate > 0.0);
     let bs = stores
@@ -85,7 +85,7 @@ fn write_replicate_read_round_trip() {
     // 3. Internal replication (figure 4): best-uplink server that is not
     //    the primary; transfer priced at the shared-level rate (§VIII-D).
     let (replica, _) = sel
-        .replica_target(ContentClass::SemiInteractiveRead, primary, &[])
+        .replica_target(ContentClass::SemiInteractiveRead, primary, &NodeSet::new())
         .expect("another server exists");
     assert_ne!(replica, primary);
     let rate = ct.transfer_rate(primary, replica).expect("both in tree");
@@ -106,7 +106,9 @@ fn write_replicate_read_round_trip() {
     // 4. External read (figure 5): served from the faster-uplink holder.
     let meta = ns.lookup(content).expect("registered");
     let holders = meta.holders();
-    let (source, up_rate) = sel.read_source(&holders).expect("holders exist");
+    let (source, up_rate) = sel
+        .read_source(&holders.iter().copied().collect())
+        .expect("holders exist");
     assert!(holders.contains(&source));
     assert!(up_rate > 0.0);
     // The chosen source has the best uplink among holders.

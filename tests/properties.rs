@@ -190,11 +190,11 @@ proptest! {
             ContentClass::SemiInteractiveRead,
             ContentClass::Passive,
         ] {
-            if let Some((picked, _)) = sel.write_target(class, &[excl]) {
+            if let Some((picked, _)) = sel.write_target(class, &NodeSet::from_iter([excl])) {
                 prop_assert_ne!(picked, excl);
                 prop_assert!(picked.0 < n as u32);
             }
-            if let Some((replica, _)) = sel.replica_target(class, excl, &[]) {
+            if let Some((replica, _)) = sel.replica_target(class, excl, &NodeSet::new()) {
                 prop_assert_ne!(replica, excl, "replica on the primary");
             }
         }
