@@ -20,8 +20,9 @@
 //!   scale-down, and power-aware `R̂/P` ranking (§VII), as the reference
 //!   O(n) scan;
 //! * [`placement_index`] — the incremental index every placement goes
-//!   through: raw-rate tournament trees answering the §VII queries
-//!   bit-identically to a fresh [`Selector`] in amortized sublinear time;
+//!   through: one search tree shaped like the RA tree, answering the
+//!   §VII queries bit-identically to a fresh [`Selector`] from a few
+//!   racks' worth of leaves;
 //! * [`content`] — the content model: HWHR/HWLR/LWHR/LWLR classes and
 //!   access-frequency learning (§II-B);
 //! * [`energy`] — the synthetic server power/temperature model and
@@ -56,7 +57,10 @@ pub use nodes::{BlockServer, ContentMeta, Fes, NameNode, NameService, ProtocolCo
 pub use openflow::OpenFlowSjf;
 pub use overhead::{delta_reporting, full_reporting, RoundOverhead, TreeShape};
 pub use params::Params;
-pub use placement_index::{NoDiscount, PlaceQuery, PlacementIndex, RateDiscount};
+pub use placement_index::{
+    discounted_share, share_bound, GroupSpan, IndexShape, NoDiscount, PlaceQuery, PlacementIndex,
+    QueryStats, RateDiscount,
+};
 pub use priority::PriorityPolicy;
 pub use rate_metric::{LinkAllocator, LinkSample, MetricKind};
 pub use reservation::ReservationBook;

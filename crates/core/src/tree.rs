@@ -45,6 +45,7 @@ use scda_simnet::{LinkId, NodeId};
 use serde::{Deserialize, Serialize};
 
 use crate::params::Params;
+use crate::placement_index::IndexShape;
 use crate::rate_metric::{LinkSample, MetricKind};
 use crate::sla::{SlaViolation, ViolationSite};
 
@@ -1078,6 +1079,33 @@ impl ControlTree {
         self.best_inter[self.root.0].map(|(v, bs)| (bs, v))
     }
 
+    /// How the tree groups its servers, for a
+    /// [`crate::PlacementIndex`] over [`ControlTree::server_metrics_into`]'s
+    /// order: per chain level `h ≥ 1` the maximal runs of consecutive RMs
+    /// sharing their level-`h` ancestor (racks, then aggregations, then
+    /// the root on the three-tier tree). An RM whose chain ends below
+    /// `h` is a group of its own there.
+    pub fn index_shape(&self) -> IndexShape {
+        let n = self.n_rms() as u32;
+        let levels = (1..=self.hmax as usize)
+            .map(|h| {
+                let runs = &self.anc_runs
+                    [self.anc_run_offsets[h - 1] as usize..self.anc_run_offsets[h] as usize];
+                let mut bounds = Vec::with_capacity(runs.len() + 1);
+                for &(start, end, anc) in runs {
+                    if anc == NONE {
+                        bounds.extend(start..end);
+                    } else {
+                        bounds.push(start);
+                    }
+                }
+                bounds.push(n);
+                (h as u8, bounds)
+            })
+            .collect();
+        IndexShape::new(n as usize, levels)
+    }
+
     /// Per-server metrics for filtered selection (replica placement with
     /// exclusions, dormancy filters, power-aware ranking), RMs in
     /// construction order — deterministic. Allocation-free: clears and
@@ -1739,6 +1767,47 @@ mod tests {
         assert_eq!(
             serial.best_server_interactive(),
             parallel.best_server_interactive()
+        );
+    }
+
+    #[test]
+    fn index_shape_follows_racks_aggregations_and_root() {
+        let (_tree, ct) = small_tree();
+        assert_eq!(
+            ct.index_shape(),
+            IndexShape::new(
+                12,
+                vec![
+                    (1, vec![0, 3, 6, 9, 12]),
+                    (2, vec![0, 6, 12]),
+                    (3, vec![0, 12]),
+                ]
+            )
+        );
+    }
+
+    #[test]
+    fn index_shape_isolates_servers_whose_chain_ends_early() {
+        // Two servers under a rack RA, a third hanging off the root: at
+        // level 2 the third has no ancestor and stands alone.
+        let node = |level, parent, server: Option<u32>, link: u32| NodeSpec {
+            level,
+            parent,
+            server: server.map(NodeId),
+            down_link: LinkId(link),
+            up_link: LinkId(link + 1),
+        };
+        let specs = [
+            node(2, None, None, 0),
+            node(1, Some(0), None, 2),
+            node(0, Some(1), Some(0), 4),
+            node(0, Some(1), Some(1), 6),
+            node(0, Some(0), Some(2), 8),
+        ];
+        let ct = ControlTree::new(Params::default(), MetricKind::Full, &specs, |_| 1000.0);
+        assert_eq!(
+            ct.index_shape(),
+            IndexShape::new(3, vec![(1, vec![0, 2, 3]), (2, vec![0, 2, 3])])
         );
     }
 

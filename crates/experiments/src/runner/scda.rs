@@ -16,10 +16,10 @@ use scda_audit::{
     MITIGATION_REASSIGN,
 };
 use scda_core::{
-    ContentClass, ControlTree, Direction, EnergyBook, LinkAllocator, LinkSample, Mitigation,
-    NoDiscount, NodeSet, OpenFlowSjf, Params, PlaceQuery, PlacementIndex, PriorityPolicy,
-    ProtocolCosts, RateCaps, RateDiscount, ResourceBook, ServerMetrics, SlaMonitor, SnapshotStream,
-    Telemetry,
+    discounted_share, share_bound, ContentClass, ControlTree, Direction, EnergyBook, GroupSpan,
+    LinkAllocator, LinkSample, Mitigation, NoDiscount, NodeSet, OpenFlowSjf, Params, PlaceQuery,
+    PlacementIndex, PriorityPolicy, ProtocolCosts, RateCaps, RateDiscount, ResourceBook,
+    ServerMetrics, SlaMonitor, SnapshotStream, Telemetry,
 };
 use scda_obs::{metric, phase, Candidate, TraceEvent, MAX_CANDIDATES};
 use scda_simnet::builders::ThreeTierTree;
@@ -93,43 +93,84 @@ struct FlowCtl {
 /// rounds. k not-yet-visible flows on a level-h link of capacity C shift
 /// a per-flow share r to r/(1 + k·r/C) (i.e. C/N -> C/(N + k)), and the
 /// candidate's score is the minimum over its path levels, evaluated
-/// exactly at the leaves the placement index visits. `adjusted ≤ raw`
-/// holds per level (k ≥ 0), satisfying the branch-and-bound soundness
-/// contract. The default value — no servers, nothing outstanding — is
-/// what a composition without a control plane hands its placement.
+/// exactly at the leaves the placement index visits. The default value —
+/// no servers, nothing outstanding — is what a composition without a
+/// control plane hands its placement.
+///
+/// State is dense: per-server columns are indexed by `NodeId.0` (the
+/// layout `ControlTree`'s server lookup uses), so a leaf score is
+/// arithmetic on three array reads.
 #[derive(Debug, Default)]
 pub struct OutstandingDiscount {
-    per_server: BTreeMap<NodeId, u32>,
+    /// Outstanding assignments per server, indexed by `NodeId.0`.
+    per_server: Vec<u32>,
     per_rack: Vec<u32>,
     per_agg: Vec<u32>,
     total: u32,
-    /// Rack / aggregation coordinates per server.
-    server_coord: BTreeMap<NodeId, (usize, usize)>,
+    /// Rack of each server, indexed by `NodeId.0`.
+    server_rack: Vec<u32>,
+    /// Aggregation of each rack.
+    rack_agg: Vec<u32>,
+    /// Aggregation of each level-2 group of the tree's index shape (a
+    /// maximal run of consecutive racks under one aggregation).
+    group_agg: Vec<u32>,
     /// Per-level capacities (server link, edge uplink, aggregation,
     /// trunk) the discount divides by.
     level_caps: [f64; 4],
 }
 
 impl OutstandingDiscount {
-    fn coord(&self, server: NodeId) -> (usize, usize) {
-        *self.server_coord.get(&server).expect("server has coords")
+    /// Nothing outstanding on `tree`, whose four link tiers have the
+    /// capacities `level_caps` (bytes/s; server link, edge uplink,
+    /// aggregation, trunk). Group bounds assume the index searches
+    /// `ControlTree::from_three_tier(tree, ..).index_shape()`: level-1
+    /// group `r` is rack `r`, level-2 groups are the runs of racks
+    /// sharing an aggregation.
+    pub fn new(tree: &ThreeTierTree, level_caps: [f64; 4]) -> Self {
+        let nodes = tree
+            .servers
+            .iter()
+            .flatten()
+            .map(|s| s.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut server_rack = vec![u32::MAX; nodes];
+        for (r, rack) in tree.servers.iter().enumerate() {
+            assert!(!rack.is_empty(), "rack {r} has no server");
+            for srv in rack {
+                server_rack[srv.index()] = r as u32;
+            }
+        }
+        let rack_agg: Vec<u32> = tree.agg_of_rack.iter().map(|&a| a as u32).collect();
+        let mut group_agg = rack_agg.clone();
+        group_agg.dedup();
+        OutstandingDiscount {
+            per_server: vec![0; nodes],
+            per_rack: vec![0; tree.servers.len()],
+            per_agg: vec![0; tree.aggs.len()],
+            total: 0,
+            server_rack,
+            rack_agg,
+            group_agg,
+            level_caps,
+        }
     }
 
     /// One more assignment on `server`'s path.
-    fn book(&mut self, server: NodeId) {
-        let (rack, agg) = self.coord(server);
-        *self.per_server.entry(server).or_insert(0) += 1;
+    pub fn book(&mut self, server: NodeId) {
+        let rack = self.server_rack[server.index()] as usize;
+        self.per_server[server.index()] += 1;
         self.per_rack[rack] += 1;
-        self.per_agg[agg] += 1;
+        self.per_agg[self.rack_agg[rack] as usize] += 1;
         self.total += 1;
     }
 
     /// An assignment on `server`'s path finished.
-    fn release(&mut self, server: NodeId) {
-        let (rack, agg) = self.coord(server);
-        if let Some(k) = self.per_server.get_mut(&server) {
-            *k = k.saturating_sub(1);
-        }
+    pub fn release(&mut self, server: NodeId) {
+        let rack = self.server_rack[server.index()] as usize;
+        let agg = self.rack_agg[rack] as usize;
+        let k = &mut self.per_server[server.index()];
+        *k = k.saturating_sub(1);
         self.per_rack[rack] = self.per_rack[rack].saturating_sub(1);
         self.per_agg[agg] = self.per_agg[agg].saturating_sub(1);
         self.total = self.total.saturating_sub(1);
@@ -139,35 +180,46 @@ impl OutstandingDiscount {
 impl RateDiscount for OutstandingDiscount {
     // scda-analyze: hot(kernel.place)
     fn adjust(&self, m: &ServerMetrics) -> (f64, f64) {
-        let (rack, agg) = self.coord(m.server);
-        let k0 = self.per_server.get(&m.server).copied().unwrap_or(0) as f64;
+        let rack = self.server_rack[m.server.index()] as usize;
         let counts = [
-            k0,
+            self.per_server[m.server.index()] as f64,
             self.per_rack[rack] as f64,
-            self.per_agg[agg] as f64,
+            self.per_agg[self.rack_agg[rack] as usize] as f64,
             self.total as f64,
         ];
         let mut adj_down = f64::INFINITY;
         let mut adj_up = f64::INFINITY;
         for (h, (&k, &cap)) in counts.iter().zip(&self.level_caps).enumerate() {
-            let rd = m.down_levels[h];
-            adj_down = adj_down.min(rd / (1.0 + k * rd / cap));
-            let ru = m.up_levels[h];
-            adj_up = adj_up.min(ru / (1.0 + k * ru / cap));
+            adj_down = adj_down.min(discounted_share(m.down_levels[h], k, cap));
+            adj_up = adj_up.min(discounted_share(m.up_levels[h], k, cap));
         }
         (adj_down, adj_up)
     }
 
-    // The datacenter-wide term prices the deepest cached level, and on
-    // the three-tier tree (depth 4 = `MAX_LEVELS`) that level's
-    // cumulative rate *is* the raw path rate — so the trunk term is a
-    // monotone function of `raw` and bounds the whole level-minimum.
-    // Folding it in keeps subtree pruning sharp under heavy churn, when
-    // the shared trunk count shrinks every score uniformly.
+    // A leaf's score is at most each of its level terms, and the counts
+    // of the levels at and above the group's are the same for every leaf
+    // beneath it: those terms are bounded by `share_bound` over the
+    // span. Below the group's level the counts differ from leaf to leaf;
+    // all that is known is `k ≥ 0`, and `share_bound(.., 0, ..)` is the
+    // raw maximum.
     // scda-analyze: hot(kernel.place)
-    fn bound(&self, raw: f64) -> f64 {
-        let k = self.total as f64;
-        raw / (1.0 + k * raw / self.level_caps[3])
+    fn group_bound(&self, level: u8, group: usize, span: &GroupSpan) -> (f64, f64) {
+        let (k_rack, k_agg) = match level {
+            1 => (
+                self.per_rack[group],
+                self.per_agg[self.rack_agg[group] as usize],
+            ),
+            2 => (0, self.per_agg[self.group_agg[group] as usize]),
+            _ => (0, 0),
+        };
+        let counts = [0.0, k_rack as f64, k_agg as f64, self.total as f64];
+        let mut down = f64::INFINITY;
+        let mut up = f64::INFINITY;
+        for (h, (&k, &cap)) in counts.iter().zip(&self.level_caps).enumerate() {
+            down = down.min(share_bound(span.down_max[h], span.down_second[h], k, cap));
+            up = up.min(share_bound(span.up_max[h], span.up_second[h], k, cap));
+        }
+        (down, up)
     }
 }
 
@@ -243,12 +295,6 @@ impl ScdaControl {
         let servers = tree.all_servers();
         let clients = tree.clients.clone();
         let client_links = tree.client_links.clone();
-        let mut server_coord: BTreeMap<NodeId, (usize, usize)> = BTreeMap::new();
-        for (r, rack) in tree.servers.iter().enumerate() {
-            for &srv in rack {
-                server_coord.insert(srv, (r, tree.agg_of_rack[r]));
-            }
-        }
         let params = Params {
             tau: sc.tau,
             drain_horizon: sc.tau,
@@ -257,8 +303,9 @@ impl ScdaControl {
         let mut ct = ControlTree::from_three_tier(tree, params.clone(), opts.metric);
         assert!(
             (ct.hmax() as usize) < scda_core::tree::MAX_LEVELS,
-            "OutstandingDiscount::bound needs the deepest cached level \
-             to equal the path rate (true for trees of depth ≤ MAX_LEVELS)"
+            "OutstandingDiscount prices the server, rack, aggregation and \
+             trunk levels from the per-server level cache: the tree must \
+             fit its MAX_LEVELS"
         );
         ct.set_obs(opts.obs.clone());
         let costs = ProtocolCosts {
@@ -292,25 +339,22 @@ impl ScdaControl {
             })
         });
         let x = sc.topo.base_bw_bps / 8.0;
+        let pindex = PlacementIndex::with_shape(ct.index_shape());
         ScdaControl {
             params,
             ct,
             costs,
             client_alloc,
             link_loads: vec![0.0_f64; tree.topo.link_count()],
-            outstanding: OutstandingDiscount {
-                per_server: BTreeMap::new(),
-                per_rack: vec![0u32; tree.servers.len()],
-                per_agg: vec![0u32; tree.aggs.len()],
-                total: 0,
-                server_coord,
-                level_caps: [x, x, sc.topo.k_factor * x, sc.topo.trunk_mult * x],
-            },
+            outstanding: OutstandingDiscount::new(
+                tree,
+                [x, x, sc.topo.k_factor * x, sc.topo.trunk_mult * x],
+            ),
             flow_ctl: BTreeMap::new(),
             pending_class: BTreeMap::new(),
             recent_wakes: Vec::new(),
             metrics_buf: Vec::new(),
-            pindex: PlacementIndex::new(),
+            pindex,
             resources,
             boosted: BTreeMap::new(),
             energy,
@@ -388,24 +432,30 @@ impl ControlPolicy for ScdaControl {
             .expect("at least one server exists");
         self.opts.obs.emit_with(|| {
             // The NNS's decision, with the top of the candidate set it
-            // chose from (discounted per-direction path rates).
-            let mut candidates: Vec<Candidate> = self
-                .pindex
-                .metrics()
-                .iter()
-                .map(|m| {
-                    let (down, up) = self.outstanding.adjust(m);
-                    Candidate {
+            // chose from (discounted per-direction path rates): best
+            // first, the earlier server first among equal rates.
+            let mut top = [Candidate {
+                server: 0,
+                rate: 0.0,
+            }; MAX_CANDIDATES];
+            let mut len = 0;
+            for m in self.pindex.metrics() {
+                let (down, up) = self.outstanding.adjust(m);
+                let rate = match f.direction {
+                    FlowDirection::Write => down,
+                    FlowDirection::Read => up,
+                };
+                let at = top[..len].partition_point(|c| c.rate.total_cmp(&rate).is_ge());
+                if at < MAX_CANDIDATES {
+                    len = (len + 1).min(MAX_CANDIDATES);
+                    top.copy_within(at..len - 1, at + 1);
+                    top[at] = Candidate {
                         server: m.server.0,
-                        rate: match f.direction {
-                            FlowDirection::Write => down,
-                            FlowDirection::Read => up,
-                        },
-                    }
-                })
-                .collect();
-            candidates.sort_by(|a, b| b.rate.total_cmp(&a.rate));
-            candidates.truncate(MAX_CANDIDATES);
+                        rate,
+                    };
+                }
+            }
+            let candidates = top[..len].to_vec();
             TraceEvent::ServerSelected {
                 now,
                 flow: id.0,
@@ -859,5 +909,119 @@ impl ControlPolicy for ScdaControl {
         result.control_rounds = self.control_rounds;
         result.changed_dirs_total = self.changed_dirs_total;
         result.snapshots = self.snap_stream.take();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scda_core::{MetricKind, SelectorConfig};
+    use scda_simnet::builders::ThreeTierConfig;
+    use scda_simnet::units::mbps;
+    use std::collections::VecDeque;
+
+    struct Idle;
+    impl Telemetry for Idle {
+        fn sample(&mut self, _link: LinkId) -> LinkSample {
+            LinkSample {
+                queue_bytes: 0.0,
+                flow_rate_sum: 0.0,
+                arrival_rate: 0.0,
+            }
+        }
+        fn rate_caps(&mut self, _server: NodeId) -> RateCaps {
+            RateCaps::default()
+        }
+    }
+
+    /// The property the shaped index exists for, as a count CI can hold
+    /// without a clock: on an idle 1000×10 fabric under 25 aggregations
+    /// with 64 assignments outstanding, an admission scores a few racks
+    /// of leaves and evaluates a few bounds per group on its path — not
+    /// a third of the fleet.
+    #[test]
+    fn admission_on_an_idle_hyperscale_fabric_visits_a_few_racks() {
+        const OUTSTANDING: usize = 64;
+        const QUERIES: u64 = 512;
+        let cfg = ThreeTierConfig {
+            racks: 1000,
+            servers_per_rack: 10,
+            racks_per_agg: 40,
+            base_bw_bps: mbps(200.0),
+            k_factor: 50.0,
+            trunk_mult: 1000.0,
+            ..Default::default()
+        };
+        let tree = cfg.build();
+        assert_eq!(tree.aggs.len(), 25);
+        let mut ct = ControlTree::from_three_tier(&tree, Params::default(), MetricKind::Full);
+        ct.control_round(0.0, &mut Idle);
+        let mut metrics = Vec::new();
+        ct.server_metrics_into(&mut metrics);
+        let mut index = PlacementIndex::with_shape(ct.index_shape());
+        index.refresh(&metrics);
+
+        let x = cfg.base_bw_bps / 8.0;
+        let mut outstanding =
+            OutstandingDiscount::new(&tree, [x, x, cfg.k_factor * x, cfg.trunk_mult * x]);
+        let selector = SelectorConfig::default();
+        let mut window = VecDeque::new();
+        let mut admit = |outstanding: &mut OutstandingDiscount, j: u64| {
+            let q = PlaceQuery {
+                energy: None,
+                cfg: &selector,
+                discount: &*outstanding,
+            };
+            let (server, _) = if j.is_multiple_of(2) {
+                index.write_target(ContentClass::SemiInteractiveWrite, &NodeSet::new(), &q)
+            } else {
+                index.read_best(&q)
+            }
+            .expect("servers exist");
+            outstanding.book(server);
+            window.push_back(server);
+            if window.len() > OUTSTANDING {
+                outstanding.release(window.pop_front().expect("non-empty"));
+            }
+        };
+        for j in 0..OUTSTANDING as u64 {
+            admit(&mut outstanding, j);
+        }
+        let before = index.query_stats();
+        for j in 0..QUERIES {
+            admit(&mut outstanding, j);
+        }
+        let after = index.query_stats();
+        let queries = after.queries - before.queries;
+        assert!(queries >= QUERIES);
+        let leaves = (after.leaves - before.leaves) as f64 / queries as f64;
+        let bounds = (after.bounds - before.bounds) as f64 / queries as f64;
+        assert!(leaves <= 64.0, "{leaves} leaves scored per query");
+        assert!(bounds <= 256.0, "{bounds} group bounds per query");
+        assert!(after.pruned > before.pruned);
+    }
+
+    #[test]
+    fn release_undoes_book_at_every_level() {
+        let tree = ThreeTierConfig::default().build();
+        let x = 1.0e6;
+        let mut d = OutstandingDiscount::new(&tree, [x, x, 3.0 * x, 6.0 * x]);
+        let server = tree.servers[7][3];
+        d.book(server);
+        d.book(server);
+        assert_eq!(
+            (d.per_server[server.index()], d.per_rack[7], d.total),
+            (2, 2, 2)
+        );
+        assert_eq!(d.per_agg[tree.agg_of_rack[7]], 2);
+        d.release(server);
+        d.release(server);
+        d.release(server);
+        assert_eq!(
+            (d.per_server[server.index()], d.per_rack[7], d.total),
+            (0, 0, 0),
+            "release saturates at zero"
+        );
+        assert_eq!(d.per_agg[tree.agg_of_rack[7]], 0);
     }
 }

@@ -58,9 +58,10 @@ use scda_core::{
     ContentClass, ControlTree, MetricKind, NodeSet, Params, PlaceQuery, PlacementIndex,
     RateDiscount, Selector, SelectorConfig, ServerMetrics, SlaPolicy,
 };
+use scda_experiments::runner::OutstandingDiscount;
 use scda_experiments::{run_scda, Scale, ScdaOptions, Scenario};
 use scda_obs::{phase, Obs};
-use scda_simnet::builders::ThreeTierConfig;
+use scda_simnet::builders::{ThreeTierConfig, ThreeTierTree};
 use scda_simnet::units::SimTime;
 use scda_simnet::{run_until_audited, FlowId, LinkId, Network, NodeId, Scheduler, Simulation};
 use scda_transport::{AnyTransport, FlowDriver, ScdaWindow};
@@ -401,119 +402,46 @@ fn bench_churn_hyperscale(opens_per_iter: u64, iters: u64) -> ScenarioResult {
     let params = Params::default();
     let mut ct = ControlTree::from_three_tier(&tree, params.clone(), MetricKind::Full);
 
-    // Dense per-server state: node id → server index, and (rack, agg)
-    // coordinates per server index.
+    // Node id → server index (the checksum's key).
     let max_node = servers.iter().map(|s| s.index()).max().unwrap_or(0);
     let mut srv_of_node = vec![u32::MAX; max_node + 1];
-    let mut coord = vec![(0u32, 0u32); n];
-    {
-        let mut si = 0u32;
-        for (r, rack) in tree.servers.iter().enumerate() {
-            for &srv in rack {
-                srv_of_node[srv.index()] = si;
-                coord[si as usize] = (r as u32, tree.agg_of_rack[r] as u32);
-                si += 1;
-            }
-        }
-    }
-    let n_racks = tree.servers.len();
-    let n_aggs = tree.aggs.len();
-
-    /// Outstanding-load discount over dense per-index counters — the
-    /// same float operations as the runner's admission discount.
-    struct DenseDiscount<'a> {
-        srv_of_node: &'a [u32],
-        coord: &'a [(u32, u32)],
-        outstanding: &'a [u32],
-        rack: &'a [u32],
-        agg: &'a [u32],
-        total: u32,
-        caps: &'a [f64; 4],
-    }
-    impl RateDiscount for DenseDiscount<'_> {
-        fn adjust(&self, m: &ServerMetrics) -> (f64, f64) {
-            let si = self.srv_of_node[m.server.index()] as usize;
-            let (r, a) = self.coord[si];
-            let counts = [
-                self.outstanding[si] as f64,
-                self.rack[r as usize] as f64,
-                self.agg[a as usize] as f64,
-                self.total as f64,
-            ];
-            let mut adj_down = f64::INFINITY;
-            let mut adj_up = f64::INFINITY;
-            for (h, (&k, &cap)) in counts.iter().zip(self.caps).enumerate() {
-                let rd = m.down_levels[h];
-                adj_down = adj_down.min(rd / (1.0 + k * rd / cap));
-                let ru = m.up_levels[h];
-                adj_up = adj_up.min(ru / (1.0 + k * ru / cap));
-            }
-            (adj_down, adj_up)
-        }
-
-        // The trunk term bounds every score and is monotone in the raw
-        // path rate (the deepest cumulative level on the three-tier
-        // tree), mirroring the runner's discount.
-        fn bound(&self, raw: f64) -> f64 {
-            let k = self.total as f64;
-            raw / (1.0 + k * raw / self.caps[3])
-        }
+    for (si, srv) in servers.iter().enumerate() {
+        srv_of_node[srv.index()] = si as u32;
     }
 
-    /// One arm's admission bookkeeping: outstanding counters, the
-    /// steady-state open window, and the pick checksum.
+    /// One arm's admission bookkeeping: the production outstanding-load
+    /// discount, the steady-state open window, and the pick checksum.
     struct Arm {
-        outstanding: Vec<u32>,
-        rack: Vec<u32>,
-        agg: Vec<u32>,
-        total: u32,
-        window: std::collections::VecDeque<u32>,
+        outstanding: OutstandingDiscount,
+        window: std::collections::VecDeque<NodeId>,
         cks: u64,
         departures: u64,
     }
     impl Arm {
-        fn new(n: usize, n_racks: usize, n_aggs: usize) -> Self {
+        fn new(tree: &ThreeTierTree, level_caps: [f64; 4]) -> Self {
             Arm {
-                outstanding: vec![0; n],
-                rack: vec![0; n_racks],
-                agg: vec![0; n_aggs],
-                total: 0,
+                outstanding: OutstandingDiscount::new(tree, level_caps),
                 window: std::collections::VecDeque::with_capacity(ACTIVE_WINDOW + 1),
                 cks: 0,
                 departures: 0,
             }
         }
-        fn admit(&mut self, si: u32, coord: &[(u32, u32)]) {
+        fn admit(&mut self, pick: NodeId, si: u32) {
             self.cks = self
                 .cks
                 .wrapping_mul(0x0000_0100_0000_01b3)
                 .wrapping_add(si as u64 + 1);
-            let (r, a) = coord[si as usize];
-            self.outstanding[si as usize] += 1;
-            self.rack[r as usize] += 1;
-            self.agg[a as usize] += 1;
-            self.total += 1;
-            self.window.push_back(si);
+            self.outstanding.book(pick);
+            self.window.push_back(pick);
             if self.window.len() > ACTIVE_WINDOW {
                 let old = self.window.pop_front().expect("window is non-empty");
-                let (r, a) = coord[old as usize];
-                self.outstanding[old as usize] -= 1;
-                self.rack[r as usize] -= 1;
-                self.agg[a as usize] -= 1;
-                self.total -= 1;
+                self.outstanding.release(old);
                 self.departures += 1;
             }
         }
     }
-    /// Steady-state concurrent opens before the oldest departs. Sized
-    /// for the sustained-churn regime the fast path targets: enough
-    /// outstanding load that every admission shifts the ranking, but
-    /// with per-level discounts moderate enough that the raw-rate upper
-    /// bounds stay informative (`k·r/C ≲ 1`). Far past that — tens of
-    /// thousands of never-completing opens — the trunk term flattens
-    /// every score toward `C/k` and branch-and-bound degrades to the
-    /// same O(n) scan the reference pays (still winning, by skipping the
-    /// per-open metrics copy).
+    /// Steady-state concurrent opens before the oldest departs: enough
+    /// outstanding load that every admission shifts the ranking.
     const ACTIVE_WINDOW: usize = 64;
 
     /// The shared admission sequence: writes-dominated, cycling content
@@ -541,9 +469,9 @@ fn bench_churn_hyperscale(opens_per_iter: u64, iters: u64) -> ScenarioResult {
     let no_excl = NodeSet::new();
     let mut metrics: Vec<ServerMetrics> = Vec::new();
     let mut buf: Vec<ServerMetrics> = Vec::new();
-    let mut pindex = PlacementIndex::new();
-    let mut indexed = Arm::new(n, n_racks, n_aggs);
-    let mut naive = Arm::new(n, n_racks, n_aggs);
+    let mut pindex = PlacementIndex::with_shape(ct.index_shape());
+    let mut indexed = Arm::new(&tree, level_caps);
+    let mut naive = Arm::new(&tree, level_caps);
 
     /// Per-round metric drift: heterogeneous per-link load, re-hashed
     /// per iteration, so each control round moves a large share of the
@@ -634,24 +562,15 @@ fn bench_churn_hyperscale(opens_per_iter: u64, iters: u64) -> ScenarioResult {
         ct.server_metrics_into(&mut metrics);
 
         // Indexed arm: absorb the round's deltas once, then answer every
-        // open from the tournament trees.
+        // open from the index.
         let t = Instant::now();
         obs.time_phase(phase::PLACE, || {
             refresh_entries += pindex.refresh(&metrics) as u64;
             for j in 0..opens_per_iter {
-                let discount = DenseDiscount {
-                    srv_of_node: &srv_of_node,
-                    coord: &coord,
-                    outstanding: &indexed.outstanding,
-                    rack: &indexed.rack,
-                    agg: &indexed.agg,
-                    total: indexed.total,
-                    caps: &level_caps,
-                };
                 let q = PlaceQuery {
                     energy: None,
                     cfg: &sel_cfg,
-                    discount: &discount,
+                    discount: &indexed.outstanding,
                 };
                 let (is_write, class) = workload(j);
                 let (pick, _) = if is_write {
@@ -660,7 +579,7 @@ fn bench_churn_hyperscale(opens_per_iter: u64, iters: u64) -> ScenarioResult {
                     pindex.read_best(&q)
                 }
                 .expect("at least one server exists");
-                indexed.admit(srv_of_node[pick.index()], &coord);
+                indexed.admit(pick, srv_of_node[pick.index()]);
             }
         });
         t_indexed += t.elapsed().as_secs_f64();
@@ -672,17 +591,8 @@ fn bench_churn_hyperscale(opens_per_iter: u64, iters: u64) -> ScenarioResult {
             for j in 0..opens_per_iter {
                 buf.clear();
                 buf.extend_from_slice(&metrics);
-                let discount = DenseDiscount {
-                    srv_of_node: &srv_of_node,
-                    coord: &coord,
-                    outstanding: &naive.outstanding,
-                    rack: &naive.rack,
-                    agg: &naive.agg,
-                    total: naive.total,
-                    caps: &level_caps,
-                };
                 for m in buf.iter_mut() {
-                    let (d, u) = discount.adjust(m);
+                    let (d, u) = naive.outstanding.adjust(m);
                     m.path_down = d;
                     m.path_up = u;
                 }
@@ -694,7 +604,7 @@ fn bench_churn_hyperscale(opens_per_iter: u64, iters: u64) -> ScenarioResult {
                     sel.read_source(&all_servers)
                 }
                 .expect("at least one server exists");
-                naive.admit(srv_of_node[pick.index()], &coord);
+                naive.admit(pick, srv_of_node[pick.index()]);
             }
         });
         t_naive += t.elapsed().as_secs_f64();
