@@ -1,6 +1,6 @@
 # Convenience targets for the SCDA reproduction.
 
-.PHONY: all build test bench figures ablations docs clippy analyze \
+.PHONY: all build test test-release bench figures ablations docs clippy analyze \
         analyze-fixtures clean perf perf-baseline perf-check
 
 all: build

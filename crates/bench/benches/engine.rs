@@ -7,7 +7,7 @@ use scda_obs::Obs;
 use scda_simnet::builders::{clos, fat_tree, ThreeTierConfig};
 use scda_simnet::units::{mbps, SimTime};
 use scda_simnet::{
-    run_until, run_until_observed, EcmpRoutes, FlowId, Network, Scheduler, Simulation,
+    run_until, run_until_observed, EcmpRoutes, FlowId, Network, Scheduler, Simulation, TickReport,
 };
 
 fn bench_scheduler(c: &mut Criterion) {
@@ -85,9 +85,10 @@ fn bench_network_tick(c: &mut Criterion) {
             for i in 0..flows {
                 let id = FlowId(i as u64);
                 net.insert_flow(id, clients[i % clients.len()], servers[i % servers.len()]);
-                offered.push((id, 1e6));
+                offered.push((net.flow_slot(id), 1e6));
             }
-            b.iter(|| net.advance(0.005, &offered))
+            let mut report = TickReport::default();
+            b.iter(|| net.advance_slots_into(0.005, &offered, &mut report))
         });
     }
     g.finish();

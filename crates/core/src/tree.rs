@@ -32,13 +32,8 @@
 //! cumulative `Ř` vectors are one level-major array
 //! (`r_check[h · n_rms + rm_pos]`), so the downward pass writes each
 //! level contiguously; and the server→RM lookup is a dense `NodeId`-
-//! indexed table instead of a `BTreeMap`. On trees past
-//! [`ControlTree::PAR_MIN_NODES`] nodes the upward fold additionally
-//! fans the per-RA child aggregation out over the vendored `rayon` pool
-//! — results are collected in input order and written back serially, so
-//! the first-wins tie-breaking is bit-identical to the serial pass.
-
-use rayon::prelude::*;
+//! indexed table instead of a `BTreeMap`. A round is one serial sweep
+//! over those columns; the crate spawns no threads.
 
 use scda_simnet::builders::ThreeTierTree;
 use scda_simnet::{LinkId, NodeId};
@@ -263,15 +258,6 @@ impl DirScratch {
     }
 }
 
-/// One RA's child aggregation result (upward pass): best write-path,
-/// read-path and interactive `(R̂, block server)` over its children.
-#[derive(Debug, Clone, Copy)]
-struct ChildFold {
-    down: Option<(f64, NodeId)>,
-    up: Option<(f64, NodeId)>,
-    inter: Option<(f64, NodeId)>,
-}
-
 /// The assembled RM/RA tree. All per-node state lives in index-keyed
 /// columns — see the module docs for the layout.
 pub struct ControlTree {
@@ -331,8 +317,6 @@ pub struct ControlTree {
     /// Rounds executed so far (trace correlation id; also the "has the
     /// first round filled `Ř`?" flag).
     round: u64,
-    /// Node-count threshold for the parallel upward fold.
-    par_min_nodes: usize,
     /// Observability sink (disabled by default).
     obs: scda_obs::Obs,
 }
@@ -373,17 +357,6 @@ pub struct ServerMetrics {
 }
 
 impl ControlTree {
-    /// Node count above which the upward pass fans each wide level's
-    /// child folds out over the `rayon` pool. Sized so the paper's
-    /// 163×10 deployment (≈1800 nodes, ~10² µs rounds) stays serial —
-    /// scoped-thread spawn would cost more than it saves — while 10×
-    /// topologies (10,000+ servers) parallelize.
-    pub const PAR_MIN_NODES: usize = 4096;
-
-    /// Minimum level width worth a parallel fold: narrower levels are
-    /// folded serially even on huge trees (spawn overhead dominates).
-    const PAR_MIN_WIDTH: usize = 64;
-
     /// Build a tree from node specs. `capacity_of` maps a link to its
     /// capacity in **bytes/s**.
     ///
@@ -558,7 +531,6 @@ impl ControlTree {
             level_offsets,
             hmax,
             round: 0,
-            par_min_nodes: Self::PAR_MIN_NODES,
             obs: scda_obs::Obs::disabled(),
         }
     }
@@ -568,13 +540,6 @@ impl ControlTree {
     /// `ctrl.*` metrics.
     pub fn set_obs(&mut self, obs: scda_obs::Obs) {
         self.obs = obs;
-    }
-
-    /// Override the node-count threshold above which the upward fold
-    /// runs in parallel (benchmark/equivalence-test hook; the default is
-    /// [`ControlTree::PAR_MIN_NODES`]).
-    pub fn set_parallel_threshold(&mut self, min_nodes: usize) {
-        self.par_min_nodes = min_nodes;
     }
 
     /// Build the canonical tree for the paper's figure-1/figure-6 topology:
@@ -793,34 +758,8 @@ impl ControlTree {
             self.up.r_hat[id] = ru;
             self.best_inter[id] = Some((rd.min(ru), server));
         }
-        for h in 1..=self.hmax as usize {
-            let (lo, hi) = (self.level_offsets[h], self.level_offsets[h + 1]);
-            let width = hi - lo;
-            if self.levels.len() >= self.par_min_nodes && width >= Self::PAR_MIN_WIDTH {
-                // Parallel subtree fold: each RA's child aggregation is
-                // independent (children live on already-final lower
-                // levels). Results come back in input order and are
-                // written back serially, so the first-wins tie-breaking
-                // below is bit-identical to the serial arm.
-                let folds: Vec<ChildFold> = {
-                    let this: &ControlTree = &*self;
-                    let fold_iter = this.order[lo..hi]
-                        .par_iter()
-                        .map(|&ra| this.fold_children(ra.0));
-                    // scda-analyze: allow(hot-path-transitive-alloc, the parallel fold gathers per-RA results; only taken on ≥PAR_MIN_NODES trees where the round dwarfs one Vec)
-                    fold_iter.collect()
-                };
-                for (k, fold) in folds.into_iter().enumerate() {
-                    let id = self.order[lo + k].0;
-                    self.apply_fold(id, fold);
-                }
-            } else {
-                for i in lo..hi {
-                    let id = self.order[i].0;
-                    let fold = self.fold_children(id);
-                    self.apply_fold(id, fold);
-                }
-            }
+        for i in self.level_offsets[1]..self.order.len() {
+            self.fold_children(self.order[i].0);
         }
 
         // Pass 2 (downward, figure 2 right): every RM's cumulative Ř per
@@ -869,11 +808,11 @@ impl ControlTree {
         violations
     }
 
-    /// Gather one RA's child bests (children already evaluated). The
+    /// Fold one RA's children (already evaluated) into its own columns:
+    /// `R̂ʰ = min(best child R̂, Rʰ)` with the achieving block server. The
     /// strictly-greater comparisons keep the *first* child in
-    /// construction order on ties — the serial and parallel upward
-    /// passes both rely on this.
-    fn fold_children(&self, id: usize) -> ChildFold {
+    /// construction order on ties.
+    fn fold_children(&mut self, id: usize) {
         let mut best_down: Option<(f64, NodeId)> = None;
         let mut best_up: Option<(f64, NodeId)> = None;
         let mut best_inter: Option<(f64, NodeId)> = None;
@@ -897,38 +836,12 @@ impl ControlTree {
                 }
             }
         }
-        ChildFold {
-            down: best_down,
-            up: best_up,
-            inter: best_inter,
-        }
-    }
-
-    /// Write one RA's fold result back: `R̂ʰ = min(best child R̂, Rʰ)`.
-    fn apply_fold(&mut self, id: usize, fold: ChildFold) {
-        match fold.down {
-            Some((v, bs)) => {
-                self.down.r_hat[id] = v.min(self.down.r_own[id]);
-                self.down.best_bs[id] = Some(bs);
-            }
-            None => {
-                self.down.r_hat[id] = self.down.r_own[id];
-                self.down.best_bs[id] = None;
-            }
-        }
-        match fold.up {
-            Some((v, bs)) => {
-                self.up.r_hat[id] = v.min(self.up.r_own[id]);
-                self.up.best_bs[id] = Some(bs);
-            }
-            None => {
-                self.up.r_hat[id] = self.up.r_own[id];
-                self.up.best_bs[id] = None;
-            }
-        }
-        self.best_inter[id] = fold
-            .inter
-            .map(|(v, bs)| (v.min(self.down.r_own[id]).min(self.up.r_own[id]), bs));
+        let (own_down, own_up) = (self.down.r_own[id], self.up.r_own[id]);
+        self.down.r_hat[id] = best_down.map_or(own_down, |(v, _)| v.min(own_down));
+        self.down.best_bs[id] = best_down.map(|(_, bs)| bs);
+        self.up.r_hat[id] = best_up.map_or(own_up, |(v, _)| v.min(own_up));
+        self.up.best_bs[id] = best_up.map(|(_, bs)| bs);
+        self.best_inter[id] = best_inter.map(|(v, bs)| (v.min(own_down).min(own_up), bs));
     }
 
     /// Flush one observed round into the trace ring and metrics registry:
@@ -1693,35 +1606,43 @@ mod tests {
 
     #[test]
     fn unobserved_round_is_unchanged_by_instrumented_twin() {
-        // The observed and plain trees must compute identical allocations.
-        let (_tree, mut plain) = small_tree();
-        let (_tree2, mut observed) = small_tree();
-        observed.set_obs(scda_obs::Obs::enabled());
-        for i in 0..4 {
-            plain.control_round(i as f64 * 0.05, &mut Idle);
-            observed.control_round(i as f64 * 0.05, &mut Idle);
+        // The observed and plain trees must compute identical allocations,
+        // bit for bit: on the small idle tree, and on a wide one (100
+        // racks × 2) whose skewed telemetry gives the upward fold ties
+        // and near-ties to break first-wins.
+        fn check(tree: &ThreeTierTree, tel: &mut impl Telemetry) {
+            let mut plain = ControlTree::from_three_tier(tree, Params::default(), MetricKind::Full);
+            let mut observed =
+                ControlTree::from_three_tier(tree, Params::default(), MetricKind::Full);
+            observed.set_obs(scda_obs::Obs::enabled());
+            for i in 0..6 {
+                let now = i as f64 * 0.05;
+                let vp = plain.control_round(now, tel);
+                let vo = observed.control_round(now, tel);
+                assert_eq!(vp.len(), vo.len(), "round {i}: violation counts");
+            }
+            let (a, b) = (metrics_of(&plain), metrics_of(&observed));
+            assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(x.server, y.server);
+                assert_eq!(x.r0_down.to_bits(), y.r0_down.to_bits());
+                assert_eq!(x.r0_up.to_bits(), y.r0_up.to_bits());
+                assert_eq!(x.path_down.to_bits(), y.path_down.to_bits());
+                assert_eq!(x.path_up.to_bits(), y.path_up.to_bits());
+                for h in 0..MAX_LEVELS {
+                    assert_eq!(x.down_levels[h].to_bits(), y.down_levels[h].to_bits());
+                    assert_eq!(x.up_levels[h].to_bits(), y.up_levels[h].to_bits());
+                }
+            }
+            assert_eq!(
+                plain.best_server_global(Direction::Down),
+                observed.best_server_global(Direction::Down)
+            );
+            assert_eq!(
+                plain.best_server_interactive(),
+                observed.best_server_interactive()
+            );
         }
-        let a = metrics_of(&plain);
-        let b = metrics_of(&observed);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.r0_down, y.r0_down);
-            assert_eq!(x.path_up, y.path_up);
-        }
-    }
-
-    #[test]
-    fn parallel_fold_is_bit_identical_to_serial() {
-        // A tree wide enough for the parallel arm (level-1 width ≥
-        // PAR_MIN_WIDTH), driven by skewed telemetry so ties and
-        // near-ties exercise the first-wins merge. The parallel twin
-        // must reproduce the serial results bit for bit.
-        let cfg = ThreeTierConfig {
-            racks: 100,
-            servers_per_rack: 2,
-            racks_per_agg: 10,
-            clients: 4,
-            ..Default::default()
-        };
         struct Mixed;
         impl Telemetry for Mixed {
             fn sample(&mut self, l: LinkId) -> LinkSample {
@@ -1735,39 +1656,16 @@ mod tests {
                 RateCaps::default()
             }
         }
-        let tree = cfg.build();
-        let mut serial = ControlTree::from_three_tier(&tree, Params::default(), MetricKind::Full);
-        let mut parallel = ControlTree::from_three_tier(&tree, Params::default(), MetricKind::Full);
-        serial.set_parallel_threshold(usize::MAX);
-        parallel.set_parallel_threshold(0);
-        for i in 0..6 {
-            let now = i as f64 * 0.05;
-            let vs = serial.control_round(now, &mut Mixed);
-            let vp = parallel.control_round(now, &mut Mixed);
-            assert_eq!(vs.len(), vp.len(), "round {i}: violation counts");
-        }
-        let (ms, mp) = (metrics_of(&serial), metrics_of(&parallel));
-        assert_eq!(ms.len(), mp.len());
-        for (a, b) in ms.iter().zip(&mp) {
-            assert_eq!(a.server, b.server);
-            assert_eq!(a.r0_down.to_bits(), b.r0_down.to_bits());
-            assert_eq!(a.r0_up.to_bits(), b.r0_up.to_bits());
-            assert_eq!(a.path_down.to_bits(), b.path_down.to_bits());
-            assert_eq!(a.path_up.to_bits(), b.path_up.to_bits());
-            for h in 0..MAX_LEVELS {
-                assert_eq!(a.down_levels[h].to_bits(), b.down_levels[h].to_bits());
-                assert_eq!(a.up_levels[h].to_bits(), b.up_levels[h].to_bits());
-            }
-        }
-        assert_eq!(
-            serial.best_server_global(Direction::Down),
-            parallel.best_server_global(Direction::Down),
-            "first-wins tie-breaking must survive the parallel fold"
-        );
-        assert_eq!(
-            serial.best_server_interactive(),
-            parallel.best_server_interactive()
-        );
+        let (small, _) = small_tree();
+        check(&small, &mut Idle);
+        let wide = ThreeTierConfig {
+            racks: 100,
+            servers_per_rack: 2,
+            racks_per_agg: 10,
+            clients: 4,
+            ..Default::default()
+        };
+        check(&wide.build(), &mut Mixed);
     }
 
     #[test]

@@ -200,7 +200,7 @@ pub struct IncrementalMaxMin {
     frozen: Vec<bool>,
 
     /// Dirty fraction above which `solve()` re-levels everything
-    /// ([`FULL_SOLVE_DIRTY_FRAC`] unless overridden).
+    /// ([`FULL_SOLVE_DIRTY_FRAC`]; a field so a unit test can raise it).
     full_solve_dirty_frac: f64,
     stats: SolveStats,
 }
@@ -246,15 +246,6 @@ impl IncrementalMaxMin {
             full_solve_dirty_frac: FULL_SOLVE_DIRTY_FRAC,
             stats: SolveStats::default(),
         }
-    }
-
-    /// Override the full-solve fallback threshold (a fraction of live
-    /// flows; `>= 1.0` disables the fallback entirely). Rates are
-    /// identical either way — this is purely a work/bookkeeping
-    /// trade-off.
-    pub fn set_full_solve_dirty_frac(&mut self, frac: f64) {
-        assert!(frac >= 0.0, "dirty fraction must be non-negative");
-        self.full_solve_dirty_frac = frac;
     }
 
     /// Pre-size the flow columns for `n` concurrent flows with an average
@@ -925,7 +916,7 @@ mod tests {
         // Two disjoint components; touching one must not re-level the
         // other (its cached rates stay).
         let mut s = IncrementalMaxMin::new(&[100.0, 50.0]);
-        s.set_full_solve_dirty_frac(1.0); // observe strict locality
+        s.full_solve_dirty_frac = 1.0; // no full-solve fallback: observe strict locality
         let a0 = s.add_flow(&[l(0)], None);
         let a1 = s.add_flow(&[l(0)], None);
         let b0 = s.add_flow(&[l(1)], None);

@@ -79,7 +79,7 @@ pub struct FlowTick {
     pub rtt: f64,
 }
 
-/// Outcome of one [`Network::advance`] call.
+/// Outcome of one [`Network::advance_slots_into`] call.
 #[derive(Debug, Clone, Default)]
 pub struct TickReport {
     /// One entry per offered flow, in the order offered.
@@ -121,8 +121,6 @@ pub struct Network {
     path_garbage: usize,
     live: Vec<bool>,
     free: Vec<u32>,
-    /// Scratch for the `advance` compat wrapper (id → slot resolution).
-    slot_offered: Vec<(u32, f64)>,
 
     // ---- optional embedded max-min solver ----
     solver: Option<IncrementalMaxMin>,
@@ -164,7 +162,6 @@ impl Network {
             path_garbage: 0,
             live: Vec::new(),
             free: Vec::new(),
-            slot_offered: Vec::new(),
             solver: None,
             solver_slot: Vec::new(),
             net_of_solver: Vec::new(),
@@ -542,40 +539,17 @@ impl Network {
         &mut self.links[l.index()]
     }
 
-    /// Advance the whole network by `dt` seconds.
-    ///
-    /// `offered` lists each flow's instantaneous sending rate in
-    /// **bytes/second**; flows not listed offer zero. Every link (even
-    /// idle ones) integrates its queue, so queues drain during lulls.
-    ///
-    /// Compatibility wrapper: resolves ids to arena slots and allocates a
-    /// fresh report. Hot callers resolve slots once and keep a reusable
-    /// report via [`Network::advance_slots_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown flow ids; panics (in debug) on negative rates.
-    pub fn advance(&mut self, dt: f64, offered: &[(FlowId, f64)]) -> TickReport {
-        let mut slots = std::mem::take(&mut self.slot_offered);
-        slots.clear();
-        for &(id, rate) in offered {
-            slots.push((self.flow_slot(id), rate));
-        }
-        let mut report = TickReport::default();
-        self.advance_slots_into(dt, &slots, &mut report);
-        self.slot_offered = slots;
-        report
-    }
-
     /// Advance the whole network by `dt` seconds, slot-addressed.
     ///
-    /// `offered` lists `(arena slot, bytes/second)`; `report` is cleared
-    /// and refilled with one [`FlowTick`] per offered flow, in offered
-    /// order. Arithmetic is bit-identical to the historical per-flow
-    /// formulation: the per-link survival/service/queueing factors are
-    /// hoisted into columns, and an underloaded link's service factor is
-    /// exactly 1.0 (multiplying by it reproduces the old skipped branch
-    /// bit-for-bit).
+    /// `offered` lists `(arena slot, bytes/second)` (see
+    /// [`Network::flow_slot`]); flows not listed offer zero. Every link
+    /// (even idle ones) integrates its queue, so queues drain during
+    /// lulls. `report` is cleared and refilled with one [`FlowTick`] per
+    /// offered flow, in offered order. Arithmetic is bit-identical to the
+    /// historical per-flow formulation: the per-link survival/service/
+    /// queueing factors are hoisted into columns, and an underloaded
+    /// link's service factor is exactly 1.0 (multiplying by it reproduces
+    /// the old skipped branch bit-for-bit).
     // scda-analyze: hot(kernel.tick)
     pub fn advance_slots_into(&mut self, dt: f64, offered: &[(u32, f64)], report: &mut TickReport) {
         debug_assert!(dt > 0.0);
@@ -739,6 +713,20 @@ mod tests {
     use super::*;
     use crate::builders::dumbbell;
     use crate::units::mbps;
+
+    impl Network {
+        /// Id-addressed tick into a fresh report — unit-test convenience
+        /// over [`Network::advance_slots_into`] (also used by `faults`).
+        pub(crate) fn advance(&mut self, dt: f64, offered: &[(FlowId, f64)]) -> TickReport {
+            let slots: Vec<(u32, f64)> = offered
+                .iter()
+                .map(|&(id, rate)| (self.flow_slot(id), rate))
+                .collect();
+            let mut report = TickReport::default();
+            self.advance_slots_into(dt, &slots, &mut report);
+            report
+        }
+    }
 
     fn net() -> (Network, Vec<NodeId>, Vec<NodeId>, (LinkId, LinkId)) {
         let (topo, s, r, b) = dumbbell(4, mbps(80.0), 0.001, 100_000.0);

@@ -262,7 +262,7 @@ impl FlowArena {
     }
 
     /// The progress column, slot-indexed (dead slots hold stale entries —
-    /// pair with [`FlowArena::live_col`] or a live slot list).
+    /// pair with a live slot list).
     #[inline]
     pub fn progress_col(&self) -> &[FlowProgress] {
         &self.progress
@@ -290,19 +290,6 @@ impl FlowArena {
     #[inline]
     pub fn net_slots_col(&self) -> &[u32] {
         &self.net_slots
-    }
-
-    /// Per-slot liveness flags.
-    #[inline]
-    pub fn live_col(&self) -> &[bool] {
-        &self.live
-    }
-
-    /// Split mutable access to the progress and transport columns plus
-    /// the shared liveness flags — the shape the parallel tick apply
-    /// needs (chunked mutation of both columns, liveness read-only).
-    pub fn columns_mut(&mut self) -> (&mut [FlowProgress], &mut [AnyTransport], &[bool]) {
-        (&mut self.progress, &mut self.transports, &self.live)
     }
 
     /// Mutable progress + transport access by slot (no id lookup).

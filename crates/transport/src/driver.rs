@@ -13,17 +13,6 @@ use crate::arena::FlowArena;
 use crate::flow::FlowProgress;
 use crate::{AnyTransport, Transport};
 
-/// Live-flow count below which the tick's read and apply scans stay
-/// sequential: chunk fan-out only pays for itself once the columns are
-/// large enough to keep every core busy (mirrors `PAR_MIN_NODES` in the
-/// control tree).
-pub const PAR_MIN_FLOWS: usize = 4096;
-
-/// Fixed chunk width for the parallel scans. Constant (rather than
-/// derived from the thread count) so chunk boundaries — and any
-/// chunk-local arithmetic — are machine-independent.
-const PAR_CHUNK_FLOWS: usize = 4096;
-
 /// A finished transfer, as reported by [`FlowDriver::tick`].
 #[derive(Debug, Clone, Copy)]
 pub struct CompletedFlow {
@@ -75,15 +64,6 @@ pub struct FlowDriver {
     net_offered: Vec<(u32, f64)>,
     /// Reusable tick report (the network clears and refills it).
     report: TickReport,
-    /// Scatter columns for the parallel apply pass, indexed by arena
-    /// slot: goodput, offered bytes, loss fraction, RTT.
-    sc_good: Vec<f64>,
-    sc_off: Vec<f64>,
-    sc_loss: Vec<f64>,
-    sc_rtt: Vec<f64>,
-    /// Flow count at which the tick scans go parallel (see
-    /// [`PAR_MIN_FLOWS`]; tests lower it to exercise the chunked path).
-    par_min_flows: usize,
     /// Observability sink (disabled by default: every emit is one branch).
     obs: Obs,
     /// Flow-lifecycle audit sink (disabled by default, like `obs`).
@@ -100,11 +80,6 @@ impl FlowDriver {
             rates: Vec::new(),
             net_offered: Vec::new(),
             report: TickReport::default(),
-            sc_good: Vec::new(),
-            sc_off: Vec::new(),
-            sc_loss: Vec::new(),
-            sc_rtt: Vec::new(),
-            par_min_flows: PAR_MIN_FLOWS,
             obs: Obs::disabled(),
             audit: Audit::disabled(),
         }
@@ -118,13 +93,6 @@ impl FlowDriver {
         self.tick_slots.reserve(n);
         self.rates.reserve(n);
         self.net_offered.reserve(n);
-    }
-
-    /// Override the flow count at which the tick scans go parallel
-    /// (tests lower it to drive the chunked path on small scenarios; the
-    /// result is bit-identical either way).
-    pub fn set_par_min_flows(&mut self, n: usize) {
-        self.par_min_flows = n;
     }
 
     /// Attach an observability handle: flow starts and completions are
@@ -291,45 +259,26 @@ impl FlowDriver {
     ///
     /// Each transport offers `min(its rate, remaining/dt)`; the network
     /// resolves contention; transports digest the outcome; completed flows
-    /// are removed and reported.
-    ///
-    /// At or above [`PAR_MIN_FLOWS`] live flows, the two embarrassingly-
-    /// parallel scans — the offered-rate read pass and the `on_tick`/
-    /// `on_delivered` apply pass — run chunked across the arena columns;
-    /// the summary is then merged in a sequential slot-order sweep, so
-    /// the result (every float accumulation included) is bit-identical
-    /// to the sequential path.
+    /// are removed and reported. One serial pass in ascending flow-id
+    /// order, so every float accumulation is deterministic.
     // scda-analyze: hot(kernel.tick)
     pub fn tick(&mut self, now: f64, dt: f64) -> TickSummary {
-        let n = self.active.len();
-        let parallel = n >= self.par_min_flows;
-        // Read pass: each flow's offer is independent — only `rates` is
-        // written, position-for-position with `tick_slots` (ascending id
-        // order, the determinism contract).
+        // Read pass: each flow's offer, position-for-position with
+        // `tick_slots` (ascending id order, the determinism contract).
         self.tick_slots.clear();
         self.active.live_slots_into(&mut self.tick_slots);
         self.rates.clear();
-        self.rates.resize(n, 0.0);
+        self.rates.resize(self.tick_slots.len(), 0.0);
         {
-            let active = &self.active;
-            let net = &self.net;
-            let slots = &self.tick_slots;
-            let offer = |base: usize, chunk: &mut [f64]| {
-                let progress = active.progress_col();
-                let transports = active.transports_col();
-                let net_slots = active.net_slots_col();
-                for (i, r) in chunk.iter_mut().enumerate() {
-                    let s = slots[base + i] as usize;
-                    let rtt = net.rtt_of_slot(net_slots[s]);
-                    *r = transports[s]
-                        .offered_rate(rtt)
-                        .min(progress[s].remaining() / dt);
-                }
-            };
-            if parallel {
-                rayon::for_each_chunk_mut(&mut self.rates, PAR_CHUNK_FLOWS, offer);
-            } else {
-                offer(0, &mut self.rates);
+            let progress = self.active.progress_col();
+            let transports = self.active.transports_col();
+            let net_slots = self.active.net_slots_col();
+            for (r, &slot) in self.rates.iter_mut().zip(&self.tick_slots) {
+                let s = slot as usize;
+                let rtt = self.net.rtt_of_slot(net_slots[s]);
+                *r = transports[s]
+                    .offered_rate(rtt)
+                    .min(progress[s].remaining() / dt);
             }
         }
         self.net_offered.clear();
@@ -348,98 +297,40 @@ impl FlowDriver {
 
         let tick_end = now + dt;
         let mut summary = TickSummary::default();
-        if parallel {
-            // Scatter the tick outcomes to slot-indexed columns, apply
-            // per-flow state changes chunked (each flow touches only its
-            // own transport/progress), then merge the summary in the
-            // sequential k-order sweep below.
-            let cap = self.active.progress_col().len();
-            self.sc_good.resize(cap, 0.0);
-            self.sc_off.resize(cap, 0.0);
-            self.sc_loss.resize(cap, 0.0);
-            self.sc_rtt.resize(cap, 0.0);
-            for (k, ft) in report.flows.iter().enumerate() {
-                let s = self.tick_slots[k] as usize;
-                debug_assert_eq!(
-                    ft.flow,
-                    self.active.progress_col()[s].id,
-                    "tick report order diverged from the offered order"
-                );
-                self.sc_good[s] = ft.goodput_bytes;
-                self.sc_off[s] = self.rates[k] * dt;
-                self.sc_loss[s] = ft.loss_frac;
-                self.sc_rtt[s] = ft.rtt;
-            }
-            let (sc_good, sc_off) = (&self.sc_good, &self.sc_off);
-            let (sc_loss, sc_rtt) = (&self.sc_loss, &self.sc_rtt);
-            let (progress, transports, live) = self.active.columns_mut();
-            rayon::for_each_chunk_mut2(progress, transports, PAR_CHUNK_FLOWS, |base, cp, ct| {
-                for i in 0..cp.len() {
-                    let s = base + i;
-                    if !live[s] {
-                        continue;
-                    }
-                    ct[i].on_tick(now, sc_good[s], sc_off[s], sc_loss[s], sc_rtt[s]);
-                    cp[i].on_delivered(sc_good[s], tick_end);
-                }
-            });
-            for (k, ft) in report.flows.iter().enumerate() {
-                summary.delivered_bytes += ft.goodput_bytes;
-                let s = self.tick_slots[k] as usize;
-                // Flows completed on earlier ticks were removed then, so a
-                // set finish time here means "completed this tick".
-                let progress = &self.active.progress_col()[s];
-                if progress.is_complete() {
-                    // The fluid model streams bytes with zero transit
-                    // time; the last byte really lands one forward-
-                    // propagation later (validated against the packet-
-                    // level simulator in tests/fluid_vs_packet.rs).
-                    let base_rtt = self.net.base_rtt_of_slot(self.active.net_slots_col()[s]);
-                    // scda-analyze: allow(hot-path-transitive-alloc, one entry per flow completing this tick — bounded by completions, not by τ)
-                    summary.completed.push(CompletedFlow {
-                        id: ft.flow,
-                        size_bytes: progress.size_bytes,
-                        start: progress.start,
-                        finish: tick_end + base_rtt / 2.0,
-                        src: self.active.srcs_col()[s],
-                        dst: self.active.dsts_col()[s],
-                    });
-                }
-            }
-        } else {
-            for (k, ft) in report.flows.iter().enumerate() {
-                let slot = self.tick_slots[k];
-                let s = slot as usize;
-                debug_assert_eq!(
-                    ft.flow,
-                    self.active.progress_col()[s].id,
-                    "tick report order diverged from the offered order"
-                );
-                let src = self.active.srcs_col()[s];
-                let dst = self.active.dsts_col()[s];
-                let base_rtt = self.net.base_rtt_of_slot(self.active.net_slots_col()[s]);
-                let (progress, transport) = self.active.entry_mut_slot(slot);
-                transport.on_tick(
-                    now,
-                    ft.goodput_bytes,
-                    self.rates[k] * dt,
-                    ft.loss_frac,
-                    ft.rtt,
-                );
-                summary.delivered_bytes += ft.goodput_bytes;
-                if progress.on_delivered(ft.goodput_bytes, tick_end) {
-                    // See the parallel arm: completion lands one forward-
-                    // propagation after the last fluid byte.
-                    // scda-analyze: allow(hot-path-transitive-alloc, one entry per flow completing this tick — bounded by completions, not by τ)
-                    summary.completed.push(CompletedFlow {
-                        id: ft.flow,
-                        size_bytes: progress.size_bytes,
-                        start: progress.start,
-                        finish: tick_end + base_rtt / 2.0,
-                        src,
-                        dst,
-                    });
-                }
+        for (k, ft) in report.flows.iter().enumerate() {
+            let slot = self.tick_slots[k];
+            let s = slot as usize;
+            debug_assert_eq!(
+                ft.flow,
+                self.active.progress_col()[s].id,
+                "tick report order diverged from the offered order"
+            );
+            let src = self.active.srcs_col()[s];
+            let dst = self.active.dsts_col()[s];
+            let base_rtt = self.net.base_rtt_of_slot(self.active.net_slots_col()[s]);
+            let (progress, transport) = self.active.entry_mut_slot(slot);
+            transport.on_tick(
+                now,
+                ft.goodput_bytes,
+                self.rates[k] * dt,
+                ft.loss_frac,
+                ft.rtt,
+            );
+            summary.delivered_bytes += ft.goodput_bytes;
+            if progress.on_delivered(ft.goodput_bytes, tick_end) {
+                // The fluid model streams bytes with zero transit time;
+                // the last byte really lands one forward-propagation
+                // later (validated against the packet-level simulator in
+                // tests/fluid_vs_packet.rs).
+                // scda-analyze: allow(hot-path-transitive-alloc, one entry per flow completing this tick — bounded by completions, not by τ)
+                summary.completed.push(CompletedFlow {
+                    id: ft.flow,
+                    size_bytes: progress.size_bytes,
+                    start: progress.start,
+                    finish: tick_end + base_rtt / 2.0,
+                    src,
+                    dst,
+                });
             }
         }
         self.report = report;
@@ -704,60 +595,5 @@ mod tests {
         let done = run(&mut d, 0.0, 30.0, 0.001);
         assert_eq!(done.len(), 1);
         assert!(done[0].fct() > 0.4);
-    }
-
-    #[test]
-    fn parallel_tick_is_bit_identical_to_sequential() {
-        // Two drivers over identical topologies and flow mixes; one forced
-        // through the chunked-parallel read/apply passes, one kept on the
-        // sequential path. Every tick's summary and the surviving transport
-        // and progress state must agree bit for bit.
-        let build = |par: bool| {
-            let (mut d, s, r) = driver(6);
-            if par {
-                d.set_par_min_flows(1);
-            }
-            for j in 0..6 {
-                let t = if j % 2 == 0 {
-                    AnyTransport::Tcp(Reno::default())
-                } else {
-                    AnyTransport::Scda(ScdaWindow::new(mbps(20.0) / 8.0, mbps(20.0) / 8.0, 0.0024))
-                };
-                d.start_flow(
-                    FlowId(j as u64 + 1),
-                    s[j],
-                    r[j],
-                    200_000.0 + 50_000.0 * j as f64,
-                    t,
-                    0.0,
-                );
-            }
-            d
-        };
-        let mut seq = build(false);
-        let mut par = build(true);
-        let dt = 0.001;
-        for k in 0..4000 {
-            let now = k as f64 * dt;
-            let a = seq.tick(now, dt);
-            let b = par.tick(now, dt);
-            assert_eq!(
-                a.delivered_bytes.to_bits(),
-                b.delivered_bytes.to_bits(),
-                "delivered_bytes diverged at tick {k}"
-            );
-            assert_eq!(a.completed.len(), b.completed.len());
-            for (x, y) in a.completed.iter().zip(&b.completed) {
-                assert_eq!(x.id, y.id);
-                assert_eq!(x.finish.to_bits(), y.finish.to_bits());
-            }
-            assert_eq!(seq.active_count(), par.active_count());
-            for (id, _, _) in seq.active_flows().collect::<Vec<_>>() {
-                let pa = seq.progress(id).unwrap().acked_bytes;
-                let pb = par.progress(id).unwrap().acked_bytes;
-                assert_eq!(pa.to_bits(), pb.to_bits(), "flow {id} diverged at tick {k}");
-            }
-        }
-        assert_eq!(seq.active_count(), 0, "mix should finish within 4 s");
     }
 }

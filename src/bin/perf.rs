@@ -108,8 +108,7 @@ fn scale_config(label: &str) -> ThreeTierConfig {
             ..Default::default()
         },
         // The hyperscale arena scenario (DESIGN.md §10): 10 000 servers,
-        // ~11k control nodes — wide enough that the control tree's
-        // parallel subtree fold engages at the ToR level.
+        // ~11k control nodes.
         "hyper-1000x10" => ThreeTierConfig {
             racks: 1000,
             servers_per_rack: 10,
@@ -281,8 +280,8 @@ fn bench_hyperscale(flows: u64, iters: u64) -> ScenarioResult {
 /// enabled. Rack-local paths keep the link–flow incidence graph in
 /// ~1,000 disjoint components, so each iteration's cap churn (64 flow
 /// caps re-pinned round-robin) dirties a handful of components and the
-/// solver re-levels only those; the driver tick itself runs the chunked
-/// parallel read/apply passes (well above `PAR_MIN_FLOWS`). Phases:
+/// solver re-levels only those; the driver tick sweeps all `flows`
+/// arena slots every round. Phases:
 /// `simnet.waterfill` (the incremental solve), `simnet.apply`
 /// (installing re-leveled rates into the transports), `kernel.tick`.
 fn bench_tick_hyperscale(flows: u64, iters: u64) -> ScenarioResult {

@@ -9,7 +9,7 @@ use scda::core::{ControlTree, Direction, MetricKind, Params};
 use scda::prelude::*;
 use scda::simnet::builders::dumbbell;
 use scda::simnet::units::{mbps, MSS};
-use scda::simnet::{FlowId, LinkId, Network, NodeId};
+use scda::simnet::{FlowId, LinkId, Network, NodeId, TickReport};
 use scda::transport::{Reno, Transport};
 
 /// Telemetry replaying a fixed per-link (queue, load) table.
@@ -111,18 +111,19 @@ proptest! {
         let n = rates.len();
         let (topo, s, r, _) = dumbbell(n, mbps(80.0), 0.001, 200_000.0);
         let mut net = Network::new(topo);
-        let offered: Vec<(FlowId, f64)> = rates
+        let offered: Vec<(u32, f64)> = rates
             .iter()
             .enumerate()
             .map(|(i, &rate)| {
                 let id = FlowId(i as u64);
                 net.insert_flow(id, s[i], r[i]);
-                (id, rate)
+                (net.flow_slot(id), rate)
             })
             .collect();
-        let base: Vec<f64> = offered.iter().map(|&(id, _)| net.rtt(id)).collect();
+        let base: Vec<f64> = offered.iter().map(|&(slot, _)| net.rtt_of_slot(slot)).collect();
+        let mut rep = TickReport::default();
         for _ in 0..ticks {
-            let rep = net.advance(dt, &offered);
+            net.advance_slots_into(dt, &offered, &mut rep);
             for (ft, &(_, rate)) in rep.flows.iter().zip(&offered) {
                 prop_assert!(ft.goodput_bytes >= -1e-9);
                 prop_assert!(ft.goodput_bytes <= rate * dt + 1e-6);
