@@ -1,7 +1,7 @@
 # Convenience targets for the SCDA reproduction.
 
-.PHONY: all build test test-release bench figures ablations docs clippy analyze \
-        analyze-fixtures clean perf perf-baseline perf-check
+.PHONY: all build test test-release bench-compare figures ablations docs clippy \
+        analyze analyze-fixtures clean
 
 all: build
 
@@ -13,9 +13,6 @@ test:
 
 test-release:
 	cargo test --workspace --release
-
-bench:
-	cargo bench --workspace
 
 # Regenerate every paper figure (7-18) at the paper-like scale and archive
 # the series under results/.
@@ -45,26 +42,38 @@ analyze:
 analyze-fixtures:
 	cargo test -p scda-analyze --test parser --test golden_findings
 
-# Performance trajectory (see DESIGN.md): run the canonical scenarios and
-# write the next free BENCH_<n>.json snapshot at the repo root.
-perf:
-	cargo run --release --bin perf
-
-# Refresh the committed regression baseline in place (full mode, so the
-# baseline also carries the paper-scale and hyperscale scenarios).
-perf-baseline:
-	cargo run --release --bin perf -- --full --out BENCH_4.json
-
-# CI regression gate: re-run the quick scenarios — including the
-# 1,000-rack hyperscale control round and the churn admission bench,
-# whose indexed/naive pick checksums must match bit-for-bit — and
-# compare against the committed baseline. Behaviour counters must match
-# exactly; wall-clock and rate fields may drift by at most the threshold
-# (default 400%, sized for noisy shared runners — override with
-# THRESHOLD=<pct>).
-THRESHOLD ?= 400
-perf-check:
-	cargo run --release --bin perf -- --check BENCH_4.json --threshold $(THRESHOLD)
+# "Is it faster?" — scda-replay-bench (benchmark/README.md) built from
+# BASE and from the working tree, every workload end to end on seeds
+# 1-3 with the sides taking turns to run first, judged by
+# BENCHMARK.json's own bounds. Exits non-zero on a REGRESSED row or an
+# incorrect run; sim_digest and exact-value changes are printed. ~10 min.
+# .bench_build/ is wiped first: an exported tree carries commit-time
+# mtimes, which cargo's freshness check cannot tell apart across revs.
+bench-compare:
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<rev>" >&2; exit 2; }
+	rm -rf .bench_build
+	mkdir -p .bench_build/base
+	git archive $(BASE) | tar -x -C .bench_build/base
+	cargo build --release --offline --quiet --target-dir .bench_build/target-a \
+	    --manifest-path .bench_build/base/benchmark/Cargo.toml
+	cargo build --release --offline --quiet --target-dir .bench_build/target-b \
+	    --manifest-path benchmark/Cargo.toml
+	@set -e; cd .bench_build; \
+	run() { \
+	    echo "bench-compare: side $$1, $$2, seed $$3" >&2; \
+	    target-$$1/release/scda-replay-bench --workload $$2 --seed $$3 --seconds 20 --trace 0 \
+	        --out out-$$1 > /dev/null || test $$? -eq 1; \
+	    cat out-$$1/$$2-trace0.json >> $$1.jsonl; \
+	}; \
+	first=a; second=b; \
+	for seed in 1 2 3; do \
+	    for workload in video_full dc_write_full hyper_read_churn busy_full; do \
+	        run $$first $$workload $$seed; \
+	        run $$second $$workload $$seed; \
+	        swap=$$first; first=$$second; second=$$swap; \
+	    done; \
+	done
+	.bench_build/target-b/release/scda-replay-bench compare .bench_build/a.jsonl .bench_build/b.jsonl
 
 clean:
 	cargo clean

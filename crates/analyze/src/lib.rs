@@ -301,7 +301,9 @@ pub fn run_lints(files: &[SourceFile], lints: &[Box<dyn Lint>]) -> Report {
 /// Collect every first-party `.rs` file under `root`, skipping `vendor/`
 /// (API stand-ins for external crates), `target/`, `results/`,
 /// `fixtures/` (lint-test corpora seeded with intentional violations)
-/// and VCS metadata. Paths in the returned files are workspace-relative.
+/// and hidden directories (VCS metadata; `.bench_build/`, where `make
+/// bench-compare` exports a second copy of the tree). Paths in the
+/// returned files are workspace-relative.
 pub fn collect_workspace(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     let mut paths = Vec::new();
     walk(root, root, &mut paths)?;
@@ -321,10 +323,9 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Result<()> {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if matches!(
-                &*name,
-                "vendor" | "target" | "results" | "fixtures" | ".git"
-            ) {
+            if name.starts_with('.')
+                || matches!(&*name, "vendor" | "target" | "results" | "fixtures")
+            {
                 continue;
             }
             walk(root, &path, out)?;

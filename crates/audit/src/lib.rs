@@ -260,8 +260,6 @@ pub struct AuditCore {
     open_episodes: BTreeMap<u32, OpenEpisode>,
     episodes: Vec<EpisodeRecord>,
     wakeups: Vec<WakeupRecord>,
-    engine_batches: u64,
-    engine_events: u64,
     horizon: Option<f64>,
 }
 
@@ -478,15 +476,6 @@ impl Audit {
                 server,
                 latency_s,
             });
-        }
-    }
-
-    /// One engine drain batch dispatched `events` events.
-    #[inline]
-    pub fn engine_batch(&self, events: u64) {
-        if let Some(mut c) = self.lock() {
-            c.engine_batches += 1;
-            c.engine_events += events;
         }
     }
 

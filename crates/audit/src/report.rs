@@ -36,10 +36,6 @@ pub struct AuditReport {
     pub wake_latency_s: Histogram,
     /// Explicit-rate re-windows across all flows.
     pub rate_updates: u64,
-    /// Engine drain batches audited.
-    pub engine_batches: u64,
-    /// Engine events dispatched across audited batches.
-    pub engine_events: u64,
     /// Flow completion times, seconds.
     pub fct_s: Histogram,
 }
@@ -84,8 +80,6 @@ impl AuditReport {
             r.wakeups += 1;
             r.wake_latency_s.observe(w.latency_s);
         }
-        r.engine_batches = core.engine_batches;
-        r.engine_events = core.engine_events;
         r
     }
 
@@ -113,8 +107,6 @@ impl AuditReport {
         self.wakeups += other.wakeups;
         self.wake_latency_s.merge(&other.wake_latency_s);
         self.rate_updates += other.rate_updates;
-        self.engine_batches += other.engine_batches;
-        self.engine_events += other.engine_events;
         self.fct_s.merge(&other.fct_s);
     }
 
@@ -167,11 +159,7 @@ impl AuditReport {
                 self.wake_latency_s.mean().unwrap_or(0.0),
             );
         }
-        let _ = writeln!(
-            out,
-            "rate re-windows: {}, engine batches: {} ({} events)",
-            self.rate_updates, self.engine_batches, self.engine_events,
-        );
+        let _ = writeln!(out, "rate re-windows: {}", self.rate_updates);
         out
     }
 
@@ -202,7 +190,7 @@ impl AuditReport {
             "{{\"flows_admitted\":{},\"flows_completed\":{},\"shed_causes\":{},\
              \"violations\":{},\"violations_by_class\":{},\"mitigation_causes\":{},\
              \"time_to_mitigation_s\":{},\"wakeups\":{},\"wake_latency_s\":{},\
-             \"rate_updates\":{},\"engine_batches\":{},\"engine_events\":{},\"fct_s\":{}}}",
+             \"rate_updates\":{},\"fct_s\":{}}}",
             map_json(&self.flows_admitted),
             map_json(&self.flows_completed),
             map_json(&self.shed_causes),
@@ -213,8 +201,6 @@ impl AuditReport {
             self.wakeups,
             hist_json(&self.wake_latency_s),
             self.rate_updates,
-            self.engine_batches,
-            self.engine_events,
             hist_json(&self.fct_s),
         )
     }

@@ -90,8 +90,6 @@ fn reports_equivalent(a: &AuditReport, b: &AuditReport) -> bool {
         && a.mitigation_causes == b.mitigation_causes
         && a.wakeups == b.wakeups
         && a.rate_updates == b.rate_updates
-        && a.engine_batches == b.engine_batches
-        && a.engine_events == b.engine_events
         && hists_equivalent(&a.time_to_mitigation_s, &b.time_to_mitigation_s)
         && hists_equivalent(&a.wake_latency_s, &b.wake_latency_s)
         && hists_equivalent(&a.fct_s, &b.fct_s)

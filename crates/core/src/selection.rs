@@ -140,8 +140,8 @@ impl FromIterator<NodeId> for NodeSet {
 
 /// Stateless selector over a round's server metrics: the reference O(n)
 /// scan. Library code places through [`crate::PlacementIndex`], which is
-/// pinned bit-for-bit against this; tests, `scda-perf`'s checksum arm
-/// and the examples are its callers.
+/// pinned bit-for-bit against this; tests and the examples are its
+/// callers.
 pub struct Selector<'a> {
     metrics: &'a [ServerMetrics],
     energy: Option<&'a EnergyBook>,

@@ -7,12 +7,14 @@
 //! the `scda-analyze` determinism lint exist to protect. Any per-process
 //! hash seeding, wall-clock leakage, or entropy draw in the kernel,
 //! control plane or transport shows up here as a single flipped bit.
-//! The same comparison pins an observed run against its unobserved twin:
-//! watching a run must not change which code places a request. And at
+//! The same comparison pins an observed run against its unobserved twin
+//! and an audited run against its unaudited one: watching a run must not
+//! change which code places a request, or anything else it does. And at
 //! paper scale every admission's index answer is pinned against the
 //! reference scan it is specified by.
 
-use scda_core::{NodeSet, RateDiscount, Selector, SelectorConfig, ServerMetrics};
+use scda_audit::Audit;
+use scda_core::{NodeSet, RateDiscount, Selector, SelectorConfig, ServerMetrics, SlaPolicy};
 use scda_experiments::runner::{
     run_randtcp, run_scda, run_scda_with, BestRatePlacement, EnergyOptions, ExplicitRateTransport,
     Placement, PlacementCtx, RunResult, ScdaOptions,
@@ -115,6 +117,35 @@ fn observed_power_aware_run_matches_unobserved() {
         selected, observed.requested,
         "one server_selected event per external admission"
     );
+}
+
+#[test]
+fn audited_mitigating_run_matches_unaudited() {
+    // The audit handle only records. Fig. 7's video trace with the
+    // mitigation ladder on is the run where every hook fires: lifecycle
+    // spans, attributed violations, episodes closed by added bandwidth.
+    let sc = Scenario::video(Scale::Quick, true, 1);
+    let opts = ScdaOptions {
+        mitigation: Some(SlaPolicy::default()),
+        ..Default::default()
+    };
+    assert!(!opts.audit.is_enabled(), "the default handle is disabled");
+    let plain = run_scda(&sc, &opts);
+    let audit = Audit::enabled();
+    let audited = run_scda(
+        &sc,
+        &ScdaOptions {
+            audit: audit.clone(),
+            ..opts
+        },
+    );
+    assert_bit_identical(&plain, &audited);
+    assert_eq!(plain.mitigations_applied, audited.mitigations_applied);
+
+    let report = audit.report().expect("enabled handle has a report");
+    assert!(report.violations > 0, "violations exercised");
+    assert_eq!(report.violations, audited.sla_violations as u64);
+    assert_eq!(report.time_to_mitigation_s.count(), report.violations);
 }
 
 /// The stock placement, with every answer checked against the reference

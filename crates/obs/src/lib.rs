@@ -3,9 +3,9 @@
 //! §I of the paper: "All the aggregated and monitored traffic metrics can
 //! be offloaded to an external server for off-line diagnosis, analysis and
 //! data mining of the distributed system." This crate is that offload
-//! path for the *reproduction itself*: every layer — simulation engine,
-//! transport driver, RM/RA control tree, experiment runner — carries a
-//! cheap cloneable [`Obs`] handle and reports into three sinks:
+//! path for the *reproduction itself*: every layer — transport driver,
+//! RM/RA control tree, experiment runner — carries a cheap cloneable
+//! [`Obs`] handle and reports into three sinks:
 //!
 //! * a bounded-ring [`Tracer`] of typed [`TraceEvent`]s with JSON Lines
 //!   export (flow lifecycle, control rounds, rate propagation, server
@@ -74,8 +74,6 @@ pub mod metric {
     pub const FLOW_FCT_S: &str = "flow.fct_s";
     /// Gauge: flows currently active in the data plane.
     pub const FLOWS_ACTIVE: &str = "flows.active";
-    /// Counter: events dispatched by the simulation engine.
-    pub const ENGINE_EVENTS: &str = "engine.events";
     /// Counter: control rounds executed.
     pub const CTRL_ROUNDS: &str = "ctrl.rounds";
     /// Counter: SLA violations detected by the control tree.

@@ -2,7 +2,7 @@
 //!
 //! Events use plain integer identifiers (`u64` flows, `u32` network nodes
 //! and links, `u8` tree levels) rather than the newtypes of the upper
-//! crates, so this crate stays dependency-free and every layer — engine,
+//! crates, so this crate stays dependency-free and every layer —
 //! transport, control plane, experiment runner — can emit into the same
 //! buffer. Export is JSON Lines: one self-describing object per event,
 //! hand-rolled here (no serde) with an `"event"` tag naming the variant.
@@ -21,15 +21,6 @@ pub struct Candidate {
 /// Everything the instrumented layers can report.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
-    /// A batch of discrete events dispatched by the simulation engine
-    /// (one record per `run_until` drain, not per event — the engine hot
-    /// loop stays untouched).
-    EngineBatch {
-        /// Drain deadline (simulation seconds).
-        now: f64,
-        /// Events dispatched by this drain.
-        events: u64,
-    },
     /// A transfer opened on the data plane.
     FlowStarted {
         /// Simulation time.
@@ -181,7 +172,6 @@ impl TraceEvent {
     /// The variant's `"event"` tag in the JSONL export.
     pub fn kind(&self) -> &'static str {
         match self {
-            TraceEvent::EngineBatch { .. } => "engine_batch",
             TraceEvent::FlowStarted { .. } => "flow_started",
             TraceEvent::FlowRewindowed { .. } => "flow_rewindowed",
             TraceEvent::FlowCompleted { .. } => "flow_completed",
@@ -197,8 +187,7 @@ impl TraceEvent {
     /// The event's simulation timestamp.
     pub fn time(&self) -> f64 {
         match self {
-            TraceEvent::EngineBatch { now, .. }
-            | TraceEvent::FlowStarted { now, .. }
+            TraceEvent::FlowStarted { now, .. }
             | TraceEvent::FlowRewindowed { now, .. }
             | TraceEvent::FlowCompleted { now, .. }
             | TraceEvent::FlowTimedOut { now, .. }
@@ -217,10 +206,6 @@ impl TraceEvent {
         sep(out, &mut first);
         let _ = write!(out, "\"event\":\"{}\"", self.kind());
         match self {
-            TraceEvent::EngineBatch { now, events } => {
-                jfield!(out, first, "now", f64 * now);
-                jfield!(out, first, "events", int events);
-            }
             TraceEvent::FlowStarted {
                 now,
                 flow,

@@ -53,65 +53,6 @@ pub fn run_to_completion<S: Simulation>(sim: &mut S, sched: &mut Scheduler<S::Ev
     run_until(sim, sched, f64::INFINITY)
 }
 
-/// [`run_until`] with dispatch accounting: the drain itself is untouched
-/// (the hot loop pays nothing per event), and one batched
-/// [`scda_obs::TraceEvent::EngineBatch`] plus an `engine.events` counter
-/// are recorded per call when `obs` is enabled.
-#[inline]
-pub fn run_until_observed<S: Simulation>(
-    sim: &mut S,
-    sched: &mut Scheduler<S::Event>,
-    deadline: SimTime,
-    obs: &scda_obs::Obs,
-) -> u64 {
-    // The disabled path must compile to the same drain loop as a direct
-    // `run_until` call, so the observing arm lives in an outlined `#[cold]`
-    // function (this is benchmarked; see scda-bench's
-    // `engine/drain_10k_observed_disabled`).
-    if !obs.is_enabled() {
-        return run_until(sim, sched, deadline);
-    }
-    run_until_observing(sim, sched, deadline, obs)
-}
-
-/// [`run_until_observed`] that additionally audits the drain: one
-/// [`scda_audit::Audit::engine_batch`] record per call when `audit` is
-/// enabled. With both handles disabled this is exactly the plain drain.
-#[inline]
-pub fn run_until_audited<S: Simulation>(
-    sim: &mut S,
-    sched: &mut Scheduler<S::Event>,
-    deadline: SimTime,
-    obs: &scda_obs::Obs,
-    audit: &scda_audit::Audit,
-) -> u64 {
-    if !audit.is_enabled() {
-        return run_until_observed(sim, sched, deadline, obs);
-    }
-    let processed = run_until_observed(sim, sched, deadline, obs);
-    audit.engine_batch(processed);
-    processed
-}
-
-#[cold]
-fn run_until_observing<S: Simulation>(
-    sim: &mut S,
-    sched: &mut Scheduler<S::Event>,
-    deadline: SimTime,
-    obs: &scda_obs::Obs,
-) -> u64 {
-    // scda-analyze: allow(determinism, wall-clock profiling of the drain batch; only ever feeds the profiler)
-    let t0 = std::time::Instant::now();
-    let processed = run_until(sim, sched, deadline);
-    obs.phase_add(scda_obs::phase::ENGINE_DRAIN, t0.elapsed());
-    obs.counter_add(scda_obs::metric::ENGINE_EVENTS, processed);
-    obs.emit(scda_obs::TraceEvent::EngineBatch {
-        now: deadline,
-        events: processed,
-    });
-    processed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,51 +104,5 @@ mod tests {
         let mut sim = Countdown { seen: vec![] };
         let mut sched = Scheduler::new();
         assert_eq!(run_until(&mut sim, &mut sched, 100.0), 0);
-    }
-
-    #[test]
-    fn observed_run_matches_plain_and_counts_dispatches() {
-        let obs = scda_obs::Obs::enabled();
-        let mut sim = Countdown { seen: vec![] };
-        let mut sched = Scheduler::new();
-        sched.at(0.0, Ev::Tick(3));
-        let n = run_until_observed(&mut sim, &mut sched, f64::INFINITY, &obs);
-        assert_eq!(n, 4);
-        assert_eq!(
-            sim.seen.len(),
-            4,
-            "observation must not change the simulation"
-        );
-        let m = obs.metrics_snapshot().unwrap();
-        assert_eq!(m.counter("engine.events"), 4);
-        assert_eq!(
-            obs.with_core(|c| c.tracer.len()),
-            Some(1),
-            "one batched event per drain"
-        );
-    }
-
-    #[test]
-    fn audited_run_records_one_batch() {
-        let obs = scda_obs::Obs::disabled();
-        let audit = scda_audit::Audit::enabled();
-        let mut sim = Countdown { seen: vec![] };
-        let mut sched = Scheduler::new();
-        sched.at(0.0, Ev::Tick(3));
-        let n = run_until_audited(&mut sim, &mut sched, f64::INFINITY, &obs, &audit);
-        assert_eq!(n, 4);
-        let r = audit.report().unwrap();
-        assert_eq!(r.engine_batches, 1);
-        assert_eq!(r.engine_events, 4);
-    }
-
-    #[test]
-    fn observed_run_with_disabled_handle_records_nothing() {
-        let obs = scda_obs::Obs::disabled();
-        let mut sim = Countdown { seen: vec![] };
-        let mut sched = Scheduler::new();
-        sched.at(0.0, Ev::Tick(2));
-        assert_eq!(run_until_observed(&mut sim, &mut sched, 10.0, &obs), 3);
-        assert!(obs.metrics_snapshot().is_none());
     }
 }

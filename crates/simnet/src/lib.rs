@@ -61,7 +61,7 @@ pub mod units;
 
 pub use builders::{ThreeTierConfig, ThreeTierTree};
 pub use ecmp::EcmpRoutes;
-pub use engine::{run_to_completion, run_until, run_until_audited, run_until_observed, Simulation};
+pub use engine::{run_to_completion, run_until, Simulation};
 pub use event::Scheduler;
 pub use fluid::{max_min_rates_into, FluidFlow, IncrementalMaxMin, SolveStats};
 pub use ids::{FlowId, LinkId, NodeId};
