@@ -49,15 +49,21 @@ analyze-fixtures:
 # incorrect run; sim_digest and exact-value changes are printed. ~10 min.
 # .bench_build/ is wiped first: an exported tree carries commit-time
 # mtimes, which cargo's freshness check cannot tell apart across revs.
+# cargo rewrites a stale benchmark/Cargo.lock, so it is saved before the
+# builds and put back after them, whether they succeed or not.
 bench-compare:
 	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<rev>" >&2; exit 2; }
 	rm -rf .bench_build
 	mkdir -p .bench_build/base
 	git archive $(BASE) | tar -x -C .bench_build/base
+	cp benchmark/Cargo.lock .bench_build/Cargo.lock.saved
+	status=0; \
 	cargo build --release --offline --quiet --target-dir .bench_build/target-a \
-	    --manifest-path .bench_build/base/benchmark/Cargo.toml
+	    --manifest-path .bench_build/base/benchmark/Cargo.toml && \
 	cargo build --release --offline --quiet --target-dir .bench_build/target-b \
-	    --manifest-path benchmark/Cargo.toml
+	    --manifest-path benchmark/Cargo.toml || status=$$?; \
+	cp .bench_build/Cargo.lock.saved benchmark/Cargo.lock; \
+	exit $$status
 	@set -e; cd .bench_build; \
 	run() { \
 	    echo "bench-compare: side $$1, $$2, seed $$3" >&2; \

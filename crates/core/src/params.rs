@@ -64,24 +64,24 @@ impl Params {
     }
 
     /// Validate internal consistency; returns a description of the first
-    /// problem found.
+    /// problem found. NaN fails every check.
     pub fn validate(&self) -> Result<(), String> {
         if !(0.0 < self.alpha && self.alpha <= 1.0) {
             return Err(format!("alpha must be in (0, 1], got {}", self.alpha));
         }
-        if self.beta < 0.0 {
+        if self.beta.is_nan() || self.beta < 0.0 {
             return Err(format!("beta must be >= 0, got {}", self.beta));
         }
-        if self.tau <= 0.0 {
+        if self.tau.is_nan() || self.tau <= 0.0 {
             return Err(format!("tau must be positive, got {}", self.tau));
         }
-        if self.drain_horizon <= 0.0 {
+        if self.drain_horizon.is_nan() || self.drain_horizon <= 0.0 {
             return Err(format!(
                 "drain_horizon must be positive, got {}",
                 self.drain_horizon
             ));
         }
-        if self.min_rate <= 0.0 {
+        if self.min_rate.is_nan() || self.min_rate <= 0.0 {
             return Err(format!("min_rate must be positive, got {}", self.min_rate));
         }
         Ok(())
@@ -158,5 +158,41 @@ mod tests {
         }
         .validate()
         .is_err());
+    }
+
+    #[test]
+    fn nan_beta_rejected() {
+        let p = Params {
+            beta: f64::NAN,
+            ..Default::default()
+        };
+        assert!(p.validate().unwrap_err().starts_with("beta"));
+    }
+
+    #[test]
+    fn nan_tau_rejected() {
+        let p = Params {
+            tau: f64::NAN,
+            ..Default::default()
+        };
+        assert!(p.validate().unwrap_err().starts_with("tau"));
+    }
+
+    #[test]
+    fn nan_drain_horizon_rejected() {
+        let p = Params {
+            drain_horizon: f64::NAN,
+            ..Default::default()
+        };
+        assert!(p.validate().unwrap_err().starts_with("drain_horizon"));
+    }
+
+    #[test]
+    fn nan_min_rate_rejected() {
+        let p = Params {
+            min_rate: f64::NAN,
+            ..Default::default()
+        };
+        assert!(p.validate().unwrap_err().starts_with("min_rate"));
     }
 }

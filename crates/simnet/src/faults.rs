@@ -21,7 +21,6 @@
 
 use crate::ids::LinkId;
 use crate::network::Network;
-use crate::routing::Routes;
 
 /// The capacity assigned to a failed link: not zero (the fluid equations
 /// divide by capacity) but low enough that the link is effectively dead
@@ -95,8 +94,7 @@ impl Network {
     /// Drop the routing cache so future paths avoid failed links and see
     /// new capacities.
     pub fn invalidate_routes(&mut self) {
-        let topo = self.topo().clone();
-        *self.routes_mut() = Routes::new(&topo);
+        self.rebuild_routes();
     }
 }
 

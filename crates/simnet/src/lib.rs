@@ -38,7 +38,7 @@
 //! | [`engine`] | the run loop driving a [`engine::Simulation`] |
 //! | [`topology`] | node/link arena and construction API |
 //! | [`builders`] | figure-6 three-tier tree, fat-tree, VL2-like Clos, dumbbell |
-//! | [`routing`] | Dijkstra shortest paths with a deterministic cache |
+//! | [`routing`] | shortest paths: an O(depth) climb on a tree fabric, cached per-source Dijkstra on general graphs; interned |
 //! | [`link`] | per-link fluid queue state, drop and arrival accounting |
 //! | [`network`] | the tick-driven fluid network ([`network::Network`]) |
 //! | [`fluid`] | max-min water-filling reference solver |

@@ -190,6 +190,12 @@ impl Network {
         &mut self.topo
     }
 
+    /// Internal: replace the routing cache with an empty one for the
+    /// current topology (used by the `faults` module).
+    pub(crate) fn rebuild_routes(&mut self) {
+        self.routes = Routes::new(&self.topo);
+    }
+
     /// Internal: re-derive the cached link columns (and the solver's
     /// link caps) from the topology after the `faults` module changed
     /// it. The queueing-delay cache is recomputed against the new

@@ -1,20 +1,33 @@
 //! Shortest-path routing.
 //!
-//! Per-source Dijkstra over link propagation delay (ties broken by hop
-//! count, then by link index, so paths are deterministic), with the
-//! resulting shortest-path trees cached. This covers both the tree
-//! topologies of the paper's figures 1 and 6 — where the shortest path is
-//! the unique up-then-down path — and the general topologies of §IX, where
-//! the paper's cross-layer max/min route selection (reference \[7\]) needs a
-//! candidate path to evaluate.
+//! Two ways to answer a pair, chosen once per [`Routes`]:
+//!
+//! * **Tree climb.** The paper's figure-6 fabric (clients and gateway
+//!   included) is a tree of duplex cables, |E| = |V| − 1, so the shortest
+//!   path is the unique up-then-down path. On the first interning miss
+//!   `Routes` checks the topology once (one traversal from node 0) and, if
+//!   it is such a tree, keeps each node's up link, down link and depth;
+//!   a new pair is then an O(depth) climb of both ends to their lowest
+//!   common ancestor — no per-source state and no allocation beyond the
+//!   interned path.
+//! * **Dijkstra.** Every other graph (fat-tree, Clos, the §IX multipath
+//!   study, a fabric with a one-way or parallel link) runs per-source
+//!   Dijkstra over link propagation delay (ties broken by hop count, then
+//!   by link index, so paths are deterministic), with the resulting
+//!   shortest-path trees cached; the paper's cross-layer max/min route
+//!   selection (reference \[7\]) needs such a candidate path to evaluate.
+//!
+//! In a tree Dijkstra can only return the unique simple path, so both
+//! give the same links in the same order, the same RTT bits and the same
+//! interning order.
 //!
 //! # Interning
 //!
 //! Flow admission asks for the same (src, dst) paths over and over — a
 //! rack pair's path never changes while the fabric stands. The cache
 //! therefore **interns** materialized paths: the first
-//! [`Routes::path_handle`] for a pair walks the predecessor tree once
-//! into a shared CSR arena and memoizes a [`PathId`]; every later
+//! [`Routes::path_handle`] for a pair walks the tree (or the predecessor
+//! row) once into a shared CSR arena and memoizes a [`PathId`]; every later
 //! lookup is one `BTreeMap` probe, and the links ([`Routes::path_of`])
 //! and propagation RTT ([`Routes::rtt_of`]) are shared by id with zero
 //! per-open allocation. Capacity or delay reconfiguration invalidates
@@ -33,8 +46,8 @@ use std::collections::{BTreeMap, BinaryHeap};
 use crate::ids::{LinkId, NodeId};
 use crate::topology::Topology;
 
-/// `prev`-row sentinel: no predecessor link (unreachable, or the row's
-/// own source).
+/// `prev`-row / tree-link sentinel: no link (unreachable, the row's own
+/// source, or the tree's root).
 const NO_LINK: u32 = u32::MAX;
 
 /// Intern-table sentinel: the pair is known unreachable, so repeated
@@ -55,13 +68,25 @@ impl PathId {
     }
 }
 
-/// Routing table: lazily computed, cached shortest-path trees plus the
-/// interned-path arena.
+/// Routing table: the tree links of a tree fabric or lazily computed,
+/// cached shortest-path trees, plus the interned-path arena.
 #[derive(Debug, Clone, Default)]
 pub struct Routes {
-    /// `prev[src]` = flat predecessor row: entry `dst` is the link used
-    /// to *reach* `dst` on the shortest path from `src` ([`NO_LINK`] if
-    /// unreachable / dst == src). Computed per source on first use.
+    /// Whether the topology is a tree of duplex cables; `None` until the
+    /// first interning miss checks it.
+    tree: Option<bool>,
+    /// Tree mode: each node's link to its parent ([`NO_LINK`] at the
+    /// root, node 0).
+    up: Vec<u32>,
+    /// Tree mode: each node's link from its parent ([`NO_LINK`] at the
+    /// root).
+    down: Vec<u32>,
+    /// Tree mode: each node's hop count from the root.
+    depth: Vec<u32>,
+    /// Dijkstra mode: `prev[src]` = flat predecessor row: entry `dst` is
+    /// the link used to *reach* `dst` on the shortest path from `src`
+    /// ([`NO_LINK`] if unreachable / dst == src). Computed per source on
+    /// first use.
     prev: Vec<Option<Box<[u32]>>>,
     /// (src, dst) → arena slot, or [`UNREACHABLE`].
     interned: BTreeMap<(u32, u32), u32>,
@@ -81,6 +106,10 @@ impl Routes {
     /// Empty cache for a topology with `node_count` nodes.
     pub fn new(topo: &Topology) -> Self {
         Routes {
+            tree: None,
+            up: Vec::new(),
+            down: Vec::new(),
+            depth: Vec::new(),
             prev: vec![None; topo.node_count()],
             interned: BTreeMap::new(),
             explicit: BTreeMap::new(),
@@ -96,40 +125,23 @@ impl Routes {
     }
 
     /// Handle to the shortest path from `src` to `dst`, or `None` if
-    /// unreachable. First call per pair walks the cached predecessor
-    /// tree (running Dijkstra from `src` if this is its first query)
-    /// and interns the result; later calls are a single map probe.
+    /// unreachable. First call per pair climbs the tree (or, on a
+    /// general graph, walks the cached predecessor row, running Dijkstra
+    /// from `src` if this is its first query) and interns the result;
+    /// later calls are a single map probe.
     // scda-analyze: hot(sim.route)
     pub fn path_handle(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<PathId> {
         let key = (src.0, dst.0);
         if let Some(&slot) = self.interned.get(&key) {
             return (slot != UNREACHABLE).then_some(PathId(slot));
         }
-        self.ensure_source(topo, src);
-        let row = self.prev[src.index()]
-            .as_ref()
-            .expect("invariant: just computed");
-        // Walk predecessor links back from dst, straight into the arena.
         let start = self.path_links.len();
-        let mut cur = dst;
-        let mut ok = true;
-        while cur != src {
-            let l = row[cur.index()];
-            if l == NO_LINK {
-                ok = false;
-                break;
-            }
-            let l = LinkId(l);
-            // scda-analyze: allow(hot-path-transitive-alloc, interning: runs once per new (src, dst) pair straight into the persistent CSR arena; later queries are a map probe)
-            self.path_links.push(l);
-            cur = topo.link(l).src;
-        }
-        if !ok {
-            self.path_links.truncate(start);
+        if self.is_tree(topo) {
+            self.climb_into_arena(topo, src, dst);
+        } else if !self.walk_prev_into_arena(topo, src, dst) {
             self.interned.insert(key, UNREACHABLE);
             return None;
         }
-        self.path_links[start..].reverse();
         // Forward-order delay sum, matching the historical
         // `2·Σ path delay` op order bit for bit.
         let mut fwd = 0.0f64;
@@ -199,6 +211,123 @@ impl Routes {
         self.path_rtt.push(2.0 * fwd);
         self.explicit.insert(path.into(), slot);
         PathId(slot)
+    }
+
+    /// Whether `topo` is a tree of duplex cables, checked on the first
+    /// call (the first interning miss) and cached, so building a
+    /// `Routes` stays free.
+    fn is_tree(&mut self, topo: &Topology) -> bool {
+        if self.tree.is_none() {
+            let tree = self.learn_tree(topo);
+            if !tree {
+                self.up.clear();
+                self.down.clear();
+                self.depth.clear();
+            }
+            self.tree = Some(tree);
+        }
+        self.tree == Some(true)
+    }
+
+    /// Fill `up` / `down` / `depth` from one depth-first traversal of the
+    /// out-links from node 0, with the parent links as its stack; `false`
+    /// (arrays partly filled) unless every link goes either down to an
+    /// unvisited node or back to its node's parent, at most once per
+    /// node, and every node is reached.
+    fn learn_tree(&mut self, topo: &Topology) -> bool {
+        let n = topo.node_count();
+        if n == 0 || topo.link_count() != 2 * (n - 1) {
+            return false;
+        }
+        self.up.resize(n, NO_LINK);
+        self.down.resize(n, NO_LINK);
+        // While a node is on the stack its `depth` slot is its out-link
+        // cursor; the depth is written when the node is finished.
+        self.depth.resize(n, 0);
+        let (mut u, mut d, mut reached) = (0usize, 0u32, 1usize);
+        loop {
+            let cursor = self.depth[u] as usize;
+            if let Some(&l) = topo.out_links(NodeId(u as u32)).get(cursor) {
+                self.depth[u] += 1;
+                let v = topo.link(l).dst.index();
+                let parent =
+                    (self.down[u] != NO_LINK).then(|| topo.link(LinkId(self.down[u])).src.index());
+                if v != 0 && self.down[v] == NO_LINK {
+                    self.down[v] = l.0;
+                    (u, d, reached) = (v, d + 1, reached + 1);
+                } else if parent == Some(v) && self.up[u] == NO_LINK {
+                    self.up[u] = l.0;
+                } else {
+                    return false; // a cycle, or a parallel link
+                }
+            } else if u == 0 {
+                self.depth[0] = 0;
+                return reached == n;
+            } else if self.up[u] == NO_LINK {
+                return false; // reached over a one-way link
+            } else {
+                self.depth[u] = d;
+                (u, d) = (topo.link(LinkId(self.up[u])).dst.index(), d - 1);
+            }
+        }
+    }
+
+    /// Tree mode: push the unique `src → dst` path onto the arena — the
+    /// `src`-side up links in climb order, then the `dst`-side down links,
+    /// climbed from `dst` and reversed in place.
+    fn climb_into_arena(&mut self, topo: &Topology, src: NodeId, dst: NodeId) {
+        let (up, down, depth) = (&self.up, &self.down, &self.depth);
+        let parent = |n: usize| topo.link(LinkId(up[n])).dst.index();
+        let (mut a, mut b) = (src.index(), dst.index());
+        while depth[a] > depth[b] {
+            a = parent(a);
+        }
+        while depth[b] > depth[a] {
+            b = parent(b);
+        }
+        while a != b {
+            (a, b) = (parent(a), parent(b));
+        }
+        let lca = a;
+        let mut a = src.index();
+        while a != lca {
+            // scda-analyze: allow(hot-path-transitive-alloc, interning: runs once per new (src, dst) pair straight into the persistent CSR arena; later queries are a map probe)
+            self.path_links.push(LinkId(up[a]));
+            a = parent(a);
+        }
+        let mid = self.path_links.len();
+        let mut b = dst.index();
+        while b != lca {
+            // scda-analyze: allow(hot-path-transitive-alloc, interning: runs once per new (src, dst) pair straight into the persistent CSR arena; later queries are a map probe)
+            self.path_links.push(LinkId(down[b]));
+            b = parent(b);
+        }
+        self.path_links[mid..].reverse();
+    }
+
+    /// Dijkstra mode: push the `src → dst` path onto the arena from
+    /// `src`'s predecessor row; `false` (arena untouched) if unreachable.
+    fn walk_prev_into_arena(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> bool {
+        self.ensure_source(topo, src);
+        let row = self.prev[src.index()]
+            .as_ref()
+            .expect("invariant: just computed");
+        // Walk predecessor links back from dst, straight into the arena.
+        let start = self.path_links.len();
+        let mut cur = dst;
+        while cur != src {
+            let l = row[cur.index()];
+            if l == NO_LINK {
+                self.path_links.truncate(start);
+                return false;
+            }
+            let l = LinkId(l);
+            // scda-analyze: allow(hot-path-transitive-alloc, interning: runs once per new (src, dst) pair straight into the persistent CSR arena; later queries are a map probe)
+            self.path_links.push(l);
+            cur = topo.link(l).src;
+        }
+        self.path_links[start..].reverse();
+        true
     }
 
     /// Run Dijkstra from `src` if not cached yet.
@@ -402,5 +531,136 @@ mod tests {
         let id = r.path_handle(&t, a, a).unwrap();
         assert_eq!(r.path_of(id), &[]);
         assert_eq!(r.rtt_of(id), 0.0);
+    }
+
+    /// Ask every ordered pair, source-major, of a `Routes` left to pick
+    /// its mode and of one forced to Dijkstra: same `PathId` sequence,
+    /// links and RTT bits. Returns the first for mode checks.
+    fn matches_dijkstra(t: &Topology) -> Routes {
+        let mut picked = Routes::new(t);
+        let mut dijkstra = Routes::new(t);
+        dijkstra.tree = Some(false);
+        let n = t.node_count() as u32;
+        for (s, d) in (0..n).flat_map(|s| (0..n).map(move |d| (NodeId(s), NodeId(d)))) {
+            let id = picked.path_handle(t, s, d);
+            assert_eq!(id, dijkstra.path_handle(t, s, d), "{s} -> {d}");
+            if let Some(id) = id {
+                assert_eq!(picked.path_of(id), dijkstra.path_of(id), "{s} -> {d}");
+                assert_eq!(picked.rtt_of(id).to_bits(), dijkstra.rtt_of(id).to_bits());
+            }
+        }
+        picked
+    }
+
+    fn assert_tree_mode(t: &Topology) {
+        let r = matches_dijkstra(t);
+        assert_eq!(r.tree, Some(true));
+        assert!(r.prev.iter().all(Option::is_none), "tree mode ran Dijkstra");
+    }
+
+    fn assert_dijkstra_mode(t: &Topology) -> Routes {
+        let r = matches_dijkstra(t);
+        assert_eq!(r.tree, Some(false));
+        assert!(r.up.is_empty() && r.down.is_empty() && r.depth.is_empty());
+        r
+    }
+
+    fn ragged() -> crate::builders::ThreeTierTree {
+        crate::builders::ThreeTierConfig {
+            racks: 7,
+            servers_per_rack: 1,
+            racks_per_agg: 3,
+            clients: 2,
+            ..Default::default()
+        }
+        .build()
+    }
+
+    /// The `Scale::Quick` fabric of `scda-experiments`.
+    fn quick() -> crate::builders::ThreeTierTree {
+        crate::builders::ThreeTierConfig {
+            racks: 8,
+            servers_per_rack: 5,
+            racks_per_agg: 4,
+            clients: 8,
+            ..Default::default()
+        }
+        .build()
+    }
+
+    #[test]
+    fn tree_climb_matches_dijkstra_on_every_pair() {
+        assert_tree_mode(&quick().topo);
+        assert_tree_mode(&ragged().topo);
+        assert_tree_mode(&crate::builders::dumbbell(3, mbps(10.0), 0.01, 1e6).0);
+        let mut t = Topology::new();
+        let a = t.add_node(NodeKind::Server, "a");
+        assert_tree_mode(&t);
+        let b = t.add_node(NodeKind::Server, "b");
+        t.add_duplex(a, b, mbps(1.0), 0.001, 1e6);
+        assert_tree_mode(&t);
+    }
+
+    #[test]
+    fn tree_climb_survives_a_failed_link() {
+        use crate::faults::FAILED_DELAY_S;
+        let fabric = quick();
+        let mut net = crate::Network::new(fabric.topo);
+        let (srv, client) = (fabric.servers[2][1], fabric.clients[0]);
+        net.fail_link(fabric.edge_links[2].0);
+        let rtt = net.base_rtt_between(srv, client).unwrap();
+        assert!(
+            rtt > 2.0 * FAILED_DELAY_S,
+            "rtt {rtt} skips the failed link"
+        );
+        assert_eq!(net.routes_mut().tree, Some(true));
+        assert_tree_mode(net.topo());
+    }
+
+    #[test]
+    fn general_graphs_keep_dijkstra() {
+        use crate::builders::{clos, fat_tree};
+        assert_dijkstra_mode(&clos(2, 2, 2, 1, mbps(100.0), 0.001, 1e6).0);
+        assert_dijkstra_mode(&fat_tree(4, mbps(100.0), 0.001, 1e6).0);
+
+        // A second duplex cable beside the agg0 uplink.
+        let mut fabric = quick();
+        fabric
+            .topo
+            .add_duplex(fabric.aggs[0], fabric.core, mbps(1.0), 0.001, 1e6);
+        assert_dijkstra_mode(&fabric.topo);
+
+        // 2·(n − 1) links, but c hangs off a one-way link and b has two
+        // links up.
+        let mut t = Topology::new();
+        let a = t.add_node(NodeKind::Switch { level: 1 }, "a");
+        let b = t.add_node(NodeKind::Server, "b");
+        let c = t.add_node(NodeKind::Server, "c");
+        t.add_link(a, c, mbps(1.0), 0.001, 1e6);
+        t.add_duplex(a, b, mbps(1.0), 0.001, 1e6);
+        t.add_link(b, a, mbps(1.0), 0.001, 1e6);
+        let r = assert_dijkstra_mode(&t);
+        assert_eq!(r.interned.get(&(c.0, a.0)), Some(&UNREACHABLE));
+    }
+
+    #[test]
+    fn disconnected_graphs_keep_dijkstra_and_cache_unreachable() {
+        // A forest: two cables.
+        let mut t = Topology::new();
+        let n: Vec<NodeId> = (0..4)
+            .map(|i| t.add_node(NodeKind::Server, format!("n{i}")))
+            .collect();
+        t.add_duplex(n[0], n[1], mbps(1.0), 0.001, 1e6);
+        t.add_duplex(n[2], n[3], mbps(1.0), 0.001, 1e6);
+        let r = assert_dijkstra_mode(&t);
+        assert_eq!(r.interned.get(&(0, 2)), Some(&UNREACHABLE));
+
+        // 2·(n − 1) links, but a triangle away from node 0.
+        let e = t.add_node(NodeKind::Server, "e");
+        t.add_duplex(n[2], e, mbps(1.0), 0.001, 1e6);
+        t.add_duplex(n[3], e, mbps(1.0), 0.001, 1e6);
+        assert_eq!(t.link_count(), 2 * (t.node_count() - 1));
+        let r = assert_dijkstra_mode(&t);
+        assert_eq!(r.interned.get(&(1, 4)), Some(&UNREACHABLE));
     }
 }

@@ -74,10 +74,10 @@ fn print_header(name: &str) {
     println!("{name}: 1000x10 servers, {FLOWS} flows, {ITERS} iterations; ms per iteration, min / median / max");
 }
 
-/// Sources are one server per rack (one Dijkstra per rack); destinations
-/// stride the whole fleet with a prime, so paths cross ToR, aggregation
-/// and core levels. Tree build, routing and flow admission are outside
-/// the timed window.
+/// Sources are one server per rack; destinations stride the whole fleet
+/// with a prime, so paths cross ToR, aggregation and core levels (each
+/// new pair is one climb of the routing tree). Tree build, routing and
+/// flow admission are outside the timed window.
 fn control_round_hyperscale() {
     let tree = hyperscale_tree();
     let servers = tree.all_servers();
