@@ -25,13 +25,15 @@ ablations:
 docs:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+# Also the static determinism gate: clippy.toml bans HashMap/HashSet and
+# wall-clock reads in every crate, and each lib.rs warns on prints and
+# denies deprecated items.
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
 
-# Domain lints: determinism (direct + taint-tracked), float-eq,
-# hot-path unwraps, phase names, unit documentation + cross-call unit
-# dimensions, transitive hot-path allocation, deprecated-item ban.
-# Exits non-zero on any unsuppressed finding.
+# Domain lints clippy cannot check: float-eq, hot-path unwraps, phase
+# names, unit documentation + cross-call unit dimensions, transitive
+# hot-path allocation. Exits non-zero on any unsuppressed finding.
 analyze:
 	cargo run -p scda-analyze -- --deny
 

@@ -8,7 +8,7 @@
 //!
 //! * a method call `.f(a, b)` links to *every* workspace method named
 //!   `f` taking two non-`self` parameters — if any of them is
-//!   hot-reachable or tainted, the property propagates;
+//!   hot-reachable, the property propagates;
 //! * a path call `Type::f(…)` links to methods/associated functions of
 //!   any type named `Type` (`Self` resolves to the caller's `impl`
 //!   target), falling back to free functions for module-qualified
@@ -18,8 +18,7 @@
 //! * a call that matches *nothing* in the workspace is recorded in
 //!   [`Workspace::unresolved`] — never silently dropped. Std and
 //!   vendored-stub calls land there by design; the lints treat their
-//!   effects (allocation, wall-clock, hashing) via direct token
-//!   patterns instead.
+//!   effects (allocation) via direct token patterns instead.
 //!
 //! Everything is keyed and ordered deterministically (`BTreeMap`,
 //! file-then-definition order), so findings derived from the graph are
@@ -42,8 +41,6 @@ pub struct FnNode {
     pub file: usize,
     /// Workspace-relative path of that file (owned copy for messages).
     pub path: String,
-    /// The crate whose `src/` tree holds the file, when any.
-    pub crate_name: Option<String>,
     /// `true` when the definition lives in test code.
     pub is_test: bool,
     /// The parsed definition.
@@ -66,9 +63,6 @@ pub struct Workspace {
     /// Per function: resolved `(call index, callee)` edges, in call
     /// order; a call with several candidates contributes several edges.
     pub callees: Vec<Vec<(usize, FnId)>>,
-    /// Reverse adjacency: per function, the functions calling it
-    /// (deduplicated, ascending).
-    pub callers: Vec<Vec<FnId>>,
     /// Call sites that matched no workspace definition.
     pub unresolved: Vec<UnresolvedCall>,
 }
@@ -84,7 +78,6 @@ impl Workspace {
                 fns.push(FnNode {
                     file: fi,
                     path: file.path.clone(),
-                    crate_name: file.crate_src().map(str::to_string),
                     is_test: file.is_test_code || file.in_test(def.line),
                     def,
                 });
@@ -120,7 +113,6 @@ impl Workspace {
         }
 
         let mut callees: Vec<Vec<(usize, FnId)>> = vec![Vec::new(); fns.len()];
-        let mut callers: Vec<Vec<FnId>> = vec![Vec::new(); fns.len()];
         let mut unresolved = Vec::new();
         for (i, node) in fns.iter().enumerate() {
             for (ci, call) in node.def.calls.iter().enumerate() {
@@ -167,20 +159,14 @@ impl Workspace {
                 } else {
                     for c in cands {
                         callees[i].push((ci, c));
-                        callers[c.0].push(FnId(i));
                     }
                 }
             }
-        }
-        for v in &mut callers {
-            v.sort_unstable();
-            v.dedup();
         }
 
         Workspace {
             fns,
             callees,
-            callers,
             unresolved,
         }
     }
@@ -221,30 +207,6 @@ impl Workspace {
         parent
     }
 
-    /// Backward reachability from `sources` along reversed call edges
-    /// (callers of tainted functions become tainted), excluding test
-    /// code. Same parent encoding as [`Self::reach_forward`]; here
-    /// `parent[f]` points one step *toward the source*.
-    pub fn reach_backward(&self, sources: &[FnId]) -> Vec<Option<FnId>> {
-        let mut parent: Vec<Option<FnId>> = vec![None; self.fns.len()];
-        let mut queue: std::collections::VecDeque<FnId> = std::collections::VecDeque::new();
-        for &s in sources {
-            if parent[s.0].is_none() {
-                parent[s.0] = Some(s);
-                queue.push_back(s);
-            }
-        }
-        while let Some(cur) = queue.pop_front() {
-            for &caller in &self.callers[cur.0] {
-                if parent[caller.0].is_none() && !self.fns[caller.0].is_test {
-                    parent[caller.0] = Some(cur);
-                    queue.push_back(caller);
-                }
-            }
-        }
-        parent
-    }
-
     /// Body token ranges of *other* functions nested inside `f`'s body
     /// (local fns, local impl methods), sorted — scans of `f`'s own code
     /// must skip these so a site is attributed to exactly one function.
@@ -264,7 +226,7 @@ impl Workspace {
         holes
     }
 
-    /// Reconstruct the witness chain from `f` back to a root/source via
+    /// Reconstruct the witness chain from `f` back to a root via
     /// `parent` pointers: qualified names starting at `f`, ending at the
     /// root (lints reverse it when the call direction reads better).
     pub fn witness_chain(&self, parent: &[Option<FnId>], mut f: FnId) -> Vec<String> {

@@ -5,29 +5,28 @@
 //! reproduce the paper only if every control round computes the same
 //! numbers in the same order on every run. The golden kernel tests pin
 //! the results bit-exact, but a pinned result cannot tell you *which*
-//! change broke it. This crate closes that gap with static analysis:
-//! every `.rs` file in the workspace is tokenized by a hand-rolled
-//! [`lexer`] (no `syn` — the workspace builds offline) and checked by a
-//! pluggable set of [`lints`]:
+//! change broke it. The bans clippy can check by name resolution —
+//! `HashMap`/`HashSet` and wall-clock reads — live in the root
+//! `clippy.toml`; this crate checks what clippy cannot: every `.rs` file
+//! in the workspace is tokenized by a hand-rolled [`lexer`] (no `syn` —
+//! the workspace builds offline) and checked by a pluggable set of
+//! [`lints`]:
 //!
 //! | lint | guards |
 //! |------|--------|
-//! | `determinism` | no `HashMap`/`HashSet`, `Instant::now`/`SystemTime`, or unseeded RNG in sim logic |
-//! | `determinism-taint` | the same sources cannot reach sim crates *through helpers* — taint propagates along call edges |
 //! | `no-float-eq` | no `==`/`!=` against float expressions outside tests |
 //! | `no-unwrap-hot-path` | no `.unwrap()`, and only `expect("invariant: …")`, on per-τ paths |
 //! | `phase-name-canonical` | phase-name string literals must match `scda_obs::phase` constants |
 //! | `doc-units` | `pub fn`s taking ≥2 raw `f64`s must document units |
 //! | `unit-dimension` | documented `f64` units must *agree* across call sites (bytes vs bytes/s vs seconds) |
-//! | `no-println-in-crates` | no `println!`/`eprintln!` in library crates — bins and tests exempt |
 //! | `hot-path-transitive-alloc` | no allocation in any function *reachable* from a `// scda-analyze: hot(<phase>)` root |
-//! | `no-deprecated-items` | no `#[deprecated]` workspace items outside tests — migrate and delete instead |
 //!
-//! The last five ride on an AST + call-graph layer ([`ast`], [`graph`])
-//! grown over the same lexer: a recursive-descent parser recovers
-//! items, impls, signatures and call sites, and a conservative
-//! name+arity resolver links them into a workspace call graph
-//! (unresolved edges are recorded, never dropped). See DESIGN.md §13.
+//! `unit-dimension` and `hot-path-transitive-alloc` ride on an AST +
+//! call-graph layer ([`ast`], [`graph`]) grown over the same lexer: a
+//! recursive-descent parser recovers items, impls, signatures and call
+//! sites, and a conservative name+arity resolver links them into a
+//! workspace call graph (unresolved edges are recorded, never dropped).
+//! See DESIGN.md §13.
 //!
 //! Findings are suppressed *only* via an inline
 //! `// scda-analyze: allow(<lint>, <reason>)` annotation on the finding's
@@ -36,6 +35,9 @@
 //! themselves — the suppression set can never rot.
 //!
 //! Run it as `cargo run -p scda-analyze -- --deny` (CI does).
+
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+#![deny(deprecated)]
 
 pub mod ast;
 pub mod graph;
@@ -174,7 +176,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// The lint that fired (`"determinism"`, …, or the driver's own
+    /// The lint that fired (`"no-float-eq"`, …, or the driver's own
     /// `"allow-hygiene"`).
     pub lint: &'static str,
     /// Human-readable description of the problem and the fix.
@@ -239,15 +241,6 @@ pub fn run_lints(files: &[SourceFile], lints: &[Box<dyn Lint>]) -> Report {
                 None => true,
             }
         });
-        // Interprocedural lints may consume an allow structurally (a
-        // de-tainted source) without a finding landing on its line.
-        for lint in lints {
-            for line in lint.consumed_allows(file) {
-                if let Some(idx) = file.allows.iter().position(|a| a.line == line) {
-                    used[idx] = true;
-                }
-            }
-        }
         for (a, used) in file.allows.iter().zip(&used) {
             if a.reason.is_empty() {
                 raw.push(Finding {
@@ -349,8 +342,6 @@ pub fn stock_lints(files: &[SourceFile]) -> Vec<Box<dyn Lint>> {
     let phases = lints::phase_names::harvest_canonical(files);
     let ws = graph::Workspace::build(files);
     vec![
-        Box::new(lints::determinism::Determinism),
-        Box::new(lints::determinism_taint::DeterminismTaint::new(&ws, files)),
         Box::new(lints::float_eq::NoFloatEq),
         Box::new(lints::unwrap_hot::NoUnwrapHotPath),
         Box::new(lints::phase_names::PhaseNameCanonical::new(phases.clone())),
@@ -359,7 +350,5 @@ pub fn stock_lints(files: &[SourceFile]) -> Vec<Box<dyn Lint>> {
         )),
         Box::new(lints::unit_dimension::UnitDimension::new(&ws, files)),
         Box::new(lints::doc_units::DocUnits),
-        Box::new(lints::no_println::NoPrintlnInCrates),
-        Box::new(lints::no_deprecated::NoDeprecatedItems),
     ]
 }

@@ -1,8 +1,14 @@
 //! The pluggable lint set.
 //!
 //! Each lint is a zero-state (or small-config) struct implementing
-//! [`Lint`] over a [`SourceFile`]'s token stream. Adding a lint is a
-//! four-step recipe (see DESIGN.md §"Static analysis"):
+//! [`Lint`] over a [`SourceFile`]'s token stream. Before writing one,
+//! check whether clippy can carry the rule: a banned type or method
+//! belongs in the root `clippy.toml` (`disallowed-types`,
+//! `disallowed-methods`), a built-in lint in a crate-level
+//! `#![warn(..)]`. Those resolve names, so an alias or a re-export
+//! cannot slip past them the way it slips past a token match. What is
+//! left — rules about doc comments, phase-name literals, or properties
+//! of the call graph — is a four-step recipe (see DESIGN.md §8):
 //!
 //! 1. create `src/lints/<name>.rs` with a struct implementing [`Lint`] —
 //!    scope first (`file.crate_src()`, `file.is_test_code`,
@@ -14,13 +20,9 @@
 //! 4. burn down (or annotate) every finding the new lint reports on the
 //!    workspace — CI's `--deny` run fails until the tree is clean.
 
-pub mod determinism;
-pub mod determinism_taint;
 pub mod doc_units;
 pub mod float_eq;
 pub mod hot_transitive;
-pub mod no_deprecated;
-pub mod no_println;
 pub mod phase_names;
 pub mod unit_dimension;
 pub mod unwrap_hot;
@@ -36,14 +38,6 @@ pub trait Lint {
     fn summary(&self) -> &'static str;
     /// Append findings for `file` to `out`.
     fn check(&self, file: &SourceFile, out: &mut Vec<Finding>);
-    /// Lines of `file.allows` annotations this lint consumed
-    /// *structurally* — e.g. an `allow(determinism, …)` that de-taints a
-    /// source for `determinism-taint` without suppressing a finding on
-    /// its own line. The driver counts these as used so they are not
-    /// reported as rotten.
-    fn consumed_allows(&self, _file: &SourceFile) -> Vec<u32> {
-        Vec::new()
-    }
 }
 
 /// Does the identifier token at `i` equal `name`?

@@ -3,7 +3,7 @@
 //! Every file in `tests/fixtures/lints/` opens with a
 //! `//@path crates/<crate>/src/<file>.rs` directive naming the pretend
 //! workspace path it is parsed under — crate scoping is what drives the
-//! interprocedural lints (sim-crate boundaries, phase harvesting). The
+//! interprocedural lints (unit-documented crates, phase harvesting). The
 //! directive line stays in the parsed source so finding line numbers
 //! match the file on disk.
 //!
@@ -24,9 +24,7 @@ use scda_analyze::{run_lints, stock_lints, Report, SourceFile};
 /// Lint exercised by each fixture stem prefix.
 const LINT_OF_PREFIX: &[(&str, &str)] = &[
     ("hot_alloc", "hot-path-transitive-alloc"),
-    ("det_taint", "determinism-taint"),
     ("unit_dim", "unit-dimension"),
-    ("deprecated", "no-deprecated-items"),
 ];
 
 fn fixtures_dir() -> PathBuf {

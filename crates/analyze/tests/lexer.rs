@@ -167,14 +167,14 @@ fn line_numbers_survive_multiline_constructs() {
 #[test]
 fn allow_annotations_are_parsed() {
     let src = "\
-let a = 1; // scda-analyze: allow(determinism, profiling only)
+let a = 1; // scda-analyze: allow(no-unwrap-hot-path, profiling only)
 // scda-analyze: allow(no-float-eq, )
 // scda-analyze: allow(doc-units)
 // scda-analyze: bogus directive
 ";
     let lexed = lex(src);
     assert_eq!(lexed.allows.len(), 3);
-    assert_eq!(lexed.allows[0].lint, "determinism");
+    assert_eq!(lexed.allows[0].lint, "no-unwrap-hot-path");
     assert_eq!(lexed.allows[0].reason, "profiling only");
     assert_eq!(lexed.allows[0].line, 1);
     // Empty reason forms parse (the driver rejects them with a finding).
@@ -185,7 +185,7 @@ let a = 1; // scda-analyze: allow(determinism, profiling only)
 
 #[test]
 fn allow_reason_may_contain_parens() {
-    let lexed = lex("// scda-analyze: allow(determinism, gated (see obs) and unread)\n");
+    let lexed = lex("// scda-analyze: allow(no-unwrap-hot-path, gated (see obs) and unread)\n");
     assert_eq!(lexed.allows[0].reason, "gated (see obs) and unread");
 }
 

@@ -5,10 +5,8 @@
 
 use scda_analyze::graph::Workspace;
 use scda_analyze::lints::{
-    determinism::Determinism, determinism_taint::DeterminismTaint, doc_units::DocUnits,
-    float_eq::NoFloatEq, hot_transitive::HotPathTransitiveAlloc, no_deprecated::NoDeprecatedItems,
-    no_println::NoPrintlnInCrates, phase_names::PhaseNameCanonical, unwrap_hot::NoUnwrapHotPath,
-    Lint,
+    doc_units::DocUnits, float_eq::NoFloatEq, hot_transitive::HotPathTransitiveAlloc,
+    phase_names::PhaseNameCanonical, unwrap_hot::NoUnwrapHotPath, Lint,
 };
 use scda_analyze::{run_lints, Finding, Report, SourceFile, ALLOW_HYGIENE};
 
@@ -42,62 +40,6 @@ fn drive_ws(
 
 const SIM_PATH: &str = "crates/core/src/fixture.rs";
 const HOT_PATH: &str = "crates/core/src/tree.rs";
-
-// ---------------------------------------------------------------- determinism
-
-#[test]
-fn determinism_fires_on_hashmap_instant_and_entropy() {
-    let src = "
-use std::collections::HashMap;
-fn f() {
-    let t = Instant::now();
-    let mut rng = rand::thread_rng();
-    let x: u8 = rand::random();
-    let _ = SystemTime::now();
-}
-";
-    let found = check(&Determinism, SIM_PATH, src);
-    let lines: Vec<u32> = found.iter().map(|f| f.line).collect();
-    assert_eq!(
-        lines,
-        [2, 4, 5, 6, 7],
-        "HashMap, Instant, thread_rng, random, SystemTime"
-    );
-}
-
-#[test]
-fn determinism_ignores_btreemap_and_out_of_scope_crates() {
-    let clean = "use std::collections::BTreeMap;\nfn f() { let m = BTreeMap::new(); }\n";
-    assert!(check(&Determinism, SIM_PATH, clean).is_empty());
-    // Same dirty code in a non-sim crate (obs) or in tests: out of scope.
-    let dirty = "use std::collections::HashMap;\n";
-    assert!(check(&Determinism, "crates/obs/src/lib.rs", dirty).is_empty());
-    assert!(check(&Determinism, "crates/core/tests/x.rs", dirty).is_empty());
-}
-
-#[test]
-fn determinism_skips_cfg_test_modules() {
-    let src = "
-fn sim() {}
-#[cfg(test)]
-mod tests {
-    use std::collections::HashMap;
-    fn t() { let _ = Instant::now(); }
-}
-";
-    assert!(check(&Determinism, SIM_PATH, src).is_empty());
-}
-
-#[test]
-fn determinism_allow_suppresses_with_reason() {
-    let src = "
-// scda-analyze: allow(determinism, profiling only; never feeds sim state)
-let t = Instant::now();
-";
-    let report = drive(Box::new(Determinism), SIM_PATH, src);
-    assert!(report.is_clean(), "findings: {:?}", report.findings);
-    assert_eq!(report.suppressed, 1);
-}
 
 // ---------------------------------------------------------------- no-float-eq
 
@@ -310,79 +252,29 @@ pub fn tune(&mut self, alpha: f64, beta: f64) {}
     assert_eq!(report.suppressed, 1);
 }
 
-// ------------------------------------------------------- no-println-in-crates
-
-#[test]
-fn no_println_fires_on_prints_in_library_crates() {
-    let src = "
-fn report() {
-    println!(\"done\");
-    eprintln!(\"warn: {}\", 1);
-    print!(\"x\");
-    eprint!(\"y\");
-}
-";
-    let found = check(&NoPrintlnInCrates, SIM_PATH, src);
-    let lines: Vec<u32> = found.iter().map(|f| f.line).collect();
-    assert_eq!(lines, [3, 4, 5, 6], "println, eprintln, print, eprint");
-}
-
-#[test]
-fn no_println_exempts_bins_tests_and_cfg_test() {
-    let dirty = "fn f() { println!(\"x\"); }\n";
-    // Root-package bins, crate main.rs, and bin dirs exist to print.
-    assert!(check(&NoPrintlnInCrates, "src/bin/figures.rs", dirty).is_empty());
-    assert!(check(&NoPrintlnInCrates, "crates/analyze/src/main.rs", dirty).is_empty());
-    assert!(check(&NoPrintlnInCrates, "crates/core/src/bin/tool.rs", dirty).is_empty());
-    // Test-support trees and #[cfg(test)] modules assert, not print.
-    assert!(check(&NoPrintlnInCrates, "crates/core/tests/x.rs", dirty).is_empty());
-    let gated = "
-fn lib() {}
-#[cfg(test)]
-mod tests {
-    fn t() { println!(\"debugging a test is fine\"); }
-}
-";
-    assert!(check(&NoPrintlnInCrates, SIM_PATH, gated).is_empty());
-    // An identifier named println without the macro bang is not a print.
-    let not_macro = "fn f(println: u32) -> u32 { println }\n";
-    assert!(check(&NoPrintlnInCrates, SIM_PATH, not_macro).is_empty());
-}
-
-#[test]
-fn no_println_allow_suppresses_with_reason() {
-    let src = "
-// scda-analyze: allow(no-println-in-crates, CLI driver writes its own report)
-fn f() { println!(\"report\"); }
-";
-    let report = drive(Box::new(NoPrintlnInCrates), SIM_PATH, src);
-    assert!(report.is_clean(), "findings: {:?}", report.findings);
-    assert_eq!(report.suppressed, 1);
-}
-
 // ------------------------------------------------------------ allow hygiene
 
 #[test]
 fn allow_without_reason_is_a_finding() {
     let src = "
-// scda-analyze: allow(determinism, )
-let t = Instant::now();
+// scda-analyze: allow(no-float-eq, )
+let b = x == 0.0;
 ";
-    let report = drive(Box::new(Determinism), SIM_PATH, src);
-    // The Instant finding stays AND the empty reason is flagged.
+    let report = drive(Box::new(NoFloatEq), SIM_PATH, src);
+    // The float-eq finding stays AND the empty reason is flagged.
     let lints: Vec<&str> = report.findings.iter().map(|f| f.lint).collect();
-    assert!(lints.contains(&"determinism"), "{:?}", report.findings);
+    assert!(lints.contains(&"no-float-eq"), "{:?}", report.findings);
     assert!(lints.contains(&ALLOW_HYGIENE), "{:?}", report.findings);
 }
 
 #[test]
 fn unused_and_unknown_allows_are_findings() {
     let src = "
-// scda-analyze: allow(determinism, nothing here actually fires)
+// scda-analyze: allow(no-float-eq, nothing here actually fires)
 let x = 1;
 // scda-analyze: allow(not-a-lint, whatever)
 ";
-    let report = drive(Box::new(Determinism), SIM_PATH, src);
+    let report = drive(Box::new(NoFloatEq), SIM_PATH, src);
     assert_eq!(report.findings.len(), 2, "{:?}", report.findings);
     assert!(report.findings.iter().all(|f| f.lint == ALLOW_HYGIENE));
     assert!(report.findings.iter().any(|f| f.message.contains("unused")));
@@ -394,8 +286,8 @@ let x = 1;
 
 #[test]
 fn malformed_annotation_is_a_finding() {
-    let src = "// scda-analyze: allo(determinism, typo)\n";
-    let report = drive(Box::new(Determinism), SIM_PATH, src);
+    let src = "// scda-analyze: allo(no-float-eq, typo)\n";
+    let report = drive(Box::new(NoFloatEq), SIM_PATH, src);
     assert_eq!(report.findings.len(), 1);
     assert_eq!(report.findings[0].lint, ALLOW_HYGIENE);
     assert!(report.findings[0].message.contains("unparsable"));
@@ -404,11 +296,11 @@ fn malformed_annotation_is_a_finding() {
 #[test]
 fn allow_on_preceding_line_covers_the_next_line_only() {
     let src = "
-// scda-analyze: allow(determinism, covers the next line)
-let a = Instant::now();
-let b = Instant::now();
+// scda-analyze: allow(no-float-eq, covers the next line)
+let a = x == 0.0;
+let b = x == 0.0;
 ";
-    let report = drive(Box::new(Determinism), SIM_PATH, src);
+    let report = drive(Box::new(NoFloatEq), SIM_PATH, src);
     assert_eq!(report.suppressed, 1);
     assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
     assert_eq!(report.findings[0].line, 4);
@@ -579,78 +471,6 @@ fn b() {}
         .all(|f| f.lint == ALLOW_HYGIENE && f.message.contains("unparsable")));
 }
 
-// ----------------------------------------------------- determinism-taint
-
-fn taint(sources: &[(&str, &str)]) -> Report {
-    drive_ws(sources, |ws, files| {
-        Box::new(DeterminismTaint::new(ws, files))
-    })
-}
-
-#[test]
-fn taint_fires_at_the_sim_boundary_call_site() {
-    // obs is outside the direct determinism lint's scope; the taint lint
-    // catches sim code reaching its wall-clock read through a helper.
-    let obs = "
-pub fn stamp() -> f64 { seconds_now() }
-fn seconds_now() -> f64 { Instant::now().elapsed().as_secs_f64() }
-";
-    let sim = "
-pub fn tick(now: f64) -> f64 { now + stamp() }
-";
-    let report = taint(&[("crates/obs/src/clock.rs", obs), (SIM_PATH, sim)]);
-    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
-    let f = &report.findings[0];
-    assert_eq!(f.file, SIM_PATH, "flagged at the boundary call site");
-    assert!(f.message.contains("Instant::now"), "{}", f.message);
-    assert!(
-        f.message.contains("stamp → seconds_now"),
-        "taint chain: {}",
-        f.message
-    );
-}
-
-#[test]
-fn taint_ignores_clean_helpers_and_non_sim_callers() {
-    let obs = "pub fn stamp(now: f64) -> f64 { now }\n";
-    let sim = "pub fn tick(now: f64) -> f64 { stamp(now) }\n";
-    let report = taint(&[("crates/obs/src/clock.rs", obs), (SIM_PATH, sim)]);
-    assert!(report.is_clean(), "{:?}", report.findings);
-    // A workloads-crate caller of a tainted helper is out of scope.
-    let dirty_obs = "pub fn stamp() -> f64 { Instant::now().elapsed().as_secs_f64() }\n";
-    let workloads = "pub fn gen() -> f64 { stamp() }\n";
-    let report = taint(&[
-        ("crates/obs/src/clock.rs", dirty_obs),
-        ("crates/workloads/src/gen.rs", workloads),
-    ]);
-    assert!(report.is_clean(), "{:?}", report.findings);
-}
-
-#[test]
-fn taint_allow_at_source_detaints_and_counts_as_used() {
-    let obs = "
-pub fn stamp() -> f64 {
-    // scda-analyze: allow(determinism-taint, profiling only; the value is written to the trace and never read back into sim state)
-    Instant::now().elapsed().as_secs_f64()
-}
-";
-    let sim = "pub fn tick(now: f64) -> f64 { now + stamp() }\n";
-    let report = taint(&[("crates/obs/src/clock.rs", obs), (SIM_PATH, sim)]);
-    // No taint finding, and no "unused allow" hygiene finding either —
-    // the de-tainting consumption marks the annotation used.
-    assert!(report.is_clean(), "{:?}", report.findings);
-}
-
-#[test]
-fn taint_does_not_double_flag_sim_internal_calls() {
-    // Caller and tainted callee both in sim crates: the direct lint (or
-    // the taint lint one boundary deeper) owns that finding.
-    let a = "pub fn helper() -> f64 { Instant::now().elapsed().as_secs_f64() }\n";
-    let b = "pub fn tick() -> f64 { helper() }\n";
-    let report = taint(&[("crates/simnet/src/a.rs", a), ("crates/simnet/src/b.rs", b)]);
-    assert!(report.is_clean(), "{:?}", report.findings);
-}
-
 // ------------------------------------------------------- unit-dimension
 
 fn units(sources: &[(&str, &str)]) -> Report {
@@ -729,41 +549,6 @@ pub fn advance(dt: f64) {
 pub fn push_rate(rate: f64) {}
 ";
     let report = units(&[(SIM_PATH, src)]);
-    assert!(report.is_clean(), "{:?}", report.findings);
-    assert_eq!(report.suppressed, 1);
-}
-
-// --------------------------------------------------- no-deprecated-items
-
-#[test]
-fn no_deprecated_fires_on_deprecated_attr() {
-    let src = "
-#[deprecated(since = \"0.1.0\", note = \"use the _into form\")]
-pub fn old() {}
-";
-    let found = check(&NoDeprecatedItems, SIM_PATH, src);
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert_eq!(found[0].line, 2);
-}
-
-#[test]
-fn no_deprecated_exempts_tests_and_allows_suppress() {
-    let src = "#[deprecated]\npub fn old() {}\n";
-    assert!(check(&NoDeprecatedItems, "crates/core/tests/x.rs", src).is_empty());
-    let gated = "
-#[cfg(test)]
-mod tests {
-    #[deprecated]
-    fn old() {}
-}
-";
-    assert!(check(&NoDeprecatedItems, SIM_PATH, gated).is_empty());
-    let allowed = "
-// scda-analyze: allow(no-deprecated-items, mirroring an upstream deprecation during a two-PR migration)
-#[deprecated]
-pub fn old() {}
-";
-    let report = drive(Box::new(NoDeprecatedItems), SIM_PATH, allowed);
     assert!(report.is_clean(), "{:?}", report.findings);
     assert_eq!(report.suppressed, 1);
 }

@@ -180,7 +180,6 @@ fn workspace_resolves_free_calls_and_records_unresolved() {
     };
     let (drive, scale) = (id("drive"), id("scale"));
     assert!(ws.callees[drive].iter().any(|&(_, f)| f.0 == scale));
-    assert!(ws.callers[scale].iter().any(|&f| f.0 == drive));
     // std methods with no workspace definition (`sum`, `max`, …) are
     // recorded as unresolved, never dropped.
     assert!(!ws.unresolved.is_empty());

@@ -17,6 +17,8 @@
 //! never takes a run down (poisoned locks are survived).
 
 #![warn(missing_docs)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+#![deny(deprecated)]
 
 pub mod report;
 

@@ -33,6 +33,8 @@
 //!   cost model (§III, §VIII).
 
 #![warn(missing_docs)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+#![deny(deprecated)]
 
 pub mod content;
 pub mod diagnostics;

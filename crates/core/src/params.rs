@@ -64,25 +64,30 @@ impl Params {
     }
 
     /// Validate internal consistency; returns a description of the first
-    /// problem found. NaN fails every check.
+    /// problem found. NaN and ±∞ fail every check: an infinite `beta`
+    /// would make an idle link's capacity term `∞·0 = NaN`, which the
+    /// floor turns into zero capacity.
     pub fn validate(&self) -> Result<(), String> {
         if !(0.0 < self.alpha && self.alpha <= 1.0) {
             return Err(format!("alpha must be in (0, 1], got {}", self.alpha));
         }
-        if self.beta.is_nan() || self.beta < 0.0 {
-            return Err(format!("beta must be >= 0, got {}", self.beta));
+        if !self.beta.is_finite() || self.beta < 0.0 {
+            return Err(format!("beta must be finite and >= 0, got {}", self.beta));
         }
-        if self.tau.is_nan() || self.tau <= 0.0 {
-            return Err(format!("tau must be positive, got {}", self.tau));
+        if !self.tau.is_finite() || self.tau <= 0.0 {
+            return Err(format!("tau must be finite and positive, got {}", self.tau));
         }
-        if self.drain_horizon.is_nan() || self.drain_horizon <= 0.0 {
+        if !self.drain_horizon.is_finite() || self.drain_horizon <= 0.0 {
             return Err(format!(
-                "drain_horizon must be positive, got {}",
+                "drain_horizon must be finite and positive, got {}",
                 self.drain_horizon
             ));
         }
-        if self.min_rate.is_nan() || self.min_rate <= 0.0 {
-            return Err(format!("min_rate must be positive, got {}", self.min_rate));
+        if !self.min_rate.is_finite() || self.min_rate <= 0.0 {
+            return Err(format!(
+                "min_rate must be finite and positive, got {}",
+                self.min_rate
+            ));
         }
         Ok(())
     }
@@ -167,12 +172,22 @@ mod tests {
             ..Default::default()
         };
         assert!(p.validate().unwrap_err().starts_with("beta"));
+        let p = Params {
+            beta: f64::INFINITY,
+            ..Default::default()
+        };
+        assert!(p.validate().unwrap_err().starts_with("beta"));
     }
 
     #[test]
     fn nan_tau_rejected() {
         let p = Params {
             tau: f64::NAN,
+            ..Default::default()
+        };
+        assert!(p.validate().unwrap_err().starts_with("tau"));
+        let p = Params {
+            tau: f64::INFINITY,
             ..Default::default()
         };
         assert!(p.validate().unwrap_err().starts_with("tau"));
@@ -185,12 +200,22 @@ mod tests {
             ..Default::default()
         };
         assert!(p.validate().unwrap_err().starts_with("drain_horizon"));
+        let p = Params {
+            drain_horizon: f64::INFINITY,
+            ..Default::default()
+        };
+        assert!(p.validate().unwrap_err().starts_with("drain_horizon"));
     }
 
     #[test]
     fn nan_min_rate_rejected() {
         let p = Params {
             min_rate: f64::NAN,
+            ..Default::default()
+        };
+        assert!(p.validate().unwrap_err().starts_with("min_rate"));
+        let p = Params {
+            min_rate: f64::INFINITY,
             ..Default::default()
         };
         assert!(p.validate().unwrap_err().starts_with("min_rate"));

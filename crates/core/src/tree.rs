@@ -696,7 +696,10 @@ impl ControlTree {
         let round = self.round;
         self.round += 1;
         let observing = self.obs.is_enabled();
-        // scda-analyze: allow(determinism, wall-clock profiling of the round; gated on obs and never read by allocator state)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock profiling of the round; gated on obs and never read by allocator state"
+        )]
         let t0 = observing.then(std::time::Instant::now);
         if observing {
             self.obs

@@ -18,6 +18,8 @@
 //! regenerates any or all figures from the command line.
 
 #![warn(missing_docs)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+#![deny(deprecated)]
 
 pub mod ablations;
 pub mod content_run;

@@ -2,11 +2,10 @@
 //!
 //! The paper reports single runs; a credible reproduction should show the
 //! comparison is not a seed artifact. Seeds are embarrassingly parallel,
-//! so the sweep fans out over a rayon thread pool — each seed gets its own
-//! workload draw and its own RandTCP placement randomness, while SCDA's
-//! behavior stays deterministic given the workload.
+//! so the sweep fans out over one scoped thread per core — each seed gets
+//! its own workload draw and its own RandTCP placement randomness, while
+//! SCDA's behavior stays deterministic given the workload.
 
-use rayon::prelude::*;
 use serde::Serialize;
 
 use crate::figures::Group;
@@ -74,24 +73,39 @@ fn mean_std(xs: impl Iterator<Item = f64> + Clone) -> (f64, f64) {
     (mean, var.sqrt())
 }
 
-/// Run a figure group across `seeds` in parallel and summarize each.
+/// Run a figure group across `seeds` in parallel and summarize each:
+/// one contiguous chunk of seeds per available core, each chunk on its
+/// own scoped thread. The summaries come back sorted by seed.
 pub fn run_seeds(group: Group, scale: Scale, seeds: &[u64]) -> Vec<SeedSummary> {
+    if seeds.is_empty() {
+        return Vec::new();
+    }
     let opts = ScdaOptions::default();
-    let mut out: Vec<SeedSummary> = seeds
-        .par_iter()
-        .map(|&seed| {
-            let sc = group.scenario(scale, seed);
-            let pair = crate::figures::run_pair(&sc, &opts);
-            SeedSummary {
-                seed,
-                scda_mean_fct: pair.scda.fct.mean_fct().unwrap_or(f64::NAN),
-                randtcp_mean_fct: pair.randtcp.fct.mean_fct().unwrap_or(f64::NAN),
-                scda_throughput: pair.scda.throughput.mean_per_flow(),
-                randtcp_throughput: pair.randtcp.throughput.mean_per_flow(),
-            }
-        })
-        .collect();
-    // par_iter preserves order, but make the contract explicit.
+    let summarize = |&seed: &u64| {
+        let sc = group.scenario(scale, seed);
+        let pair = crate::figures::run_pair(&sc, &opts);
+        SeedSummary {
+            seed,
+            scda_mean_fct: pair.scda.fct.mean_fct().unwrap_or(f64::NAN),
+            randtcp_mean_fct: pair.randtcp.fct.mean_fct().unwrap_or(f64::NAN),
+            scda_throughput: pair.scda.throughput.mean_per_flow(),
+            randtcp_throughput: pair.randtcp.throughput.mean_per_flow(),
+        }
+    };
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    let chunk = seeds.len().div_ceil(threads);
+    let mut out: Vec<SeedSummary> = std::thread::scope(|scope| {
+        let workers: Vec<_> = seeds
+            .chunks(chunk)
+            .map(|part| scope.spawn(|| part.iter().map(summarize).collect::<Vec<_>>()))
+            .collect();
+        workers
+            .into_iter()
+            // Re-raise a worker's own panic payload, so the caller sees
+            // the failed assertion's message, not `Any { .. }`.
+            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
     out.sort_by_key(|s| s.seed);
     out
 }
@@ -115,14 +129,19 @@ mod tests {
 
     #[test]
     fn parallel_sweep_matches_serial_run() {
-        // Determinism across the rayon fan-out: the same seed yields the
-        // same numbers whether run alone or in the pool.
+        // Determinism across the thread fan-out: the same seed yields the
+        // same numbers whether run alone or beside others.
         let seeds = [5u64, 6, 7];
         let parallel = run_seeds(Group::DatacenterK3, Scale::Quick, &seeds);
         let solo = run_seeds(Group::DatacenterK3, Scale::Quick, &[6]);
         let in_pool = parallel.iter().find(|s| s.seed == 6).expect("seed present");
         assert_eq!(in_pool.scda_mean_fct, solo[0].scda_mean_fct);
         assert_eq!(in_pool.randtcp_mean_fct, solo[0].randtcp_mean_fct);
+    }
+
+    #[test]
+    fn no_seeds_yield_no_summaries() {
+        assert!(run_seeds(Group::DatacenterK3, Scale::Quick, &[]).is_empty());
     }
 
     #[test]

@@ -186,7 +186,10 @@ impl SimKernel {
             let now = step as f64 * sc.dt;
 
             // Admission: classify, select a server, price the setup.
-            // scda-analyze: allow(determinism, per-stage wall-clock profiling; gated on obs and never read by sim state)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "per-stage wall-clock profiling; gated on obs and never read by sim state"
+            )]
             let t_admit = observing.then(Instant::now);
             while next_flow < sc.workload.flows.len() && sc.workload.flows[next_flow].arrival <= now
             {
@@ -222,7 +225,10 @@ impl SimKernel {
 
             // Open connections whose setup completed, one same-timestamp
             // batch per scheduler drain.
-            // scda-analyze: allow(determinism, per-stage wall-clock profiling; gated on obs and never read by sim state)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "per-stage wall-clock profiling; gated on obs and never read by sim state"
+            )]
             let t_open = observing.then(Instant::now);
             let mut batch = std::mem::take(&mut self.open_batch);
             while self.pending.pop_batch_until(now, &mut batch).is_some() {
@@ -248,7 +254,10 @@ impl SimKernel {
             // policies — RandTCP has no control plane).
             if let (Some(period), Some(nc)) = (period, next_ctrl) {
                 if now + 1e-12 >= nc {
-                    // scda-analyze: allow(determinism, per-stage wall-clock profiling; gated on obs and never read by sim state)
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "per-stage wall-clock profiling; gated on obs and never read by sim state"
+                    )]
                     let t_ctrl = observing.then(Instant::now);
                     next_ctrl = Some(nc + period);
                     ctrl.round(now, &mut self.driver);
@@ -259,7 +268,10 @@ impl SimKernel {
             }
 
             // Drive the data plane one tick and account completions.
-            // scda-analyze: allow(determinism, per-stage wall-clock profiling; gated on obs and never read by sim state)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "per-stage wall-clock profiling; gated on obs and never read by sim state"
+            )]
             let t_tick = observing.then(Instant::now);
             let summary = self.driver.tick(now, sc.dt);
             acct.on_tick(now, summary.delivered_bytes, self.driver.active_count());

@@ -4,7 +4,7 @@
 //! The golden kernel tests pin one run against stored numbers; this test
 //! pins a run against a second run of itself in the same process, which
 //! is exactly the property the `BTreeMap`-keyed kernel bookkeeping and
-//! the `scda-analyze` determinism lint exist to protect. Any per-process
+//! the `clippy.toml` hash-map / wall-clock ban exist to protect. Any per-process
 //! hash seeding, wall-clock leakage, or entropy draw in the kernel,
 //! control plane or transport shows up here as a single flipped bit.
 //! The same comparison pins an observed run against its unobserved twin

@@ -13,6 +13,8 @@
 //!   backing the max-min claims.
 
 #![warn(missing_docs)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+#![deny(deprecated)]
 
 pub mod fairness;
 pub mod fct;

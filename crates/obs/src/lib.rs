@@ -22,6 +22,8 @@
 //! sits below everything else in the workspace graph.
 
 #![warn(missing_docs)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+#![deny(deprecated)]
 
 pub mod metrics;
 pub mod profile;
@@ -222,7 +224,10 @@ impl Obs {
         if self.core.is_none() {
             return f();
         }
-        // scda-analyze: allow(determinism, wall-clock profiling; read only when enabled, charged to the profiler and never returned to the caller)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock profiling; read only when enabled, charged to the profiler and never returned to the caller"
+        )]
         let t0 = Instant::now();
         let r = f();
         self.phase_add(phase, t0.elapsed());

@@ -44,6 +44,8 @@
 //! | [`fluid`] | max-min water-filling reference solver |
 
 #![warn(missing_docs)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+#![deny(deprecated)]
 
 pub mod builders;
 pub mod ecmp;

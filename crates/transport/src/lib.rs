@@ -19,6 +19,8 @@
 //! SCDA experiment harnesses reuse.
 
 #![warn(missing_docs)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+#![deny(deprecated)]
 
 pub mod arena;
 pub mod driver;

@@ -16,6 +16,8 @@
 //! so real traces can replace the synthetic substitutes.
 
 #![warn(missing_docs)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+#![deny(deprecated)]
 
 pub mod datacenter;
 pub mod dist;

@@ -158,7 +158,7 @@ fn main() {
     for (lead, figures) in by_group {
         let group = Group::for_figure(lead).expect("lead figure is valid");
         if n_seeds > 1 {
-            // Multi-seed confidence pass (rayon fan-out) before the
+            // Multi-seed confidence pass (one thread per core) before the
             // figure-producing run at the base seed.
             let seeds: Vec<u64> = (0..n_seeds as u64).map(|k| seed + k).collect();
             let agg = aggregate(&run_seeds(group, scale, &seeds));
@@ -175,6 +175,10 @@ fn main() {
             "# running group {group:?} ({} figures) at {scale:?} scale...",
             figures.len()
         );
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "progress line on stderr; the elapsed time is printed, never fed to the run"
+        )]
         let t0 = std::time::Instant::now();
         let pair = group.run_with(scale, seed, &run_opts);
         eprintln!(

@@ -25,6 +25,11 @@
 //! printed, not gated. The probes go once a dense workload runs through
 //! `SimKernel` in the benchmark.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a timing probe: the wall clock is what it measures, and the simulated counters it pins never read it"
+)]
+
 use std::time::{Duration, Instant};
 
 use scda_core::rate_metric::LinkSample;
