@@ -87,7 +87,6 @@ impl NodeSet {
             return false;
         }
         self.bits[word] |= mask;
-        // scda-analyze: allow(hot-path-transitive-alloc, the member list retains its capacity across clear() — drain keeps the buffer; growth only while the set's high-water mark rises)
         self.members.push(s);
         true
     }

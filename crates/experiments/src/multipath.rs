@@ -20,7 +20,7 @@ use serde::Serialize;
 use scda_metrics::{jain_index, FctStats, FlowRecord, Utilization};
 use scda_simnet::builders::clos;
 use scda_simnet::{EcmpRoutes, FlowId, LinkId, Network};
-use scda_transport::{AnyTransport, FlowDriver, Reno, RenoConfig, ScdaWindow, Transport};
+use scda_transport::{AnyTransport, FlowDriver, Reno, RenoConfig, ScdaWindow};
 
 /// How paths and rates are chosen on the Clos.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -137,16 +137,17 @@ pub fn run_multipath(cfg: &MultipathConfig, policy: PathPolicy) -> MultipathResu
     }
     let offered = arrivals.len();
 
-    // Flows placed and still in flight (the max/min policy re-levels
-    // exactly this set each τ via the network's embedded solver).
-    let mut placed: std::collections::BTreeSet<FlowId> = Default::default();
-
     let mut fct = FctStats::new();
     let mut per_flow_rate: Vec<(f64, f64)> = Vec::new(); // (bytes, fct) for fairness
     let mut util = vec![Utilization::new(); n_links];
     let mut next_arrival = 0usize;
     let mut next_id = 0u64;
     let mut next_ctrl = cfg.tau;
+    // Per-link offered load of the flows in flight: the committed load an
+    // elephant is placed against, then each step's utilization sample.
+    let mut loads = vec![0.0_f64; n_links];
+    // Scratch: the in-flight flows' max/min rates, re-installed each τ.
+    let mut fair_rates: Vec<(FlowId, f64)> = Vec::new();
     let horizon = cfg.duration + 30.0;
     let steps = (horizon / cfg.dt).ceil() as u64;
     let link_caps: Vec<f64> = fd
@@ -167,17 +168,6 @@ pub fn run_multipath(cfg: &MultipathConfig, policy: PathPolicy) -> MultipathResu
             next_id += 1;
             let candidates = ecmp.all_paths(fd.net().topo(), src, dst, 16);
             assert!(!candidates.is_empty(), "Clos is connected");
-            let committed_for = |fd: &FlowDriver| {
-                let mut committed = vec![0.0_f64; n_links];
-                for (fid, _, _) in fd.active_flows() {
-                    let rtt = fd.net().rtt(fid);
-                    let rate = fd.transport(fid).expect("active").offered_rate(rtt);
-                    for &l in fd.net().flow(fid).path() {
-                        committed[l.index()] += rate;
-                    }
-                }
-                committed
-            };
             let best_path = |committed: &[f64]| {
                 candidates
                     .iter()
@@ -198,7 +188,8 @@ pub fn run_multipath(cfg: &MultipathConfig, policy: PathPolicy) -> MultipathResu
                 }
                 PathPolicy::HederaLike { elephant_bytes } => {
                     if cfg.flow_bytes > elephant_bytes {
-                        best_path(&committed_for(&fd))
+                        fd.offered_loads_into(&mut loads);
+                        best_path(&loads)
                     } else {
                         ecmp.path(fd.net().topo(), src, dst, id).expect("reachable")
                     }
@@ -207,7 +198,8 @@ pub fn run_multipath(cfg: &MultipathConfig, policy: PathPolicy) -> MultipathResu
                     // Available rate per path = min over links of
                     // (capacity - committed offered load), per the
                     // cross-layer algorithm of reference [7].
-                    best_path(&committed_for(&fd))
+                    fd.offered_loads_into(&mut loads);
+                    best_path(&loads)
                 }
             };
             // Intern the chosen path: ECMP reuses the same few candidate
@@ -215,7 +207,6 @@ pub fn run_multipath(cfg: &MultipathConfig, policy: PathPolicy) -> MultipathResu
             // once and shared by handle.
             let pid = fd.net_mut().intern_path(&path);
             let base_rtt = fd.net().path_rtt(pid);
-            fd.net_mut().insert_flow_interned(id, src, dst, pid);
             let transport = match policy {
                 PathPolicy::EcmpHash | PathPolicy::HederaLike { .. } => {
                     AnyTransport::Tcp(Reno::new(RenoConfig {
@@ -228,8 +219,7 @@ pub fn run_multipath(cfg: &MultipathConfig, policy: PathPolicy) -> MultipathResu
                     AnyTransport::Scda(ScdaWindow::new(1e6, 1e6, base_rtt))
                 }
             };
-            fd.start_preinserted_flow(id, cfg.flow_bytes, transport, now);
-            placed.insert(id);
+            fd.start_flow_on(id, src, dst, pid, cfg.flow_bytes, transport, now);
         }
 
         // Incremental water-filling re-allocation for the max/min policy:
@@ -238,8 +228,12 @@ pub fn run_multipath(cfg: &MultipathConfig, policy: PathPolicy) -> MultipathResu
         if policy == PathPolicy::MaxMinRoute && now + 1e-12 >= next_ctrl {
             next_ctrl += cfg.tau;
             fd.net_mut().max_min_solve();
-            for &id in placed.iter() {
-                let rate = fd.net().max_min_rate(id);
+            fair_rates.clear();
+            fair_rates.extend(
+                fd.active_flows()
+                    .map(|(id, _, _)| (id, fd.net().max_min_rate(id))),
+            );
+            for &(id, rate) in &fair_rates {
                 if let Some(AnyTransport::Scda(w)) = fd.transport_mut(id) {
                     w.set_rates(0.95 * rate, 0.95 * rate);
                 }
@@ -247,21 +241,13 @@ pub fn run_multipath(cfg: &MultipathConfig, policy: PathPolicy) -> MultipathResu
         }
 
         // Track per-link utilization from current offered rates.
-        let mut offered_now = vec![0.0_f64; n_links];
-        for (fid, _, _) in fd.active_flows() {
-            let rtt = fd.net().rtt(fid);
-            let rate = fd.transport(fid).expect("active").offered_rate(rtt);
-            for &l in fd.net().flow(fid).path() {
-                offered_now[l.index()] += rate;
-            }
-        }
+        fd.offered_loads_into(&mut loads);
         for (l, u) in util.iter_mut().enumerate() {
-            u.record(offered_now[l], link_caps[l], cfg.dt);
+            u.record(loads[l], link_caps[l], cfg.dt);
         }
 
         let summary = fd.tick(now, cfg.dt);
         for c in &summary.completed {
-            placed.remove(&c.id);
             fct.push(FlowRecord {
                 size_bytes: c.size_bytes,
                 start: c.start,

@@ -309,12 +309,6 @@ impl IncrementalMaxMin {
         &self.affected
     }
 
-    /// A link's capacity as the solver sees it.
-    #[inline]
-    pub fn link_cap(&self, l: LinkId) -> f64 {
-        self.caps[l.index()]
-    }
-
     /// Register a flow over `path` with an optional external cap; returns
     /// its slot. The path links are marked dirty (empty paths mark the
     /// flow as a trivial singleton instead).

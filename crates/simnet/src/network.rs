@@ -14,6 +14,12 @@
 //! flow loops never touch the topology or recompute a division per
 //! flow-link visit.
 //!
+//! This arena is the only flow table on the data path: the transport
+//! layer's `FlowDriver` keeps its per-flow columns (progress, transport)
+//! in the same slot space and walks [`Network::flow_slots`] for id
+//! order. A driver's network therefore gets flows only through that
+//! driver.
+//!
 //! The network can optionally host an [`IncrementalMaxMin`] solver
 //! ([`Network::enable_max_min`]) that mirrors the active flow set and
 //! re-levels max-min fair rates incrementally each control interval.
@@ -54,6 +60,7 @@ pub struct FlowRef<'a> {
     pub dst: NodeId,
     /// Propagation-only round-trip time (no queueing) in seconds.
     pub base_rtt: f64,
+    slot: u32,
     path: &'a [LinkId],
 }
 
@@ -62,6 +69,13 @@ impl<'a> FlowRef<'a> {
     #[inline]
     pub fn path(&self) -> &'a [LinkId] {
         self.path
+    }
+
+    /// The arena slot the flow occupies (the key of the `*_of_slot`
+    /// accessors until the flow is removed).
+    #[inline]
+    pub fn slot(&self) -> u32 {
+        self.slot
     }
 }
 
@@ -262,79 +276,7 @@ impl Network {
         self.maybe_compact_paths(len);
         let start = self.path_data.len() as u32;
         self.path_data.extend_from_slice(self.routes.path_of(pid));
-        self.finish_insert(id, src, dst, base_rtt, start, len as u32)
-    }
-
-    /// Intern an explicit path (e.g. an ECMP candidate) into the routing
-    /// cache's shared arena, deduplicating by content, and return its
-    /// handle for [`Network::insert_flow_interned`].
-    pub fn intern_path(&mut self, path: &[LinkId]) -> PathId {
-        self.routes.intern_explicit(&self.topo, path)
-    }
-
-    /// Cached propagation RTT (seconds) of an interned path.
-    pub fn path_rtt(&self, pid: PathId) -> f64 {
-        self.routes.rtt_of(pid)
-    }
-
-    /// Register a flow over an explicit `path` (e.g. an ECMP candidate or
-    /// the cross-layer max/min route of §IX) rather than the default
-    /// shortest path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is active, the path is empty, or the path is not a
-    /// contiguous `src -> dst` walk.
-    pub fn insert_flow_with_path(
-        &mut self,
-        id: FlowId,
-        src: NodeId,
-        dst: NodeId,
-        path: Vec<LinkId>,
-    ) -> FlowRef<'_> {
-        assert!(!path.is_empty(), "explicit path must have links");
-        assert_eq!(self.topo.link(path[0]).src, src, "path must leave src");
-        assert_eq!(
-            self.topo.link(*path.last().expect("non-empty")).dst,
-            dst,
-            "path must enter dst"
-        );
-        for w in path.windows(2) {
-            assert_eq!(
-                self.topo.link(w[0]).dst,
-                self.topo.link(w[1]).src,
-                "path must be contiguous"
-            );
-        }
-        self.insert_slot(id, src, dst, &path)
-    }
-
-    /// Arena insert for a caller-materialized path.
-    fn insert_slot(
-        &mut self,
-        id: FlowId,
-        src: NodeId,
-        dst: NodeId,
-        path: &[LinkId],
-    ) -> FlowRef<'_> {
-        let base_rtt: f64 = 2.0 * path.iter().map(|&l| self.topo.link(l).delay_s).sum::<f64>();
-        self.maybe_compact_paths(path.len());
-        let start = self.path_data.len() as u32;
-        self.path_data.extend_from_slice(path);
-        self.finish_insert(id, src, dst, base_rtt, start, path.len() as u32)
-    }
-
-    /// Slot bookkeeping shared by every registration path; the flow's
-    /// links are already appended to `path_data` at `start..start+len`.
-    fn finish_insert(
-        &mut self,
-        id: FlowId,
-        src: NodeId,
-        dst: NodeId,
-        base_rtt: f64,
-        start: u32,
-        len: u32,
-    ) -> FlowRef<'_> {
+        let len = len as u32;
         let slot = match self.free.pop() {
             Some(slot) => {
                 let s = slot as usize;
@@ -373,13 +315,19 @@ impl Network {
             }
             self.net_of_solver[ss as usize] = slot;
         }
-        let s = slot as usize;
-        FlowRef {
-            src,
-            dst,
-            base_rtt,
-            path: &self.path_data[start as usize..start as usize + self.path_len[s] as usize],
-        }
+        self.flow_at(slot)
+    }
+
+    /// Intern an explicit path (e.g. an ECMP candidate) into the routing
+    /// cache's shared arena, deduplicating by content, and return its
+    /// handle for [`Network::insert_flow_interned`].
+    pub fn intern_path(&mut self, path: &[LinkId]) -> PathId {
+        self.routes.intern_explicit(&self.topo, path)
+    }
+
+    /// Cached propagation RTT (seconds) of an interned path.
+    pub fn path_rtt(&self, pid: PathId) -> f64 {
+        self.routes.rtt_of(pid)
     }
 
     /// Compact `path_data` once removed flows' paths outweigh live ones.
@@ -440,35 +388,48 @@ impl Network {
     /// Panics if the flow is not active.
     #[inline]
     pub fn flow(&self, id: FlowId) -> FlowRef<'_> {
-        let slot = *self
-            .index
-            .get(&id)
-            .unwrap_or_else(|| panic!("flow {id} not active"));
-        self.flow_at(slot)
+        self.flow_at(self.live_slot(id))
     }
 
-    /// The arena slot behind an active flow id (resolve once, then use
-    /// the `*_of_slot` accessors on the hot path).
+    /// The arena slot behind `id`, or `None` if the flow is not active
+    /// (resolve once, then use the `*_of_slot` accessors on the hot
+    /// path).
     #[inline]
-    pub fn flow_slot(&self, id: FlowId) -> u32 {
-        *self
-            .index
-            .get(&id)
+    pub fn flow_slot(&self, id: FlowId) -> Option<u32> {
+        self.index.get(&id).copied()
+    }
+
+    /// [`Network::flow_slot`] for a flow the caller knows is active.
+    fn live_slot(&self, id: FlowId) -> u32 {
+        self.flow_slot(id)
             .unwrap_or_else(|| panic!("flow {id} not active"))
+    }
+
+    /// Active flows as `(id, slot)` in ascending id order — the order
+    /// every deterministic per-flow accumulation downstream relies on.
+    #[inline]
+    pub fn flow_slots(&self) -> impl Iterator<Item = (FlowId, u32)> + '_ {
+        self.index.iter().map(|(&id, &slot)| (id, slot))
     }
 
     /// The flow occupying `slot` (must be live).
     #[inline]
-    pub fn flow_at(&self, slot: u32) -> FlowRef<'_> {
+    fn flow_at(&self, slot: u32) -> FlowRef<'_> {
         let s = slot as usize;
         debug_assert!(self.live[s], "flow slot {slot} not live");
-        let start = self.path_start[s] as usize;
         FlowRef {
             src: self.srcs[s],
             dst: self.dsts[s],
             base_rtt: self.base_rtt[s],
-            path: &self.path_data[start..start + self.path_len[s] as usize],
+            slot,
+            path: self.path_of_slot(slot),
         }
+    }
+
+    /// A live slot's `(src, dst)` endpoints.
+    #[inline]
+    pub fn endpoints_of_slot(&self, slot: u32) -> (NodeId, NodeId) {
+        (self.srcs[slot as usize], self.dsts[slot as usize])
     }
 
     /// A live slot's routed path.
@@ -504,18 +465,11 @@ impl Network {
         Some(self.routes.rtt_of(pid))
     }
 
-    /// Handle to the interned shortest path between two nodes, or `None`
-    /// if unreachable — the zero-allocation form of the open stage's
-    /// route lookup.
-    pub fn path_handle_between(&mut self, src: NodeId, dst: NodeId) -> Option<PathId> {
-        self.routes.path_handle(&self.topo, src, dst)
-    }
-
     /// Current queueing-inflated RTT of a flow (forward-path queues only;
     /// ACKs are modeled as unqueued, which matches the paper's asymmetric
     /// write/read traffic).
     pub fn rtt(&self, id: FlowId) -> f64 {
-        self.rtt_of_slot(self.flow_slot(id))
+        self.rtt_of_slot(self.live_slot(id))
     }
 
     /// Queueing-inflated RTT by arena slot (the hot-path form: no id
@@ -642,12 +596,6 @@ impl Network {
         self.solver = Some(solver);
     }
 
-    /// Whether [`Network::enable_max_min`] has been called.
-    #[inline]
-    pub fn max_min_enabled(&self) -> bool {
-        self.solver.is_some()
-    }
-
     /// Set or clear a flow's external rate cap (bytes/s) in the embedded
     /// solver — the `R_other` bottleneck of the paper's eq. 3.
     ///
@@ -655,8 +603,7 @@ impl Network {
     ///
     /// Panics if the solver is not enabled or the flow is not active.
     pub fn set_flow_rate_cap(&mut self, id: FlowId, cap: Option<f64>) {
-        let slot = self.flow_slot(id);
-        let ss = self.solver_slot[slot as usize];
+        let ss = self.solver_slot[self.live_slot(id) as usize];
         self.solver
             .as_mut()
             .expect("invariant: set_flow_rate_cap requires enable_max_min")
@@ -681,7 +628,7 @@ impl Network {
     /// The max-min fair rate (bytes/s) of an active flow, as of the last
     /// [`Network::max_min_solve`].
     pub fn max_min_rate(&self, id: FlowId) -> f64 {
-        let slot = self.flow_slot(id);
+        let slot = self.live_slot(id);
         self.solver
             .as_ref()
             .expect("invariant: max_min_rate requires enable_max_min")
@@ -726,7 +673,7 @@ mod tests {
         pub(crate) fn advance(&mut self, dt: f64, offered: &[(FlowId, f64)]) -> TickReport {
             let slots: Vec<(u32, f64)> = offered
                 .iter()
-                .map(|&(id, rate)| (self.flow_slot(id), rate))
+                .map(|&(id, rate)| (self.live_slot(id), rate))
                 .collect();
             let mut report = TickReport::default();
             self.advance_slots_into(dt, &slots, &mut report);
@@ -854,14 +801,15 @@ mod tests {
     #[test]
     fn slot_accessors_match_id_accessors() {
         let (mut n, s, r, _) = net();
-        n.insert_flow(FlowId(7), s[0], r[0]);
-        let slot = n.flow_slot(FlowId(7));
+        let slot = n.insert_flow(FlowId(7), s[0], r[0]).slot();
+        assert_eq!(n.flow_slot(FlowId(7)), Some(slot));
         assert_eq!(n.rtt(FlowId(7)).to_bits(), n.rtt_of_slot(slot).to_bits());
         assert_eq!(n.flow(FlowId(7)).path(), n.path_of_slot(slot));
         assert_eq!(
             n.flow(FlowId(7)).base_rtt.to_bits(),
             n.base_rtt_of_slot(slot).to_bits()
         );
+        assert_eq!(n.endpoints_of_slot(slot), (s[0], r[0]));
     }
 
     #[test]
@@ -870,6 +818,7 @@ mod tests {
         n.insert_flow(FlowId(1), s[0], r[0]);
         let slot1 = n.flow_slot(FlowId(1));
         n.remove_flow(FlowId(1));
+        assert_eq!(n.flow_slot(FlowId(1)), None);
         n.insert_flow(FlowId(2), s[1], r[1]);
         assert_eq!(n.flow_slot(FlowId(2)), slot1, "freed slot is recycled");
         let f = n.flow(FlowId(2));
@@ -886,7 +835,7 @@ mod tests {
             n2.insert_flow(FlowId(i), s[i as usize], r[i as usize]);
         }
         let offered_ids: Vec<_> = (0..3u64).map(|i| (FlowId(i), 9e6)).collect();
-        let offered_slots: Vec<_> = (0..3u64).map(|i| (n2.flow_slot(FlowId(i)), 9e6)).collect();
+        let offered_slots: Vec<_> = (0..3u64).map(|i| (n2.live_slot(FlowId(i)), 9e6)).collect();
         let mut report = TickReport::default();
         for _ in 0..50 {
             let rep1 = n1.advance(0.005, &offered_ids);

@@ -7,9 +7,8 @@
 
 use scda_audit::Audit;
 use scda_obs::{metric, Obs, TraceEvent};
-use scda_simnet::{FlowId, Network, NodeId, TickReport};
+use scda_simnet::{FlowId, Network, NodeId, PathId, TickReport};
 
-use crate::arena::FlowArena;
 use crate::flow::FlowProgress;
 use crate::{AnyTransport, Transport};
 
@@ -49,19 +48,21 @@ pub struct TickSummary {
 }
 
 /// Drives a set of flows over a [`Network`] tick by tick.
+///
+/// The network's slot arena is the one flow table: the driver's
+/// per-flow columns are indexed by the network slot each flow occupies,
+/// and every walk over the active flows goes through
+/// [`Network::flow_slots`], in ascending id order.
 pub struct FlowDriver {
     net: Network,
-    /// Active flows as struct-of-arrays columns (see [`FlowArena`]);
-    /// iteration stays in ascending id order, like the `BTreeMap` this
-    /// replaced.
-    active: FlowArena,
-    /// Scratch: live arena slots in ascending id order, rebuilt each tick.
-    tick_slots: Vec<u32>,
-    /// Scratch: offered rate per tick-slot position (same order as
-    /// `tick_slots`).
-    rates: Vec<f64>,
-    /// Scratch: `(network slot, rate)` pairs handed to the network.
-    net_offered: Vec<(u32, f64)>,
+    /// Per network slot: the flow's delivery progress (dead slots hold
+    /// stale entries until a new flow reuses the slot).
+    progress: Vec<FlowProgress>,
+    /// Per network slot: the flow's transport.
+    transports: Vec<AnyTransport>,
+    /// Scratch: `(network slot, offered rate)` in ascending id order,
+    /// rebuilt each tick and handed to the network as is.
+    offered: Vec<(u32, f64)>,
     /// Reusable tick report (the network clears and refills it).
     report: TickReport,
     /// Observability sink (disabled by default: every emit is one branch).
@@ -72,27 +73,31 @@ pub struct FlowDriver {
 
 impl FlowDriver {
     /// A driver over `net` with no active flows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` already carries flows: a driver's network gets
+    /// flows only through the driver.
     pub fn new(net: Network) -> Self {
+        assert_eq!(net.flow_count(), 0, "a driver's network starts empty");
         FlowDriver {
             net,
-            active: FlowArena::new(),
-            tick_slots: Vec::new(),
-            rates: Vec::new(),
-            net_offered: Vec::new(),
+            progress: Vec::new(),
+            transports: Vec::new(),
+            offered: Vec::new(),
             report: TickReport::default(),
             obs: Obs::disabled(),
             audit: Audit::disabled(),
         }
     }
 
-    /// Pre-size the flow columns (and the per-tick scratch buffers)
+    /// Pre-size the flow columns (and the per-tick scratch buffer)
     /// for `n` concurrent flows, so hyperscale scenarios skip the
     /// doubling reallocations on their way to 100k+ live flows.
     pub fn reserve_flows(&mut self, n: usize) {
-        self.active.reserve(n);
-        self.tick_slots.reserve(n);
-        self.rates.reserve(n);
-        self.net_offered.reserve(n);
+        self.progress.reserve(n);
+        self.transports.reserve(n);
+        self.offered.reserve(n);
     }
 
     /// Attach an observability handle: flow starts and completions are
@@ -113,7 +118,12 @@ impl FlowDriver {
         &self.net
     }
 
-    /// Mutable network access (resource monitors sample link counters).
+    /// Mutable network access (resource monitors sample link counters,
+    /// fault injection edits links, explicit paths are interned). Flows
+    /// must not be inserted or removed through it: the driver's columns
+    /// live in the network's slot space, so flows enter and leave only
+    /// through [`FlowDriver::start_flow`], [`FlowDriver::start_flow_on`],
+    /// [`FlowDriver::abort_flow`] and [`FlowDriver::tick`].
     #[inline]
     pub fn net_mut(&mut self) -> &mut Network {
         &mut self.net
@@ -122,11 +132,11 @@ impl FlowDriver {
     /// Number of in-flight transfers.
     #[inline]
     pub fn active_count(&self) -> usize {
-        self.active.len()
+        self.net.flow_count()
     }
 
     /// Begin a transfer of `size_bytes` from `src` to `dst` at time `now`
-    /// using `transport`.
+    /// using `transport`, over the shortest path.
     ///
     /// # Panics
     ///
@@ -140,89 +150,96 @@ impl FlowDriver {
         transport: AnyTransport,
         now: f64,
     ) {
-        self.net.insert_flow(id, src, dst);
-        self.active.insert(
-            id,
-            FlowProgress::new(id, size_bytes, now),
-            transport,
-            src,
-            dst,
-        );
-        self.active.set_net_slot(id, self.net.flow_slot(id));
-        self.obs.emit_with(|| TraceEvent::FlowStarted {
-            now,
-            flow: id.0,
-            src: src.0,
-            dst: dst.0,
-            size_bytes,
-        });
-        self.obs.counter_add(metric::FLOW_STARTED, 1);
-        self.audit.opened(now, id.0);
+        let slot = self.net.insert_flow(id, src, dst).slot();
+        self.adopt(slot, FlowProgress::new(id, size_bytes, now), transport);
     }
 
-    /// Begin driving a transfer of `size_bytes` bytes starting at `now`
-    /// seconds, whose network flow was already inserted (e.g. over an
-    /// explicit ECMP/max-min path via [`Network::insert_flow_with_path`]).
+    /// [`FlowDriver::start_flow`] over the interned path `pid` (e.g. an
+    /// ECMP candidate or the cross-layer max/min route of §IX, interned
+    /// with [`Network::intern_path`]) instead of the shortest path:
+    /// `size_bytes` bytes starting at `now` seconds.
     ///
     /// # Panics
     ///
-    /// Panics if the network does not know `id` or the driver already
-    /// drives it.
-    pub fn start_preinserted_flow(
+    /// Panics if `id` is already active.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "start_flow's arguments plus the path"
+    )]
+    pub fn start_flow_on(
         &mut self,
         id: FlowId,
+        src: NodeId,
+        dst: NodeId,
+        pid: PathId,
         size_bytes: f64,
         transport: AnyTransport,
         now: f64,
     ) {
-        assert!(
-            self.net.contains_flow(id),
-            "network flow {id} must be inserted first"
-        );
-        let (src, dst) = {
-            let f = self.net.flow(id);
-            (f.src, f.dst)
-        };
-        self.active.insert(
-            id,
-            FlowProgress::new(id, size_bytes, now),
-            transport,
-            src,
-            dst,
-        );
-        self.active.set_net_slot(id, self.net.flow_slot(id));
-        self.audit.opened(now, id.0);
+        let slot = self.net.insert_flow_interned(id, src, dst, pid).slot();
+        self.adopt(slot, FlowProgress::new(id, size_bytes, now), transport);
+    }
+
+    /// Fill the driver's columns at the network slot a new flow just
+    /// took, and report the start.
+    fn adopt(&mut self, slot: u32, progress: FlowProgress, transport: AnyTransport) {
+        let s = slot as usize;
+        if s < self.progress.len() {
+            self.progress[s] = progress;
+            self.transports[s] = transport;
+        } else {
+            // A slot the columns have not reached yet; any gap before
+            // it holds dead slots.
+            self.progress.resize(s + 1, progress);
+            self.transports.resize(s + 1, transport);
+        }
+        self.obs.emit_with(|| {
+            let (src, dst) = self.net.endpoints_of_slot(slot);
+            TraceEvent::FlowStarted {
+                now: progress.start,
+                flow: progress.id.0,
+                src: src.0,
+                dst: dst.0,
+                size_bytes: progress.size_bytes,
+            }
+        });
+        self.obs.counter_add(metric::FLOW_STARTED, 1);
+        self.audit.opened(progress.start, progress.id.0);
     }
 
     /// Abort an in-flight transfer (SLA mitigation may migrate a flow to a
     /// different server: abort + restart).
     pub fn abort_flow(&mut self, id: FlowId) -> Option<FlowProgress> {
-        let p = self.active.remove(id)?;
+        let slot = self.net.flow_slot(id)?;
         self.net.remove_flow(id);
-        Some(p)
+        Some(self.progress[slot as usize])
     }
 
     /// The transport of an active flow (the SCDA control plane uses this
     /// to install per-τ rate allocations).
     pub fn transport_mut(&mut self, id: FlowId) -> Option<&mut AnyTransport> {
-        self.active.transport_mut(id)
+        let slot = self.net.flow_slot(id)?;
+        Some(&mut self.transports[slot as usize])
     }
 
     /// Read-only transport access (telemetry sums current offered rates).
     pub fn transport(&self, id: FlowId) -> Option<&AnyTransport> {
-        self.active.transport(id)
+        let slot = self.net.flow_slot(id)?;
+        Some(&self.transports[slot as usize])
     }
 
     /// Progress of an active flow.
     pub fn progress(&self, id: FlowId) -> Option<&FlowProgress> {
-        self.active.progress(id)
+        let slot = self.net.flow_slot(id)?;
+        Some(&self.progress[slot as usize])
     }
 
     /// Iterate over active flow ids with their endpoints, in id order.
     pub fn active_flows(&self) -> impl Iterator<Item = (FlowId, NodeId, NodeId)> + '_ {
-        self.active
-            .iter()
-            .map(|(id, _, _, src, dst)| (id, src, dst))
+        self.net.flow_slots().map(|(id, slot)| {
+            let (src, dst) = self.net.endpoints_of_slot(slot);
+            (id, src, dst)
+        })
     }
 
     /// Current queueing-inflated RTT of an active flow.
@@ -242,14 +259,10 @@ impl FlowDriver {
     // scda-analyze: hot(kernel.control)
     pub fn offered_loads_into(&self, loads: &mut [f64]) {
         loads.fill(0.0);
-        let transports = self.active.transports_col();
-        let net_slots = self.active.net_slots_col();
-        for (_, slot) in self.active.iter_slots() {
-            let s = slot as usize;
-            let ns = net_slots[s];
-            let rtt = self.net.rtt_of_slot(ns);
-            let rate = transports[s].offered_rate(rtt);
-            for &l in self.net.path_of_slot(ns) {
+        for (_, slot) in self.net.flow_slots() {
+            let rtt = self.net.rtt_of_slot(slot);
+            let rate = self.transports[slot as usize].offered_rate(rtt);
+            for &l in self.net.path_of_slot(slot) {
                 loads[l.index()] += rate;
             }
         }
@@ -263,61 +276,35 @@ impl FlowDriver {
     /// order, so every float accumulation is deterministic.
     // scda-analyze: hot(kernel.tick)
     pub fn tick(&mut self, now: f64, dt: f64) -> TickSummary {
-        // Read pass: each flow's offer, position-for-position with
-        // `tick_slots` (ascending id order, the determinism contract).
-        self.tick_slots.clear();
-        self.active.live_slots_into(&mut self.tick_slots);
-        self.rates.clear();
-        self.rates.resize(self.tick_slots.len(), 0.0);
-        {
-            let progress = self.active.progress_col();
-            let transports = self.active.transports_col();
-            let net_slots = self.active.net_slots_col();
-            for (r, &slot) in self.rates.iter_mut().zip(&self.tick_slots) {
-                let s = slot as usize;
-                let rtt = self.net.rtt_of_slot(net_slots[s]);
-                *r = transports[s]
-                    .offered_rate(rtt)
-                    .min(progress[s].remaining() / dt);
-            }
-        }
-        self.net_offered.clear();
-        {
-            let net_slots = self.active.net_slots_col();
-            for (k, &slot) in self.tick_slots.iter().enumerate() {
-                self.net_offered
-                    // scda-analyze: allow(hot-path-transitive-alloc, per-tick scratch cleared just above with capacity retained — amortized-free after the first tick)
-                    .push((net_slots[slot as usize], self.rates[k]));
-            }
+        // Read pass: each flow's offer, in ascending id order (the
+        // determinism contract).
+        self.offered.clear();
+        for (_, slot) in self.net.flow_slots() {
+            let s = slot as usize;
+            let rtt = self.net.rtt_of_slot(slot);
+            let rate = self.transports[s]
+                .offered_rate(rtt)
+                .min(self.progress[s].remaining() / dt);
+            // scda-analyze: allow(hot-path-transitive-alloc, per-tick scratch cleared just above with capacity retained — amortized-free after the first tick)
+            self.offered.push((slot, rate));
         }
 
         let mut report = std::mem::take(&mut self.report);
-        self.net
-            .advance_slots_into(dt, &self.net_offered, &mut report);
+        self.net.advance_slots_into(dt, &self.offered, &mut report);
 
         let tick_end = now + dt;
         let mut summary = TickSummary::default();
-        for (k, ft) in report.flows.iter().enumerate() {
-            let slot = self.tick_slots[k];
+        for (ft, &(slot, rate)) in report.flows.iter().zip(&self.offered) {
             let s = slot as usize;
             debug_assert_eq!(
-                ft.flow,
-                self.active.progress_col()[s].id,
+                ft.flow, self.progress[s].id,
                 "tick report order diverged from the offered order"
             );
-            let src = self.active.srcs_col()[s];
-            let dst = self.active.dsts_col()[s];
-            let base_rtt = self.net.base_rtt_of_slot(self.active.net_slots_col()[s]);
-            let (progress, transport) = self.active.entry_mut_slot(slot);
-            transport.on_tick(
-                now,
-                ft.goodput_bytes,
-                self.rates[k] * dt,
-                ft.loss_frac,
-                ft.rtt,
-            );
+            let (progress, transport) = (&mut self.progress[s], &mut self.transports[s]);
+            transport.on_tick(now, ft.goodput_bytes, rate * dt, ft.loss_frac, ft.rtt);
             summary.delivered_bytes += ft.goodput_bytes;
             if progress.on_delivered(ft.goodput_bytes, tick_end) {
+                let (src, dst) = self.net.endpoints_of_slot(slot);
                 // The fluid model streams bytes with zero transit time;
                 // the last byte really lands one forward-propagation
                 // later (validated against the packet-level simulator in
@@ -327,7 +314,7 @@ impl FlowDriver {
                     id: ft.flow,
                     size_bytes: progress.size_bytes,
                     start: progress.start,
-                    finish: tick_end + base_rtt / 2.0,
+                    finish: tick_end + self.net.base_rtt_of_slot(slot) / 2.0,
                     src,
                     dst,
                 });
@@ -335,7 +322,6 @@ impl FlowDriver {
         }
         self.report = report;
         for c in &summary.completed {
-            self.active.remove(c.id);
             self.net.remove_flow(c.id);
         }
         if self.obs.is_enabled() && !summary.completed.is_empty() {
@@ -574,6 +560,76 @@ mod tests {
         let jsonl = obs.trace_jsonl().unwrap();
         assert!(jsonl.contains("\"event\":\"flow_started\""));
         assert!(jsonl.contains("\"event\":\"flow_completed\""));
+    }
+
+    #[test]
+    fn both_start_paths_are_observed() {
+        let obs = scda_obs::Obs::enabled();
+        let (mut d, s, r) = driver(1);
+        d.set_obs(obs.clone());
+        let tcp = || AnyTransport::Tcp(Reno::default());
+        d.start_flow(FlowId(1), s[0], r[0], 1e6, tcp(), 0.0);
+        let path = d.net().flow(FlowId(1)).path().to_vec();
+        let pid = d.net_mut().intern_path(&path);
+        d.start_flow_on(FlowId(2), s[0], r[0], pid, 1e6, tcp(), 0.0);
+        assert_eq!(d.net().flow(FlowId(2)).path(), &path[..]);
+        let m = obs.metrics_snapshot().unwrap();
+        assert_eq!(m.counter("flow.started"), 2);
+        let jsonl = obs.trace_jsonl().unwrap();
+        assert_eq!(jsonl.matches("\"event\":\"flow_started\"").count(), 2);
+    }
+
+    #[test]
+    fn iteration_is_id_ordered_regardless_of_slots() {
+        let (mut d, s, r) = driver(1);
+        for raw in [5u64, 1, 9, 3] {
+            let t = AnyTransport::Tcp(Reno::default());
+            d.start_flow(FlowId(raw), s[0], r[0], 1e6, t, 0.0);
+        }
+        d.abort_flow(FlowId(1));
+        // Flow 2 reuses flow 1's slot and sorts between 1 and 3.
+        let t = AnyTransport::Tcp(Reno::default());
+        d.start_flow(FlowId(2), s[0], r[0], 1e6, t, 0.0);
+        let ids: Vec<u64> = d.active_flows().map(|(id, _, _)| id.0).collect();
+        assert_eq!(ids, vec![2, 3, 5, 9]);
+    }
+
+    #[test]
+    fn slot_reuse_does_not_alias() {
+        let (mut d, s, r) = driver(2);
+        let rate = mbps(80.0) / 8.0;
+        let scda = |rate| AnyTransport::Scda(ScdaWindow::new(rate, rate, 0.0024));
+        d.start_flow(FlowId(1), s[0], r[0], 10_000.0, scda(rate), 0.0);
+        let slot1 = d.net().flow(FlowId(1)).slot();
+        assert_eq!(run(&mut d, 0.0, 1.0, 0.001).len(), 1);
+        d.start_flow(FlowId(2), s[1], r[1], 5e6, scda(rate / 4.0), 1.0);
+        assert_eq!(
+            d.net().flow(FlowId(2)).slot(),
+            slot1,
+            "freed slot is reused"
+        );
+        let p = d.progress(FlowId(2)).unwrap();
+        assert_eq!(
+            (p.id, p.size_bytes, p.acked_bytes, p.start),
+            (FlowId(2), 5e6, 0.0, 1.0)
+        );
+        match d.transport(FlowId(2)) {
+            Some(AnyTransport::Scda(w)) => assert_eq!(w.rate_up(), rate / 4.0),
+            other => panic!("flow 2 sees transport {other:?}"),
+        }
+        assert_eq!(
+            d.active_flows().collect::<Vec<_>>(),
+            vec![(FlowId(2), s[1], r[1])]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "already active")]
+    fn double_start_rejected() {
+        let (mut d, s, r) = driver(1);
+        let t = AnyTransport::Tcp(Reno::default());
+        d.start_flow(FlowId(1), s[0], r[0], 1e6, t.clone(), 0.0);
+        d.start_flow(FlowId(1), s[0], r[0], 1e6, t, 0.0);
     }
 
     #[test]

@@ -45,12 +45,6 @@ impl FlowProgress {
         (self.size_bytes - self.acked_bytes).max(0.0)
     }
 
-    /// Whether every byte has been delivered.
-    #[inline]
-    pub fn is_complete(&self) -> bool {
-        self.finish.is_some()
-    }
-
     /// Credit `bytes` of delivered data at time `now`; returns `true` the
     /// first time the flow completes. Over-delivery is clamped (a fluid
     /// tick can slightly overshoot the last byte).

@@ -16,19 +16,18 @@
 //!
 //! [`driver::FlowDriver`] couples a set of flows + transports to the
 //! network and advances everything tick by tick, which both the RandTCP and
-//! SCDA experiment harnesses reuse.
+//! SCDA experiment harnesses reuse. It keeps no flow table of its own: its
+//! per-flow columns live in the network's slot space.
 
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr)]
 #![deny(deprecated)]
 
-pub mod arena;
 pub mod driver;
 pub mod flow;
 pub mod scda;
 pub mod tcp;
 
-pub use arena::{FlowArena, FlowHandle};
 pub use driver::{CompletedFlow, FlowDriver};
 pub use flow::FlowProgress;
 pub use scda::ScdaWindow;

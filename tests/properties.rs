@@ -114,11 +114,7 @@ proptest! {
         let offered: Vec<(u32, f64)> = rates
             .iter()
             .enumerate()
-            .map(|(i, &rate)| {
-                let id = FlowId(i as u64);
-                net.insert_flow(id, s[i], r[i]);
-                (net.flow_slot(id), rate)
-            })
+            .map(|(i, &rate)| (net.insert_flow(FlowId(i as u64), s[i], r[i]).slot(), rate))
             .collect();
         let base: Vec<f64> = offered.iter().map(|&(slot, _)| net.rtt_of_slot(slot)).collect();
         let mut rep = TickReport::default();
