@@ -19,7 +19,7 @@ use serde::Serialize;
 
 use scda_metrics::{jain_index, FctStats, FlowRecord, Utilization};
 use scda_simnet::builders::clos;
-use scda_simnet::{EcmpRoutes, FlowId, LinkId, Network};
+use scda_simnet::{max_min_rates_into, EcmpRoutes, FlowId, FluidFlow, LinkId, Network};
 use scda_transport::{AnyTransport, FlowDriver, Reno, RenoConfig, ScdaWindow};
 
 /// How paths and rates are chosen on the Clos.
@@ -103,7 +103,28 @@ pub struct MultipathResult {
 }
 
 /// Run the Clos experiment under one policy.
+///
+/// # Panics
+///
+/// Panics if `arrival_rate` or `dt` is not positive and finite, if
+/// `duration` is not finite and non-negative, or if the Clos has fewer
+/// than two racks or no servers per rack (cross-rack pairs are drawn
+/// from it).
 pub fn run_multipath(cfg: &MultipathConfig, policy: PathPolicy) -> MultipathResult {
+    assert!(
+        cfg.arrival_rate > 0.0 && cfg.arrival_rate.is_finite(),
+        "arrival_rate must be positive and finite"
+    );
+    assert!(
+        cfg.dt > 0.0 && cfg.dt.is_finite(),
+        "dt must be positive and finite"
+    );
+    assert!(
+        cfg.duration >= 0.0 && cfg.duration.is_finite(),
+        "duration must be finite and non-negative"
+    );
+    assert!(cfg.racks >= 2, "cross-rack flows need at least two racks");
+    assert!(cfg.servers_per_rack > 0, "racks need at least one server");
     let (topo, servers) = clos(
         cfg.racks,
         cfg.servers_per_rack,
@@ -116,9 +137,6 @@ pub fn run_multipath(cfg: &MultipathConfig, policy: PathPolicy) -> MultipathResu
     let n_links = topo.link_count();
     let mut ecmp = EcmpRoutes::new(&topo);
     let mut fd = FlowDriver::new(Network::new(topo));
-    if policy == PathPolicy::MaxMinRoute {
-        fd.net_mut().enable_max_min();
-    }
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
     // Pre-draw arrivals.
@@ -146,8 +164,11 @@ pub fn run_multipath(cfg: &MultipathConfig, policy: PathPolicy) -> MultipathResu
     // Per-link offered load of the flows in flight: the committed load an
     // elephant is placed against, then each step's utilization sample.
     let mut loads = vec![0.0_f64; n_links];
-    // Scratch: the in-flight flows' max/min rates, re-installed each τ.
-    let mut fair_rates: Vec<(FlowId, f64)> = Vec::new();
+    // Scratch: the in-flight flows in id order, their paths and their
+    // max/min rates, re-solved and re-installed each τ.
+    let mut in_flight: Vec<FlowId> = Vec::new();
+    let mut fluid_flows: Vec<FluidFlow> = Vec::new();
+    let mut fair_rates: Vec<f64> = Vec::new();
     let horizon = cfg.duration + 30.0;
     let steps = (horizon / cfg.dt).ceil() as u64;
     let link_caps: Vec<f64> = fd
@@ -222,18 +243,18 @@ pub fn run_multipath(cfg: &MultipathConfig, policy: PathPolicy) -> MultipathResu
             fd.start_flow_on(id, src, dst, pid, cfg.flow_bytes, transport, now);
         }
 
-        // Incremental water-filling re-allocation for the max/min policy:
-        // the network's embedded solver tracked every placement/completion
-        // since the last τ, so solving re-levels only what changed.
+        // Water-filling re-allocation for the max/min policy: solve the
+        // flows in flight from scratch over their placed paths each τ.
         if policy == PathPolicy::MaxMinRoute && now + 1e-12 >= next_ctrl {
             next_ctrl += cfg.tau;
-            fd.net_mut().max_min_solve();
-            fair_rates.clear();
-            fair_rates.extend(
-                fd.active_flows()
-                    .map(|(id, _, _)| (id, fd.net().max_min_rate(id))),
-            );
-            for &(id, rate) in &fair_rates {
+            in_flight.clear();
+            fluid_flows.clear();
+            for (id, _, _) in fd.active_flows() {
+                in_flight.push(id);
+                fluid_flows.push(FluidFlow::new(fd.net().flow(id).path().to_vec()));
+            }
+            max_min_rates_into(&link_caps, &fluid_flows, &mut fair_rates);
+            for (&id, &rate) in in_flight.iter().zip(&fair_rates) {
                 if let Some(AnyTransport::Scda(w)) = fd.transport_mut(id) {
                     w.set_rates(0.95 * rate, 0.95 * rate);
                 }
@@ -361,6 +382,60 @@ mod tests {
             "load-aware elephants should not lose: {h} vs {e}"
         );
         assert!(s < h, "explicit rates still win: {s} vs {h}");
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival_rate must be positive and finite")]
+    fn negative_arrival_rate_is_rejected() {
+        let c = MultipathConfig {
+            arrival_rate: -1.0,
+            ..cfg(1)
+        };
+        run_multipath(&c, PathPolicy::EcmpHash);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival_rate must be positive and finite")]
+    fn infinite_arrival_rate_is_rejected() {
+        let c = MultipathConfig {
+            arrival_rate: f64::INFINITY,
+            ..cfg(1)
+        };
+        run_multipath(&c, PathPolicy::EcmpHash);
+    }
+
+    #[test]
+    #[should_panic(expected = "dt must be positive and finite")]
+    fn zero_dt_is_rejected() {
+        let c = MultipathConfig { dt: 0.0, ..cfg(1) };
+        run_multipath(&c, PathPolicy::EcmpHash);
+    }
+
+    #[test]
+    #[should_panic(expected = "duration must be finite and non-negative")]
+    fn infinite_duration_is_rejected() {
+        let c = MultipathConfig {
+            duration: f64::INFINITY,
+            ..cfg(1)
+        };
+        run_multipath(&c, PathPolicy::EcmpHash);
+    }
+
+    #[test]
+    #[should_panic(expected = "cross-rack flows need at least two racks")]
+    fn one_rack_is_rejected() {
+        let c = MultipathConfig { racks: 1, ..cfg(1) };
+        run_multipath(&c, PathPolicy::EcmpHash);
+    }
+
+    #[test]
+    #[should_panic(expected = "racks need at least one server")]
+    fn empty_racks_are_rejected() {
+        let c = MultipathConfig {
+            servers_per_rack: 0,
+            ..cfg(1)
+        };
+        run_multipath(&c, PathPolicy::EcmpHash);
     }
 
     #[test]

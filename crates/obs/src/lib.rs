@@ -52,12 +52,6 @@ pub mod phase {
     pub const ROUTE: &str = "sim.route";
     /// Event-engine drain: the scheduler batch run up to a deadline.
     pub const ENGINE_DRAIN: &str = "engine.drain";
-    /// Incremental max-min re-level: the fluid solver's dirty-component
-    /// waterfill pass (`IncrementalMaxMin::solve`).
-    pub const SIMNET_WATERFILL: &str = "simnet.waterfill";
-    /// Rate-apply stage: install re-leveled max-min rates into the
-    /// per-flow transports after a solve.
-    pub const SIMNET_APPLY: &str = "simnet.apply";
 }
 
 /// Canonical registry metric names. Every `counter_add` / `gauge_set` /

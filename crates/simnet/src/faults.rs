@@ -46,14 +46,6 @@ impl Network {
         self.invalidate_routes();
     }
 
-    /// Multiply a link's capacity (both convenience and symmetry with the
-    /// paper's `K` bandwidth factor).
-    pub fn scale_link_capacity(&mut self, l: LinkId, factor: f64) {
-        assert!(factor > 0.0);
-        let cur = self.topo().link(l).capacity_bps;
-        self.set_link_capacity(l, cur * factor);
-    }
-
     /// Fail a directed link: capacity collapses to [`FAILED_CAPACITY_BPS`]
     /// and its previous capacity is remembered for [`Network::restore_link`].
     /// Idempotent.
@@ -115,14 +107,6 @@ mod tests {
         net.advance(0.1, &[(FlowId(1), 5e6)]);
         assert!(net.link_state(fwd).queue_bytes > 0.0);
         assert_eq!(net.topo().link(fwd).capacity_bps, mbps(8.0));
-    }
-
-    #[test]
-    fn scale_multiplies() {
-        let (topo, _, _, (fwd, _)) = dumbbell(1, mbps(100.0), 0.001, 1e6);
-        let mut net = Network::new(topo);
-        net.scale_link_capacity(fwd, 3.0);
-        assert_eq!(net.topo().link(fwd).capacity_bps, mbps(300.0));
     }
 
     #[test]

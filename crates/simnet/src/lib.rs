@@ -41,7 +41,7 @@
 //! | [`routing`] | shortest paths: an O(depth) climb on a tree fabric, cached per-source Dijkstra on general graphs; interned |
 //! | [`link`] | per-link fluid queue state, drop and arrival accounting |
 //! | [`network`] | the tick-driven fluid network ([`network::Network`]) |
-//! | [`fluid`] | max-min water-filling reference solver |
+//! | [`fluid`] | the exact max-min water-filling solver |
 
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr)]
@@ -65,7 +65,7 @@ pub use builders::{ThreeTierConfig, ThreeTierTree};
 pub use ecmp::EcmpRoutes;
 pub use engine::{run_to_completion, run_until, Simulation};
 pub use event::Scheduler;
-pub use fluid::{max_min_rates_into, FluidFlow, IncrementalMaxMin, SolveStats};
+pub use fluid::{max_min_rates_into, FluidFlow};
 pub use ids::{FlowId, LinkId, NodeId};
 pub use link::LinkState;
 pub use network::{FlowRef, FlowTick, Network, TickReport};

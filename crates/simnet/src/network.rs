@@ -7,7 +7,7 @@
 //! fraction and the queueing-inflated RTT — everything a window-based
 //! transport (TCP) or an explicit-rate transport (SCDA) needs to react.
 //!
-//! Flows live in a slot arena (DESIGN.md §10/§11): ids resolve through a
+//! Flows live in a slot arena (DESIGN.md §10): ids resolve through a
 //! `BTreeMap` once at insert, and the hot tick path works on dense
 //! `u32` slots with all per-flow paths packed into one CSR arena. Link
 //! capacities and queueing delays are cached in columns so the per-tick
@@ -20,16 +20,13 @@
 //! order. A driver's network therefore gets flows only through that
 //! driver.
 //!
-//! The network can optionally host an [`IncrementalMaxMin`] solver
-//! ([`Network::enable_max_min`]) that mirrors the active flow set and
-//! re-levels max-min fair rates incrementally each control interval.
-//!
-//! The network layer deliberately knows nothing about windows, SLAs or
-//! server selection; those live in `scda-transport` and `scda-core`.
+//! The network layer deliberately knows nothing about windows, SLAs,
+//! server selection or rate allocation; those live in `scda-transport`,
+//! `scda-core` and whoever runs the max-min solver over the network's
+//! flows.
 
 use std::collections::BTreeMap;
 
-use crate::fluid::IncrementalMaxMin;
 use crate::ids::{FlowId, LinkId, NodeId};
 use crate::link::LinkState;
 use crate::routing::{PathId, Routes};
@@ -136,13 +133,6 @@ pub struct Network {
     live: Vec<bool>,
     free: Vec<u32>,
 
-    // ---- optional embedded max-min solver ----
-    solver: Option<IncrementalMaxMin>,
-    /// Per network slot: the mirroring solver slot (when enabled).
-    solver_slot: Vec<u32>,
-    /// Per solver slot: the owning network slot.
-    net_of_solver: Vec<u32>,
-
     /// Failed links with their pre-failure (capacity, delay) (see
     /// `faults`).
     failed: Vec<(LinkId, f64, f64)>,
@@ -176,9 +166,6 @@ impl Network {
             path_garbage: 0,
             live: Vec::new(),
             free: Vec::new(),
-            solver: None,
-            solver_slot: Vec::new(),
-            net_of_solver: Vec::new(),
             failed: Vec::new(),
         }
     }
@@ -210,21 +197,16 @@ impl Network {
         self.routes = Routes::new(&self.topo);
     }
 
-    /// Internal: re-derive the cached link columns (and the solver's
-    /// link caps) from the topology after the `faults` module changed
-    /// it. The queueing-delay cache is recomputed against the new
-    /// capacities so `rtt` never reads a stale division.
+    /// Internal: re-derive the cached link columns from the topology
+    /// after the `faults` module changed it. The queueing-delay cache is
+    /// recomputed against the new capacities so `rtt` never reads a
+    /// stale division.
     pub(crate) fn refresh_link_columns(&mut self) {
         for i in 0..self.links.len() {
             let link = &self.topo.links()[i];
             self.cap_bytes[i] = link.capacity_bytes();
             self.queue_cap[i] = link.queue_cap_bytes;
             self.qd[i] = self.links[i].queueing_delay(self.cap_bytes[i]);
-        }
-        if let Some(solver) = &mut self.solver {
-            for i in 0..self.cap_bytes.len() {
-                solver.set_link_cap(LinkId(i as u32), self.cap_bytes[i]);
-            }
         }
     }
 
@@ -298,23 +280,11 @@ impl Network {
                 self.path_start.push(start);
                 self.path_len.push(len);
                 self.live.push(true);
-                self.solver_slot.push(u32::MAX);
                 slot
             }
         };
         let prev = self.index.insert(id, slot);
         assert!(prev.is_none(), "flow id {id} already active");
-        if let Some(solver) = &mut self.solver {
-            let ss = solver.add_flow(
-                &self.path_data[start as usize..(start + len) as usize],
-                None,
-            );
-            self.solver_slot[slot as usize] = ss;
-            if ss as usize >= self.net_of_solver.len() {
-                self.net_of_solver.resize(ss as usize + 1, u32::MAX);
-            }
-            self.net_of_solver[ss as usize] = slot;
-        }
         self.flow_at(slot)
     }
 
@@ -372,12 +342,6 @@ impl Network {
         self.live[s] = false;
         // scda-analyze: allow(hot-path-transitive-alloc, free-list push reuses capacity released by earlier insert pops — net growth only when the live population grows)
         self.free.push(slot);
-        if let Some(solver) = &mut self.solver {
-            let ss = self.solver_slot[s];
-            solver.remove_flow(ss);
-            self.net_of_solver[ss as usize] = u32::MAX;
-            self.solver_slot[s] = u32::MAX;
-        }
         flow
     }
 
@@ -444,12 +408,6 @@ impl Network {
     #[inline]
     pub fn base_rtt_of_slot(&self, slot: u32) -> f64 {
         self.base_rtt[slot as usize]
-    }
-
-    /// Whether `id` is currently active.
-    #[inline]
-    pub fn contains_flow(&self, id: FlowId) -> bool {
-        self.index.contains_key(&id)
     }
 
     /// Number of active flows.
@@ -563,102 +521,6 @@ impl Network {
             });
         }
     }
-
-    // ---- embedded incremental max-min solver ----
-
-    /// Attach an [`IncrementalMaxMin`] solver mirroring the active flow
-    /// set (idempotent). From here on, every insert/remove/link-capacity
-    /// change patches the solver, and [`Network::max_min_solve`]
-    /// re-levels fair rates incrementally. Costs nothing when never
-    /// called — the tick path is unaffected either way.
-    pub fn enable_max_min(&mut self) {
-        if self.solver.is_some() {
-            return;
-        }
-        let mut solver = IncrementalMaxMin::new(&self.cap_bytes);
-        solver.reserve_flows(self.index.len().max(16), 4);
-        self.solver_slot.clear();
-        self.solver_slot.resize(self.slot_id.len(), u32::MAX);
-        self.net_of_solver.clear();
-        for (_, &slot) in self.index.iter() {
-            let s = slot as usize;
-            let start = self.path_start[s] as usize;
-            let ss = solver.add_flow(
-                &self.path_data[start..start + self.path_len[s] as usize],
-                None,
-            );
-            self.solver_slot[s] = ss;
-            if ss as usize >= self.net_of_solver.len() {
-                self.net_of_solver.resize(ss as usize + 1, u32::MAX);
-            }
-            self.net_of_solver[ss as usize] = slot;
-        }
-        self.solver = Some(solver);
-    }
-
-    /// Set or clear a flow's external rate cap (bytes/s) in the embedded
-    /// solver — the `R_other` bottleneck of the paper's eq. 3.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the solver is not enabled or the flow is not active.
-    pub fn set_flow_rate_cap(&mut self, id: FlowId, cap: Option<f64>) {
-        let ss = self.solver_slot[self.live_slot(id) as usize];
-        self.solver
-            .as_mut()
-            .expect("invariant: set_flow_rate_cap requires enable_max_min")
-            .set_flow_cap(ss, cap);
-    }
-
-    /// Re-level the embedded solver (no-op when nothing changed) and
-    /// return how many flows were re-leveled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the solver is not enabled.
-    pub fn max_min_solve(&mut self) -> usize {
-        let solver = self
-            .solver
-            .as_mut()
-            .expect("invariant: max_min_solve requires enable_max_min");
-        solver.solve();
-        solver.last_releveled().len()
-    }
-
-    /// The max-min fair rate (bytes/s) of an active flow, as of the last
-    /// [`Network::max_min_solve`].
-    pub fn max_min_rate(&self, id: FlowId) -> f64 {
-        let slot = self.live_slot(id);
-        self.solver
-            .as_ref()
-            .expect("invariant: max_min_rate requires enable_max_min")
-            .rate(self.solver_slot[slot as usize])
-    }
-
-    /// Flows whose fair rate may have moved in the last
-    /// [`Network::max_min_solve`], as `(id, rate)` in solver-slot order.
-    pub fn releveled_flows(&self) -> impl Iterator<Item = (FlowId, f64)> + '_ {
-        let solver = self
-            .solver
-            .as_ref()
-            .expect("invariant: releveled_flows requires enable_max_min");
-        solver.last_releveled().iter().map(move |&ss| {
-            let net_slot = self.net_of_solver[ss as usize];
-            (self.slot_id[net_slot as usize], solver.rates()[ss as usize])
-        })
-    }
-
-    /// The embedded solver's re-level statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the solver is not enabled.
-    pub fn max_min_stats(&self) -> crate::fluid::SolveStats {
-        self.solver
-            .as_ref()
-            .expect("invariant: max_min_stats requires enable_max_min")
-            .stats()
-    }
 }
 
 #[cfg(test)]
@@ -690,11 +552,11 @@ mod tests {
     fn insert_and_remove_flow() {
         let (mut n, s, r, _) = net();
         n.insert_flow(FlowId(1), s[0], r[0]);
-        assert!(n.contains_flow(FlowId(1)));
+        assert!(n.flow_slot(FlowId(1)).is_some());
         assert_eq!(n.flow_count(), 1);
         let f = n.remove_flow(FlowId(1));
         assert_eq!(f.src, s[0]);
-        assert!(!n.contains_flow(FlowId(1)));
+        assert!(n.flow_slot(FlowId(1)).is_none());
     }
 
     #[test]
@@ -847,40 +709,5 @@ mod tests {
                 assert_eq!(a.rtt.to_bits(), b.rtt.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn embedded_max_min_relevels_incrementally() {
-        let (mut n, s, r, _) = net();
-        n.enable_max_min();
-        n.insert_flow(FlowId(1), s[0], r[0]);
-        n.insert_flow(FlowId(2), s[1], r[1]);
-        assert!(n.max_min_solve() >= 2);
-        let cap = mbps(80.0) / 8.0; // shared bottleneck, bytes/s
-        assert!((n.max_min_rate(FlowId(1)) - cap / 2.0).abs() < 1.0);
-        // Cap flow 1 well below its fair share; flow 2 absorbs the rest.
-        n.set_flow_rate_cap(FlowId(1), Some(1e6));
-        n.max_min_solve();
-        assert!((n.max_min_rate(FlowId(1)) - 1e6).abs() < 1.0);
-        assert!((n.max_min_rate(FlowId(2)) - (cap - 1e6)).abs() < 1.0);
-        // A clean solve re-levels nothing.
-        assert_eq!(n.max_min_solve(), 0);
-        let ids: Vec<FlowId> = n.releveled_flows().map(|(id, _)| id).collect();
-        assert!(ids.is_empty());
-    }
-
-    #[test]
-    fn enable_max_min_registers_existing_flows() {
-        let (mut n, s, r, _) = net();
-        n.insert_flow(FlowId(1), s[0], r[0]);
-        n.insert_flow(FlowId(2), s[1], r[1]);
-        n.enable_max_min();
-        n.max_min_solve();
-        let total = n.max_min_rate(FlowId(1)) + n.max_min_rate(FlowId(2));
-        let cap = mbps(80.0) / 8.0;
-        assert!((total - cap).abs() < 1.0, "shared bottleneck fully used");
-        n.remove_flow(FlowId(1));
-        n.max_min_solve();
-        assert!((n.max_min_rate(FlowId(2)) - cap).abs() < 1.0);
     }
 }

@@ -37,8 +37,7 @@
 //! be held across an invalidation.
 //!
 //! There are no allocating `path`/`base_rtt` convenience forms: every
-//! lookup goes through a handle (or [`Routes::path_into`] with a reused
-//! buffer), matching the workspace's `*_into` convention.
+//! lookup goes through a handle.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -173,27 +172,6 @@ impl Routes {
     // scda-analyze: hot(sim.route)
     pub fn rtt_of(&self, id: PathId) -> f64 {
         self.path_rtt[id.index()]
-    }
-
-    /// Fill `out` with the shortest path from `src` to `dst` (clearing
-    /// it first); returns `false` and leaves `out` empty if unreachable.
-    /// The reuse-a-buffer companion of [`Routes::path_handle`], matching
-    /// the `max_min_rates_into` convention.
-    pub fn path_into(
-        &mut self,
-        topo: &Topology,
-        src: NodeId,
-        dst: NodeId,
-        out: &mut Vec<LinkId>,
-    ) -> bool {
-        out.clear();
-        match self.path_handle(topo, src, dst) {
-            Some(id) => {
-                out.extend_from_slice(self.path_of(id));
-                true
-            }
-            None => false,
-        }
     }
 
     /// Intern an explicitly chosen path (e.g. one of multipath's ECMP
@@ -441,9 +419,7 @@ mod tests {
         let mut r = Routes::new(&t);
         assert_eq!(r.path_handle(&t, a, b), None);
         assert_eq!(r.path_handle(&t, a, b), None, "negative result is cached");
-        let mut buf = vec![LinkId(7)];
-        assert!(!r.path_into(&t, a, b, &mut buf));
-        assert!(buf.is_empty(), "failed fill clears the buffer");
+        assert_eq!(r.interned_count(), 0, "no path is interned for it");
     }
 
     #[test]
@@ -498,17 +474,17 @@ mod tests {
     }
 
     #[test]
-    fn path_into_fills_a_reused_buffer() {
+    fn reverse_pair_gets_the_mirrored_path() {
         let (t, a, _sw, b) = diamondish();
         let mut r = Routes::new(&t);
-        let mut buf = Vec::new();
-        assert!(r.path_into(&t, a, b, &mut buf));
-        let id = r.path_handle(&t, a, b).unwrap();
-        assert_eq!(buf, r.path_of(id));
-        // Refill over stale contents.
-        assert!(r.path_into(&t, b, a, &mut buf));
+        let fwd = r.path_handle(&t, a, b).unwrap();
         let back = r.path_handle(&t, b, a).unwrap();
-        assert_eq!(buf, r.path_of(back));
+        let (fwd, back) = (r.path_of(fwd), r.path_of(back));
+        assert_eq!(fwd.len(), back.len());
+        for (&f, &b) in fwd.iter().zip(back.iter().rev()) {
+            assert_eq!(t.link(f).src, t.link(b).dst);
+            assert_eq!(t.link(f).dst, t.link(b).src);
+        }
     }
 
     #[test]
