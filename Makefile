@@ -1,7 +1,6 @@
 # Convenience targets for the SCDA reproduction.
 
-.PHONY: all build test test-release bench-compare figures ablations docs clippy \
-        analyze analyze-fixtures clean
+.PHONY: all build test test-release bench-compare figures ablations docs clippy clean
 
 all: build
 
@@ -27,22 +26,9 @@ docs:
 
 # Also the static determinism gate: clippy.toml bans HashMap/HashSet and
 # wall-clock reads in every crate, and each lib.rs warns on prints and
-# denies deprecated items.
+# float compares and denies deprecated items and unwrap.
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
-
-# Domain lints clippy cannot check: float-eq, hot-path unwraps, phase
-# names, unit documentation + cross-call unit dimensions, transitive
-# hot-path allocation. Exits non-zero on any unsuppressed finding.
-analyze:
-	cargo run -p scda-analyze -- --deny
-
-# Analyzer self-tests over the fixture corpus: parser structural
-# contracts plus the golden findings snapshot (each lint catches its
-# positive fixture and passes its negative). Regenerate goldens with
-# SCDA_UPDATE_GOLDENS=1 after an intentional change.
-analyze-fixtures:
-	cargo test -p scda-analyze --test parser --test golden_findings
 
 # "Is it faster?" — scda-replay-bench (benchmark/README.md) built from
 # BASE and from the working tree, every workload end to end on seeds

@@ -35,6 +35,8 @@
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr)]
 #![deny(deprecated)]
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod content;
 pub mod diagnostics;

@@ -4,6 +4,7 @@
 //! network layer converts from the bits/second link capacities once); all
 //! times are seconds.
 
+use scda_simnet::units::{Bytes, BytesPerSec, Seconds};
 use serde::{Deserialize, Serialize};
 
 /// Tunables of the SCDA rate metric and control loop.
@@ -56,11 +57,26 @@ impl Default for Params {
 }
 
 impl Params {
-    /// The capacity term of eqs. 2 and 5: `α·C − β·Q/d` (bytes/s), floored
-    /// at zero. `capacity` in bytes/s, `queue` in bytes.
+    /// The capacity term of eqs. 2 and 5: `α·C − β·Q/d`, floored at zero.
+    ///
+    /// ```
+    /// use scda_core::Params;
+    /// use scda_simnet::units::{Bytes, BytesPerSec};
+    /// let term = Params::default().capacity_term(BytesPerSec::new(1e6), Bytes::new(0.0));
+    /// assert!((term.get() - 950_000.0).abs() < 1e-6);
+    /// ```
+    ///
+    /// A duration is not a rate:
+    ///
+    /// ```compile_fail,E0308
+    /// use scda_core::Params;
+    /// use scda_simnet::units::{Bytes, Seconds};
+    /// Params::default().capacity_term(Seconds::new(1.0), Bytes::new(0.0));
+    /// ```
     #[inline]
-    pub fn capacity_term(&self, capacity: f64, queue: f64) -> f64 {
-        (self.alpha * capacity - self.beta * queue / self.drain_horizon).max(0.0)
+    pub fn capacity_term(&self, capacity: BytesPerSec, queue: Bytes) -> BytesPerSec {
+        let drain = Seconds::new(self.drain_horizon);
+        (self.alpha * capacity - self.beta * queue / drain).max(BytesPerSec::new(0.0))
     }
 
     /// Validate internal consistency; returns a description of the first
@@ -105,7 +121,8 @@ mod tests {
     #[test]
     fn capacity_term_without_queue_is_alpha_c() {
         let p = Params::default();
-        assert!((p.capacity_term(1000.0, 0.0) - 950.0).abs() < 1e-9);
+        let term = p.capacity_term(BytesPerSec::new(1000.0), Bytes::new(0.0));
+        assert!((term.get() - 950.0).abs() < 1e-9);
     }
 
     #[test]
@@ -117,7 +134,8 @@ mod tests {
             ..Default::default()
         };
         // 1000 B/s capacity, 500 B queue drained over 2 s → 250 B/s reserved.
-        assert!((p.capacity_term(1000.0, 500.0) - 750.0).abs() < 1e-9);
+        let term = p.capacity_term(BytesPerSec::new(1000.0), Bytes::new(500.0));
+        assert!((term.get() - 750.0).abs() < 1e-9);
     }
 
     #[test]
@@ -128,7 +146,34 @@ mod tests {
             drain_horizon: 0.1,
             ..Default::default()
         };
-        assert_eq!(p.capacity_term(100.0, 1_000_000.0), 0.0);
+        let term = p.capacity_term(BytesPerSec::new(100.0), Bytes::new(1_000_000.0));
+        assert_eq!(term.get(), 0.0);
+    }
+
+    #[test]
+    fn capacity_term_is_bit_identical_to_the_raw_formula() {
+        // The newtypes must not move a single float op: same operands,
+        // same order, `(β·Q)/d` and not `β·(Q/d)`. The grid covers an
+        // idle link, a partial queue, and queues deep enough to clamp
+        // the term to zero.
+        let raw =
+            |p: &Params, c: f64, q: f64| (p.alpha * c - p.beta * q / p.drain_horizon).max(0.0);
+        for p in [
+            Params::default(),
+            Params {
+                alpha: 0.9,
+                beta: 0.3,
+                drain_horizon: 0.07,
+                ..Default::default()
+            },
+        ] {
+            for c in [1.0, 62_500_000.0, 1.0 / 3.0, 1e9] {
+                for q in [0.0, 1.0, 12_345.678, 5e6, 1e12] {
+                    let typed = p.capacity_term(BytesPerSec::new(c), Bytes::new(q)).get();
+                    assert_eq!(typed.to_bits(), raw(&p, c, q).to_bits(), "C={c} Q={q}");
+                }
+            }
+        }
     }
 
     #[test]

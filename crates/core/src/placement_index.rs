@@ -577,7 +577,6 @@ impl PlacementIndex {
     /// Stage-1 write placement (§VII): bit-identical to
     /// [`crate::Selector::write_target`] over the discounted
     /// metrics.
-    // scda-analyze: hot(kernel.place)
     pub fn write_target<D: RateDiscount>(
         &self,
         class: ContentClass,
@@ -606,7 +605,6 @@ impl PlacementIndex {
     /// Stage-2 replica placement (§VII-B/C): bit-identical to
     /// [`crate::Selector::replica_target`] over the discounted
     /// metrics.
-    // scda-analyze: hot(kernel.place)
     pub fn replica_target<D: RateDiscount>(
         &self,
         class: ContentClass,
@@ -641,7 +639,6 @@ impl PlacementIndex {
 
     /// Best read source among `replicas` (§VIII-C step 3):
     /// bit-identical to [`crate::Selector::read_source`].
-    // scda-analyze: hot(kernel.place)
     pub fn read_source<D: RateDiscount>(
         &self,
         replicas: &NodeSet,
@@ -655,7 +652,6 @@ impl PlacementIndex {
     /// Best read source over **all** indexed servers — the shape the
     /// runner's placement hook asks for when every server holds the
     /// content. Bit-identical to `read_source` with a full replica set.
-    // scda-analyze: hot(kernel.place)
     pub fn read_best<D: RateDiscount>(&self, q: &PlaceQuery<'_, D>) -> Option<(NodeId, f64)> {
         self.select(Rank::Up, q, |_| false, |m, _ad, _au| q.usable(m.server))
             .or_else(|| self.select(Rank::Up, q, |_| false, |_, _, _| true))
@@ -666,7 +662,6 @@ impl PlacementIndex {
     /// pruning. `filter` sees the metric entry plus its adjusted
     /// `(down, up)` rates, matching what a `Selector` over the discounted
     /// buffer would see.
-    // scda-analyze: hot(kernel.place)
     fn select<D: RateDiscount>(
         &self,
         rank: Rank,
@@ -727,7 +722,6 @@ impl PlacementIndex {
     /// rejection this reproduces `max_by`'s keep-the-last-of-equal-maxima
     /// tie-break. `bound` is NaN for a group that may not be pruned;
     /// `ceiling` is the least bound evaluated on the way down.
-    // scda-analyze: hot(kernel.place)
     fn descend(
         &self,
         height: usize,

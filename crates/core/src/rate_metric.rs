@@ -28,6 +28,7 @@
 //!
 //! (identical to eq. 2 once one substitutes `Λ ≈ S`).
 
+use scda_simnet::units::{Bytes, BytesPerSec};
 use serde::{Deserialize, Serialize};
 
 use crate::params::Params;
@@ -147,7 +148,9 @@ pub fn update_rate(
     sample: &LinkSample,
     params: &Params,
 ) -> f64 {
-    let cap_term = params.capacity_term(capacity, sample.queue_bytes);
+    let cap_term = params
+        .capacity_term(BytesPerSec::new(capacity), Bytes::new(sample.queue_bytes))
+        .get();
     let r = match kind {
         MetricKind::Full => {
             // N̂ = S / R(t−τ); an idle link (S = 0) sees N̂ < 1 flow and

@@ -36,6 +36,7 @@
 //! over those columns; the crate spawns no threads.
 
 use scda_simnet::builders::ThreeTierTree;
+use scda_simnet::units::{Bytes, BytesPerSec};
 use scda_simnet::{LinkId, NodeId};
 use serde::{Deserialize, Serialize};
 
@@ -177,7 +178,9 @@ impl DirColumns {
         match metric {
             MetricKind::Full => {
                 for i in 0..n {
-                    let ct = params.capacity_term(cap[i], queue[i]);
+                    let ct = params
+                        .capacity_term(BytesPerSec::new(cap[i]), Bytes::new(queue[i]))
+                        .get();
                     cap_term[i] = ct;
                     load[i] = flow[i].max(arrival[i]);
                     r_prev_round[i] = r_own[i];
@@ -195,7 +198,9 @@ impl DirColumns {
             }
             MetricKind::Simplified => {
                 for i in 0..n {
-                    let ct = params.capacity_term(cap[i], queue[i]);
+                    let ct = params
+                        .capacity_term(BytesPerSec::new(cap[i]), Bytes::new(queue[i]))
+                        .get();
                     cap_term[i] = ct;
                     load[i] = flow[i].max(arrival[i]);
                     r_prev_round[i] = r_own[i];
@@ -370,7 +375,6 @@ impl ControlTree {
         specs: &[NodeSpec],
         mut capacity_of: impl FnMut(LinkId) -> f64,
     ) -> Self {
-        // scda-analyze: allow(no-unwrap-hot-path, construction-time input validation with a documented "# Panics" contract; never reached per-τ)
         params.validate().expect("invalid params");
         assert!(!specs.is_empty(), "control tree needs at least one node");
         let n = specs.len();
@@ -689,10 +693,24 @@ impl ControlTree {
 
     /// Run one control round at simulation time `now`, sampling links via
     /// `telemetry`. Returns detected SLA violations.
-    // scda-analyze: hot(kernel.control)
     pub fn control_round(&mut self, now: f64, telemetry: &mut impl Telemetry) -> Vec<SlaViolation> {
-        // scda-analyze: allow(hot-path-transitive-alloc, the violations Vec is this round's return value; empty rounds allocate nothing)
         let mut violations = Vec::new();
+        self.control_round_into(now, telemetry, &mut violations);
+        violations
+    }
+
+    /// [`ControlTree::control_round`] into a caller-owned buffer:
+    /// `violations` is cleared, then filled with this round's SLA
+    /// violations. A buffer kept across rounds keeps its capacity, so a
+    /// round allocates only when it detects more violations than any
+    /// round before it.
+    pub fn control_round_into(
+        &mut self,
+        now: f64,
+        telemetry: &mut impl Telemetry,
+        violations: &mut Vec<SlaViolation>,
+    ) {
+        violations.clear();
         let round = self.round;
         self.round += 1;
         let observing = self.obs.is_enabled();
@@ -730,7 +748,6 @@ impl ControlTree {
                 (Direction::Up, &self.up, &self.up_scratch),
             ] {
                 if scr.load[id] > scr.cap_term[id] {
-                    // scda-analyze: allow(hot-path-transitive-alloc, pushes into this round's return Vec — one entry per detected violation, and violation-free rounds never allocate)
                     violations.push(SlaViolation {
                         time: now,
                         site: ViolationSite {
@@ -806,9 +823,8 @@ impl ControlTree {
         }
 
         if let Some(t0) = t0 {
-            self.observe_round(now, round, &violations, t0.elapsed());
+            self.observe_round(now, round, violations, t0.elapsed());
         }
-        violations
     }
 
     /// Fold one RA's children (already evaluated) into its own columns:
@@ -864,7 +880,6 @@ impl ControlTree {
         let nr = self.n_rms();
         self.obs.with_core(|c| {
             for v in violations {
-                // scda-analyze: allow(hot-path-transitive-alloc, Tracer::push fills a bounded ring — beyond capacity it overwrites the oldest slot in place)
                 c.tracer.push(TraceEvent::SlaViolationDetected {
                     now,
                     level: v.site.level,
@@ -896,7 +911,6 @@ impl ControlTree {
                         check_up = check_up.min(self.r_check_up[h as usize * nr + pos]);
                     }
                 }
-                // scda-analyze: allow(hot-path-transitive-alloc, Tracer::push fills a bounded ring — beyond capacity it overwrites the oldest slot in place)
                 c.tracer.push(TraceEvent::RatePropagation {
                     now,
                     round,
@@ -907,7 +921,6 @@ impl ControlTree {
                     r_check_up_min: check_up,
                 });
             }
-            // scda-analyze: allow(hot-path-transitive-alloc, Tracer::push fills a bounded ring — beyond capacity it overwrites the oldest slot in place)
             c.tracer.push(TraceEvent::CtrlRoundEnd {
                 now,
                 round,

@@ -54,18 +54,9 @@ pub struct Aggregate {
     pub std_throughput_gain: f64,
 }
 
-/// Explicit zero guard for float counts and denominators: exact-zero by
-/// IEEE-754 total order (both signed zeros), with no `==` on floats —
-/// the workspace `no-float-eq` lint bans that, and `total_cmp` states
-/// the intent (an *exact* sentinel test, not a numeric tolerance).
-pub(crate) fn is_zero(x: f64) -> bool {
-    matches!(x.total_cmp(&0.0), std::cmp::Ordering::Equal)
-        || matches!(x.total_cmp(&-0.0), std::cmp::Ordering::Equal)
-}
-
 fn mean_std(xs: impl Iterator<Item = f64> + Clone) -> (f64, f64) {
     let n = xs.clone().count() as f64;
-    if is_zero(n) {
+    if n == 0.0 {
         return (f64::NAN, f64::NAN);
     }
     let mean = xs.clone().sum::<f64>() / n;

@@ -391,7 +391,7 @@ mod tests {
             .as_ref()
             .expect("observed run has a profile");
         for ph in [phase::ADMISSION, phase::OPEN, phase::CONTROL, phase::TICK] {
-            assert!(profile.phase(ph).is_some(), "missing phase {ph}");
+            assert!(profile.phase(ph.name()).is_some(), "missing phase {ph:?}");
         }
         assert!(plain.profile.is_none(), "unobserved run must not profile");
 

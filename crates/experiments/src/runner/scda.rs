@@ -19,7 +19,7 @@ use scda_core::{
     discounted_share, share_bound, ContentClass, ControlTree, Direction, EnergyBook, GroupSpan,
     LinkAllocator, LinkSample, Mitigation, NoDiscount, NodeSet, OpenFlowSjf, Params, PlaceQuery,
     PlacementIndex, PriorityPolicy, ProtocolCosts, RateCaps, RateDiscount, ResourceBook,
-    ServerMetrics, SlaMonitor, SnapshotStream, Telemetry,
+    ServerMetrics, SlaMonitor, SlaViolation, SnapshotStream, Telemetry,
 };
 use scda_obs::{metric, phase, Candidate, TraceEvent, MAX_CANDIDATES};
 use scda_simnet::builders::ThreeTierTree;
@@ -178,7 +178,6 @@ impl OutstandingDiscount {
 }
 
 impl RateDiscount for OutstandingDiscount {
-    // scda-analyze: hot(kernel.place)
     fn adjust(&self, m: &ServerMetrics) -> (f64, f64) {
         let rack = self.server_rack[m.server.index()] as usize;
         let counts = [
@@ -202,7 +201,6 @@ impl RateDiscount for OutstandingDiscount {
     // span. Below the group's level the counts differ from leaf to leaf;
     // all that is known is `k ≥ 0`, and `share_bound(.., 0, ..)` is the
     // raw maximum.
-    // scda-analyze: hot(kernel.place)
     fn group_bound(&self, level: u8, group: usize, span: &GroupSpan) -> (f64, f64) {
         let (k_rack, k_agg) = match level {
             1 => (
@@ -268,6 +266,8 @@ pub struct ScdaControl {
     /// Scratch buffer the round's metrics are read into on their way to
     /// the index (reused: no per-round allocation at the 16k-server scale).
     metrics_buf: Vec<ServerMetrics>,
+    /// The round's SLA violations, refilled in place every round.
+    violations: Vec<SlaViolation>,
     /// Persistent placement index over the raw per-server path rates,
     /// refreshed from the control tree's metric deltas once per round;
     /// every admission and replica pick is a query on it.
@@ -354,6 +354,7 @@ impl ScdaControl {
             pending_class: BTreeMap::new(),
             recent_wakes: Vec::new(),
             metrics_buf: Vec::new(),
+            violations: Vec::new(),
             pindex,
             resources,
             boosted: BTreeMap::new(),
@@ -577,7 +578,7 @@ impl ControlPolicy for ScdaControl {
         // Current offered rates, per link (the S sums of eq. 4/6 —
         // weights are already baked into each flow's installed rate).
         driver.offered_loads_into(&mut self.link_loads);
-        let round_violations;
+        let mut round_violations = std::mem::take(&mut self.violations);
         {
             let mut tel = NetTelemetry {
                 net: driver.net_mut(),
@@ -585,7 +586,8 @@ impl ControlPolicy for ScdaControl {
                 tau: self.tau,
                 resources: self.resources.as_ref(),
             };
-            round_violations = self.ct.control_round(now, &mut tel);
+            self.ct
+                .control_round_into(now, &mut tel, &mut round_violations);
             self.sla_violations += round_violations.len();
             self.control_rounds += 1;
             self.changed_dirs_total += self.ct.changed_nodes(0.05);
@@ -815,6 +817,7 @@ impl ControlPolicy for ScdaControl {
             let ct = &self.ct;
             stream.offer_with(|| ct.snapshot(now));
         }
+        self.violations = round_violations;
     }
 
     fn on_complete(

@@ -58,7 +58,6 @@ impl FctStats {
     /// Record a completion.
     pub fn push(&mut self, r: FlowRecord) {
         debug_assert!(r.finish >= r.start, "negative FCT");
-        // scda-analyze: allow(hot-path-transitive-alloc, one record per completed flow — the FCT dataset the figures are built from; bounded by completions, not by τ)
         self.records.push(r);
     }
 

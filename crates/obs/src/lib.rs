@@ -12,8 +12,8 @@
 //!   selection decisions, SLA violations);
 //! * a [`Registry`] of counters, gauges and log-bucketed [`Histogram`]s
 //!   that merge across runs (counts add exactly, in any merge order);
-//! * a [`Profiler`] of per-phase wall-clock timers surfaced as a
-//!   run-report table ([`ProfileReport`]).
+//! * a [`Profiler`] of wall-clock timers per [`Phase`] (a closed set of
+//!   kernel stages) surfaced as a run-report table ([`ProfileReport`]).
 //!
 //! The default handle is **disabled**: it holds no allocation and every
 //! call is a branch on an `Option`, so instrumented hot paths cost nothing
@@ -24,41 +24,52 @@
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr)]
 #![deny(deprecated)]
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod metrics;
 pub mod profile;
 pub mod trace;
 
-/// Canonical profiler phase names for the simulation kernel's run-loop
-/// stages (admission → open → control → tick). The experiments kernel
-/// reports its per-stage wall-clock under these names; diagnostics
-/// tooling that groups or plots phases should key on the constants, not
-/// on string literals.
+/// Profiler phases for the simulation kernel's run-loop stages
+/// (admission → open → control → tick) and the placement query inside
+/// admission. [`Obs::time_phase`], [`Obs::phase_add`] and
+/// [`Profiler::add`] take a [`Phase`], and these constants
+/// are its only values, so a misspelt phase does not compile. The
+/// profile report names each phase by [`Phase::name`].
 pub mod phase {
+    /// One profiler phase. The field is private: the constants below are
+    /// the only constructors.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Phase(&'static str);
+
+    impl Phase {
+        /// The phase's name in the profile report.
+        pub const fn name(self) -> &'static str {
+            self.0
+        }
+    }
+
     /// Admission stage: classify, place and price each arriving request.
-    pub const ADMISSION: &str = "kernel.admission";
+    pub const ADMISSION: Phase = Phase("kernel.admission");
     /// Open stage: flows whose connection setup completed enter the data
     /// plane.
-    pub const OPEN: &str = "kernel.open";
+    pub const OPEN: Phase = Phase("kernel.open");
     /// Per-τ control stage: measure, allocate, mitigate, re-window.
-    pub const CONTROL: &str = "kernel.control";
+    pub const CONTROL: Phase = Phase("kernel.control");
     /// Transport-drive stage: one fluid tick plus completion accounting.
-    pub const TICK: &str = "kernel.tick";
+    pub const TICK: Phase = Phase("kernel.tick");
     /// Placement query: one server pick against the incremental
     /// placement index.
-    pub const PLACE: &str = "kernel.place";
-    /// Route resolution: shortest-path handle lookup / interning for a
-    /// (src, dst) pair in the routing cache.
-    pub const ROUTE: &str = "sim.route";
-    /// Event-engine drain: the scheduler batch run up to a deadline.
-    pub const ENGINE_DRAIN: &str = "engine.drain";
+    pub const PLACE: Phase = Phase("kernel.place");
 }
 
-/// Canonical registry metric names. Every `counter_add` / `gauge_set` /
-/// `observe` call in the workspace keys on one of these constants (the
-/// `metric-name-canonical` scda-analyze lint enforces it), so audit span
-/// names, dashboards and the perf harness can never drift from the
-/// instrumentation.
+/// Registry metric names. By convention every `counter_add` /
+/// `gauge_set` / `observe` call in the workspace keys on one of these
+/// constants rather than a string literal, so audit span names,
+/// dashboards and the perf harness stay in step with the
+/// instrumentation. Nothing enforces the convention: the registry
+/// accepts any name.
 pub mod metric {
     /// Counter: flows handed to the transport driver.
     pub const FLOW_STARTED: &str = "flow.started";
@@ -85,6 +96,7 @@ pub mod metric {
 }
 
 pub use metrics::{Histogram, Metric, Registry};
+pub use phase::Phase;
 pub use profile::{PhaseStat, ProfileReport, Profiler};
 pub use trace::{Candidate, TraceEvent, Tracer, DEFAULT_TRACE_CAPACITY, MAX_CANDIDATES};
 
@@ -164,7 +176,6 @@ impl Obs {
     #[inline]
     pub fn emit(&self, ev: TraceEvent) {
         if let Some(mut c) = self.lock() {
-            // scda-analyze: allow(hot-path-transitive-alloc, delegates to the bounded trace ring — beyond capacity it overwrites the oldest slot in place)
             c.tracer.push(ev);
         }
     }
@@ -205,7 +216,7 @@ impl Obs {
 
     /// Charge wall-clock time to a named phase.
     #[inline]
-    pub fn phase_add(&self, phase: &str, elapsed: Duration) {
+    pub fn phase_add(&self, phase: Phase, elapsed: Duration) {
         if let Some(mut c) = self.lock() {
             c.profiler.add(phase, elapsed);
         }
@@ -214,7 +225,7 @@ impl Obs {
     /// Run `f`, charging its wall-clock cost to `phase` when enabled
     /// (disabled handles don't even read the clock).
     #[inline]
-    pub fn time_phase<R>(&self, phase: &str, f: impl FnOnce() -> R) -> R {
+    pub fn time_phase<R>(&self, phase: Phase, f: impl FnOnce() -> R) -> R {
         if self.core.is_none() {
             return f();
         }
@@ -297,10 +308,10 @@ mod tests {
     #[test]
     fn time_phase_records_only_when_enabled() {
         let o = Obs::enabled();
-        let v = o.time_phase("work", || 41 + 1);
+        let v = o.time_phase(phase::TICK, || 41 + 1);
         assert_eq!(v, 42);
         let r = o.profile_report().unwrap();
-        assert_eq!(r.phase("work").unwrap().calls, 1);
-        assert_eq!(Obs::disabled().time_phase("work", || 5), 5);
+        assert_eq!(r.phase("kernel.tick").unwrap().calls, 1);
+        assert_eq!(Obs::disabled().time_phase(phase::TICK, || 5), 5);
     }
 }

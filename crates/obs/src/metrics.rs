@@ -173,7 +173,6 @@ impl Registry {
             Some(Metric::Counter(c)) => *c += n,
             Some(_) => {}
             None => {
-                // scda-analyze: allow(hot-path-transitive-alloc, the name is interned once, on a metric's first report; steady-state reports mutate the existing entry)
                 self.metrics.insert(name.to_string(), Metric::Counter(n));
             }
         }
@@ -198,7 +197,6 @@ impl Registry {
             None => {
                 let mut h = Histogram::new();
                 h.observe(v);
-                // scda-analyze: allow(hot-path-transitive-alloc, the name is interned once, on a metric's first report; steady-state reports mutate the existing entry)
                 self.metrics.insert(name.to_string(), Metric::Histogram(h));
             }
         }

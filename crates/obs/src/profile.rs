@@ -1,9 +1,11 @@
 //! Per-phase wall-clock profiling: cheap accumulating timers keyed by
-//! phase name, reported as a table sorted by total cost.
+//! [`Phase`], reported as a table sorted by total cost.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Duration;
+
+use crate::Phase;
 
 /// Accumulated cost of one named phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -25,10 +27,10 @@ impl PhaseStat {
     }
 }
 
-/// Accumulates [`PhaseStat`]s by name.
+/// Accumulates [`PhaseStat`]s by phase name.
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
-    phases: BTreeMap<String, PhaseStat>,
+    phases: BTreeMap<&'static str, PhaseStat>,
 }
 
 impl Profiler {
@@ -38,16 +40,19 @@ impl Profiler {
     }
 
     /// Charge `elapsed` to `phase` (one call).
-    pub fn add(&mut self, phase: &str, elapsed: Duration) {
-        let s = self.phases.entry(phase.to_string()).or_default();
+    pub fn add(&mut self, phase: Phase, elapsed: Duration) {
+        let s = self.phases.entry(phase.name()).or_default();
         s.calls += 1;
         s.total_s += elapsed.as_secs_f64();
     }
 
     /// Snapshot the accumulated stats as a report.
     pub fn report(&self) -> ProfileReport {
-        let mut phases: Vec<(String, PhaseStat)> =
-            self.phases.iter().map(|(k, v)| (k.clone(), *v)).collect();
+        let mut phases: Vec<(String, PhaseStat)> = self
+            .phases
+            .iter()
+            .map(|(k, v)| (k.to_string(), *v))
+            .collect();
         phases.sort_by(|a, b| b.1.total_s.total_cmp(&a.1.total_s));
         ProfileReport { phases }
     }
@@ -102,19 +107,20 @@ impl ProfileReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phase;
 
     #[test]
     fn phases_accumulate_and_sort_by_cost() {
         let mut p = Profiler::new();
-        p.add("cheap", Duration::from_millis(1));
-        p.add("dear", Duration::from_millis(30));
-        p.add("cheap", Duration::from_millis(2));
+        p.add(phase::OPEN, Duration::from_millis(1));
+        p.add(phase::TICK, Duration::from_millis(30));
+        p.add(phase::OPEN, Duration::from_millis(2));
         let r = p.report();
-        assert_eq!(r.phases[0].0, "dear", "most expensive first");
-        let cheap = r.phase("cheap").unwrap();
-        assert_eq!(cheap.calls, 2);
-        assert!((cheap.total_s - 0.003).abs() < 1e-6);
-        assert!((cheap.mean_us() - 1500.0).abs() < 1.0);
-        assert!(r.to_table().contains("dear"));
+        assert_eq!(r.phases[0].0, "kernel.tick", "most expensive first");
+        let open = r.phase("kernel.open").unwrap();
+        assert_eq!(open.calls, 2);
+        assert!((open.total_s - 0.003).abs() < 1e-6);
+        assert!((open.mean_us() - 1500.0).abs() < 1.0);
+        assert!(r.to_table().contains("kernel.tick"));
     }
 }

@@ -369,7 +369,6 @@ impl Tracer {
     pub fn push(&mut self, ev: TraceEvent) {
         self.total += 1;
         if self.buf.len() < self.capacity {
-            // scda-analyze: allow(hot-path-transitive-alloc, ring fill: grows only until `capacity`, then overwrites the oldest slot in place)
             self.buf.push(ev);
         } else {
             self.buf[self.head] = ev;

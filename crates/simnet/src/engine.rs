@@ -27,7 +27,6 @@ pub trait Simulation {
 /// boundary — pay one peek/clock-advance per timestamp instead of one
 /// heap rebalance per event. The batch buffer lives in the scheduler and
 /// is only borrowed here, so steady-state drains allocate nothing.
-// scda-analyze: hot(engine.drain)
 #[inline(always)]
 pub fn run_until<S: Simulation>(
     sim: &mut S,

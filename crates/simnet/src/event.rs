@@ -132,7 +132,8 @@ impl<E> Scheduler<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        // scda-analyze: allow(hot-path-transitive-alloc, heap push reuses capacity released by pops; growth only while the pending-event high-water mark rises)
+        // Reuses capacity released by pops: the heap grows only while the
+        // pending-event high-water mark rises.
         self.heap.push(Reverse(Entry {
             time: t,
             seq,
@@ -167,7 +168,6 @@ impl<E> Scheduler<E> {
     /// carry higher sequence numbers than everything already queued, so
     /// draining batch-by-batch dispatches in exactly the same global
     /// order as popping one event at a time.
-    // scda-analyze: hot(engine.drain)
     pub fn pop_batch_until(&mut self, deadline: SimTime, out: &mut Vec<E>) -> Option<SimTime> {
         let t = self.peek_time()?;
         if t > deadline {
@@ -180,6 +180,10 @@ impl<E> Scheduler<E> {
             // total_cmp and NaN is rejected at insertion, so equal-time
             // entries are adjacent — approximate matching would merge
             // distinct timestamps.
+            #[expect(
+                clippy::float_cmp,
+                reason = "an exact same-timestamp batch: equal-time entries are adjacent in the heap"
+            )]
             if e.time != t {
                 break;
             }

@@ -12,6 +12,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::units::{Bytes, BytesPerSec, Seconds};
+
 /// Mutable queue/accounting state of one directed link.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LinkState {
@@ -34,9 +36,9 @@ impl LinkState {
         Self::default()
     }
 
-    /// Integrate the queue forward by `dt` seconds under an aggregate
-    /// offered load of `offered_bytes_per_s`, a service capacity of
-    /// `cap_bytes_per_s` and a queue limit of `queue_cap_bytes`.
+    /// Integrate the queue forward by `dt` under an aggregate `offered`
+    /// load, a service capacity of `cap` and a queue limit of
+    /// `queue_cap`.
     ///
     /// Returns the *drop fraction*: the share of offered bytes that did not
     /// fit. Zero while the queue has room; approaches
@@ -44,14 +46,14 @@ impl LinkState {
     /// makes loss-driven transports (TCP) back off to the link rate.
     pub fn advance(
         &mut self,
-        offered_bytes_per_s: f64,
-        cap_bytes_per_s: f64,
-        queue_cap_bytes: f64,
-        dt: f64,
+        offered: BytesPerSec,
+        cap: BytesPerSec,
+        queue_cap: Bytes,
+        dt: Seconds,
     ) -> f64 {
-        debug_assert!(offered_bytes_per_s >= 0.0 && dt >= 0.0);
-        let inflow = offered_bytes_per_s * dt;
-        let service = cap_bytes_per_s * dt;
+        debug_assert!(offered.get() >= 0.0 && dt.get() >= 0.0);
+        let inflow = (offered * dt).get();
+        let service = (cap * dt).get();
         self.arrived_since_sample += inflow;
         self.total_arrived_bytes += inflow;
 
@@ -60,9 +62,10 @@ impl LinkState {
         self.total_serviced_bytes += serviced;
         let mut q = before - serviced;
         let mut drop_frac = 0.0;
-        if q > queue_cap_bytes {
-            let dropped = q - queue_cap_bytes;
-            q = queue_cap_bytes;
+        let queue_cap = queue_cap.get();
+        if q > queue_cap {
+            let dropped = q - queue_cap;
+            q = queue_cap;
             self.total_dropped_bytes += dropped;
             if inflow > 0.0 {
                 drop_frac = (dropped / inflow).min(1.0);
@@ -93,10 +96,63 @@ impl LinkState {
 mod tests {
     use super::*;
 
+    /// [`LinkState::advance`] on raw `f64`s: offered and capacity in
+    /// bytes/s, queue limit in bytes, `dt` in seconds.
+    fn advance(l: &mut LinkState, offered: f64, cap: f64, queue_cap: f64, dt: f64) -> f64 {
+        l.advance(
+            BytesPerSec::new(offered),
+            BytesPerSec::new(cap),
+            Bytes::new(queue_cap),
+            Seconds::new(dt),
+        )
+    }
+
+    /// The raw-`f64` body `advance` had before its arguments were typed:
+    /// `(queue after, drop fraction)`.
+    fn raw_advance(queue: f64, offered: f64, cap: f64, queue_cap: f64, dt: f64) -> (f64, f64) {
+        let inflow = offered * dt;
+        let service = cap * dt;
+        let before = queue + inflow;
+        let serviced = before.min(service);
+        let mut q = before - serviced;
+        let mut drop_frac = 0.0;
+        if q > queue_cap {
+            let dropped = q - queue_cap;
+            q = queue_cap;
+            if inflow > 0.0 {
+                drop_frac = (dropped / inflow).min(1.0);
+            }
+        }
+        (q, drop_frac)
+    }
+
+    #[test]
+    fn typed_advance_is_bit_identical_to_the_raw_formula() {
+        // Idle, underloaded, overloaded and saturated-into-a-full-queue
+        // steps, each from an empty, a partial and a full queue.
+        let queue_cap = 1500.0;
+        for start in [0.0, 700.0, queue_cap] {
+            for offered in [0.0, 40.0, 100.0, 1e4, 1.0 / 3.0] {
+                for dt in [0.001, 0.7, 5.0] {
+                    let mut l = LinkState::new();
+                    l.queue_bytes = start;
+                    let drop = advance(&mut l, offered, 100.0, queue_cap, dt);
+                    let (q, raw_drop) = raw_advance(start, offered, 100.0, queue_cap, dt);
+                    assert_eq!(
+                        l.queue_bytes.to_bits(),
+                        q.to_bits(),
+                        "{start} {offered} {dt}"
+                    );
+                    assert_eq!(drop.to_bits(), raw_drop.to_bits(), "{start} {offered} {dt}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn underload_leaves_queue_empty() {
         let mut l = LinkState::new();
-        let drop = l.advance(50.0, 100.0, 1000.0, 1.0);
+        let drop = advance(&mut l, 50.0, 100.0, 1000.0, 1.0);
         assert_eq!(drop, 0.0);
         assert_eq!(l.queue_bytes, 0.0);
         assert_eq!(l.total_serviced_bytes, 50.0);
@@ -105,7 +161,7 @@ mod tests {
     #[test]
     fn overload_builds_queue_without_drops_first() {
         let mut l = LinkState::new();
-        let drop = l.advance(150.0, 100.0, 1000.0, 1.0);
+        let drop = advance(&mut l, 150.0, 100.0, 1000.0, 1.0);
         assert_eq!(drop, 0.0);
         assert!((l.queue_bytes - 50.0).abs() < 1e-9);
     }
@@ -116,36 +172,36 @@ mod tests {
         // 10 s of 50 B/s excess fills a 100 B queue after 2 s, then drops.
         let mut total_drop_frac = 0.0;
         for _ in 0..10 {
-            total_drop_frac += l.advance(150.0, 100.0, 100.0, 1.0);
+            total_drop_frac += advance(&mut l, 150.0, 100.0, 100.0, 1.0);
         }
         assert!((l.queue_bytes - 100.0).abs() < 1e-9);
         assert!(total_drop_frac > 0.0);
         // Steady-state drop fraction approaches 50/150 = 1/3.
-        let last = l.advance(150.0, 100.0, 100.0, 1.0);
+        let last = advance(&mut l, 150.0, 100.0, 100.0, 1.0);
         assert!((last - 1.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn queue_drains_when_idle() {
         let mut l = LinkState::new();
-        l.advance(300.0, 100.0, 1000.0, 1.0); // queue = 200
-        l.advance(0.0, 100.0, 1000.0, 1.0); // drains 100
+        advance(&mut l, 300.0, 100.0, 1000.0, 1.0); // queue = 200
+        advance(&mut l, 0.0, 100.0, 1000.0, 1.0); // drains 100
         assert!((l.queue_bytes - 100.0).abs() < 1e-9);
-        l.advance(0.0, 100.0, 1000.0, 5.0); // fully drains
+        advance(&mut l, 0.0, 100.0, 1000.0, 5.0); // fully drains
         assert_eq!(l.queue_bytes, 0.0);
     }
 
     #[test]
     fn queueing_delay_is_queue_over_capacity() {
         let mut l = LinkState::new();
-        l.advance(200.0, 100.0, 1000.0, 1.0); // queue = 100
+        advance(&mut l, 200.0, 100.0, 1000.0, 1.0); // queue = 100
         assert!((l.queueing_delay(100.0) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn take_arrived_resets() {
         let mut l = LinkState::new();
-        l.advance(100.0, 100.0, 1000.0, 2.0);
+        advance(&mut l, 100.0, 100.0, 1000.0, 2.0);
         assert!((l.take_arrived() - 200.0).abs() < 1e-9);
         assert_eq!(l.take_arrived(), 0.0);
         assert!((l.total_arrived_bytes - 200.0).abs() < 1e-9);
@@ -157,7 +213,7 @@ mod tests {
         let mut l = LinkState::new();
         let loads = [0.0, 500.0, 20.0, 300.0, 0.0, 1000.0, 50.0];
         for &r in &loads {
-            l.advance(r, 100.0, 150.0, 0.7);
+            advance(&mut l, r, 100.0, 150.0, 0.7);
         }
         let balance =
             l.total_arrived_bytes - l.total_serviced_bytes - l.total_dropped_bytes - l.queue_bytes;

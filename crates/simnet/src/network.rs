@@ -31,6 +31,7 @@ use crate::ids::{FlowId, LinkId, NodeId};
 use crate::link::LinkState;
 use crate::routing::{PathId, Routes};
 use crate::topology::Topology;
+use crate::units::{Bytes, BytesPerSec, Seconds};
 
 /// The endpoints of a flow that just left the arena (the by-value form
 /// [`Network::remove_flow`] returns). Deliberately path-free: the link
@@ -129,6 +130,9 @@ pub struct Network {
     path_start: Vec<u32>,
     path_len: Vec<u32>,
     path_data: Vec<LinkId>,
+    /// The previous `path_data` buffer, kept for its capacity: compaction
+    /// copies the live paths into it and swaps the two.
+    path_spare: Vec<LinkId>,
     path_garbage: usize,
     live: Vec<bool>,
     free: Vec<u32>,
@@ -163,6 +167,7 @@ impl Network {
             path_start: Vec::new(),
             path_len: Vec::new(),
             path_data: Vec::new(),
+            path_spare: Vec::new(),
             path_garbage: 0,
             live: Vec::new(),
             free: Vec::new(),
@@ -306,7 +311,9 @@ impl Network {
             return;
         }
         let live: usize = self.path_data.len() - self.path_garbage;
-        let mut fresh = Vec::with_capacity(live + extra);
+        let mut fresh = std::mem::take(&mut self.path_spare);
+        fresh.clear();
+        fresh.reserve(live + extra);
         for s in 0..self.path_start.len() {
             if !self.live[s] {
                 continue;
@@ -316,7 +323,7 @@ impl Network {
             fresh.extend_from_slice(&self.path_data[start..start + len]);
             self.path_start[s] = new_start;
         }
-        self.path_data = fresh;
+        self.path_spare = std::mem::replace(&mut self.path_data, fresh);
         self.path_garbage = 0;
     }
 
@@ -340,7 +347,8 @@ impl Network {
         self.path_garbage += len;
         self.path_len[s] = 0;
         self.live[s] = false;
-        // scda-analyze: allow(hot-path-transitive-alloc, free-list push reuses capacity released by earlier insert pops — net growth only when the live population grows)
+        // Reuses capacity released by earlier insert pops: the free list
+        // grows only when the live population does.
         self.free.push(slot);
         flow
     }
@@ -468,7 +476,6 @@ impl Network {
     /// queueing factors are hoisted into columns, and an underloaded
     /// link's service factor is exactly 1.0 (multiplying by it reproduces
     /// the old skipped branch bit-for-bit).
-    // scda-analyze: hot(kernel.tick)
     pub fn advance_slots_into(&mut self, dt: f64, offered: &[(u32, f64)], report: &mut TickReport) {
         debug_assert!(dt > 0.0);
         self.offered.fill(0.0);
@@ -484,7 +491,12 @@ impl Network {
 
         for (i, state) in self.links.iter_mut().enumerate() {
             let cap = self.cap_bytes[i];
-            let drop_frac = state.advance(self.offered[i], cap, self.queue_cap[i], dt);
+            let drop_frac = state.advance(
+                BytesPerSec::new(self.offered[i]),
+                BytesPerSec::new(cap),
+                Bytes::new(self.queue_cap[i]),
+                Seconds::new(dt),
+            );
             self.keep[i] = 1.0 - drop_frac;
             self.serv[i] = if self.offered[i] > cap {
                 cap / self.offered[i]

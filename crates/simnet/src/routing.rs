@@ -128,7 +128,6 @@ impl Routes {
     /// general graph, walks the cached predecessor row, running Dijkstra
     /// from `src` if this is its first query) and interns the result;
     /// later calls are a single map probe.
-    // scda-analyze: hot(sim.route)
     pub fn path_handle(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<PathId> {
         let key = (src.0, dst.0);
         if let Some(&slot) = self.interned.get(&key) {
@@ -148,9 +147,7 @@ impl Routes {
             fwd += topo.link(l).delay_s;
         }
         let slot = self.path_rtt.len() as u32;
-        // scda-analyze: allow(hot-path-transitive-alloc, interning: runs once per new (src, dst) pair straight into the persistent CSR arena; later queries are a map probe)
         self.path_off.push(self.path_links.len() as u32);
-        // scda-analyze: allow(hot-path-transitive-alloc, interning: runs once per new (src, dst) pair straight into the persistent CSR arena; later queries are a map probe)
         self.path_rtt.push(2.0 * fwd);
         self.interned.insert(key, slot);
         Some(PathId(slot))
@@ -158,7 +155,6 @@ impl Routes {
 
     /// The links of an interned path, first link leaving the source.
     /// Empty for a self-path.
-    // scda-analyze: hot(sim.route)
     pub fn path_of(&self, id: PathId) -> &[LinkId] {
         let (lo, hi) = (
             self.path_off[id.index()] as usize,
@@ -169,7 +165,6 @@ impl Routes {
 
     /// Cached end-to-end propagation RTT (seconds, both directions,
     /// assuming symmetric delay) of an interned path.
-    // scda-analyze: hot(sim.route)
     pub fn rtt_of(&self, id: PathId) -> f64 {
         self.path_rtt[id.index()]
     }
@@ -269,14 +264,12 @@ impl Routes {
         let lca = a;
         let mut a = src.index();
         while a != lca {
-            // scda-analyze: allow(hot-path-transitive-alloc, interning: runs once per new (src, dst) pair straight into the persistent CSR arena; later queries are a map probe)
             self.path_links.push(LinkId(up[a]));
             a = parent(a);
         }
         let mid = self.path_links.len();
         let mut b = dst.index();
         while b != lca {
-            // scda-analyze: allow(hot-path-transitive-alloc, interning: runs once per new (src, dst) pair straight into the persistent CSR arena; later queries are a map probe)
             self.path_links.push(LinkId(down[b]));
             b = parent(b);
         }
@@ -300,7 +293,6 @@ impl Routes {
                 return false;
             }
             let l = LinkId(l);
-            // scda-analyze: allow(hot-path-transitive-alloc, interning: runs once per new (src, dst) pair straight into the persistent CSR arena; later queries are a map probe)
             self.path_links.push(l);
             cur = topo.link(l).src;
         }
@@ -314,13 +306,9 @@ impl Routes {
             return;
         }
         let n = topo.node_count();
-        // scda-analyze: allow(hot-path-transitive-alloc, Dijkstra scratch allocated once per distinct source, then cached in `prev` — not per query)
         let mut dist = vec![f64::INFINITY; n];
-        // scda-analyze: allow(hot-path-transitive-alloc, Dijkstra scratch allocated once per distinct source, then cached in `prev` — not per query)
         let mut hops = vec![u32::MAX; n];
-        // scda-analyze: allow(hot-path-transitive-alloc, Dijkstra scratch allocated once per distinct source, then cached in `prev` — not per query)
         let mut prev = vec![NO_LINK; n];
-        // scda-analyze: allow(hot-path-transitive-alloc, Dijkstra scratch allocated once per distinct source, then cached in `prev` — not per query)
         let mut done = vec![false; n];
         dist[src.index()] = 0.0;
         hops[src.index()] = 0;
@@ -345,7 +333,6 @@ impl Routes {
         }
 
         let mut heap = BinaryHeap::new();
-        // scda-analyze: allow(hot-path-transitive-alloc, runs once per distinct source (the cached Dijkstra) — not per query)
         heap.push(Reverse(Key(0.0, 0, src.0)));
         while let Some(Reverse(Key(d, h, u))) = heap.pop() {
             let u = NodeId(u);
@@ -358,13 +345,16 @@ impl Routes {
                 let v = link.dst;
                 let nd = d + link.delay_s;
                 let nh = h + 1;
+                #[expect(
+                    clippy::float_cmp,
+                    reason = "the equal-delay tie-break: an exactly equal delay falls through to the hop count"
+                )]
                 let better =
                     nd < dist[v.index()] || (nd == dist[v.index()] && nh < hops[v.index()]);
                 if better {
                     dist[v.index()] = nd;
                     hops[v.index()] = nh;
                     prev[v.index()] = l.0;
-                    // scda-analyze: allow(hot-path-transitive-alloc, runs once per distinct source (the cached Dijkstra) — not per query)
                     heap.push(Reverse(Key(nd, nh, v.0)));
                 }
             }

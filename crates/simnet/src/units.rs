@@ -5,6 +5,13 @@
 //! parameters use — link capacities quoted in Mbps/Gbps, content sizes in
 //! KB/MB, control intervals in milliseconds — so scenario code never
 //! hand-multiplies powers of ten.
+//!
+//! Where the paper's units meet in one expression — eq. 2's
+//! `α·C − β·Q/d` and a link's queue integration — the [`Seconds`],
+//! [`Bytes`] and [`BytesPerSec`] newtypes carry them through the call, so
+//! passing a duration where a rate belongs does not compile. They have
+//! only the operations those two sites need; hot columns stay raw `f64`
+//! and convert at the call.
 
 /// Simulation time in seconds.
 pub type SimTime = f64;
@@ -59,6 +66,88 @@ pub const fn bytes_to_bits(bytes_per_sec: f64) -> f64 {
 /// Matches NS2's default TCP packet size (1000 B payload + 40 B header);
 /// window growth in congestion avoidance is quantized by this.
 pub const MSS: f64 = 1040.0;
+
+/// A duration in seconds.
+#[repr(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
+pub struct Seconds(f64);
+
+/// An amount of data in bytes.
+#[repr(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
+pub struct Bytes(f64);
+
+/// A rate in bytes per second.
+#[repr(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
+pub struct BytesPerSec(f64);
+
+macro_rules! unit_newtype {
+    ($t:ident) => {
+        impl $t {
+            /// Wrap a raw value in this unit.
+            #[inline]
+            pub const fn new(v: f64) -> Self {
+                $t(v)
+            }
+
+            /// The raw value.
+            #[inline]
+            pub const fn get(self) -> f64 {
+                self.0
+            }
+
+            /// The smaller of two values, as `f64::min`.
+            #[inline]
+            pub fn min(self, other: Self) -> Self {
+                $t(self.0.min(other.0))
+            }
+
+            /// The larger of two values, as `f64::max`.
+            #[inline]
+            pub fn max(self, other: Self) -> Self {
+                $t(self.0.max(other.0))
+            }
+        }
+
+        impl std::ops::Sub for $t {
+            type Output = $t;
+            #[inline]
+            fn sub(self, rhs: $t) -> $t {
+                $t(self.0 - rhs.0)
+            }
+        }
+
+        /// Scaling by a dimensionless factor.
+        impl std::ops::Mul<$t> for f64 {
+            type Output = $t;
+            #[inline]
+            fn mul(self, rhs: $t) -> $t {
+                $t(self * rhs.0)
+            }
+        }
+    };
+}
+
+unit_newtype!(Seconds);
+unit_newtype!(Bytes);
+unit_newtype!(BytesPerSec);
+
+impl std::ops::Mul<Seconds> for BytesPerSec {
+    type Output = Bytes;
+    #[inline]
+    fn mul(self, rhs: Seconds) -> Bytes {
+        Bytes(self.0 * rhs.0)
+    }
+}
+
+impl std::ops::Div<Seconds> for Bytes {
+    type Output = BytesPerSec;
+    #[inline]
+    fn div(self, rhs: Seconds) -> BytesPerSec {
+        BytesPerSec(self.0 / rhs.0)
+    }
+}
 
 #[cfg(test)]
 mod tests {

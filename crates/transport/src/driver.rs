@@ -256,7 +256,6 @@ impl FlowDriver {
     /// # Panics
     ///
     /// Panics if `loads` is shorter than the topology's link count.
-    // scda-analyze: hot(kernel.control)
     pub fn offered_loads_into(&self, loads: &mut [f64]) {
         loads.fill(0.0);
         for (_, slot) in self.net.flow_slots() {
@@ -274,7 +273,6 @@ impl FlowDriver {
     /// resolves contention; transports digest the outcome; completed flows
     /// are removed and reported. One serial pass in ascending flow-id
     /// order, so every float accumulation is deterministic.
-    // scda-analyze: hot(kernel.tick)
     pub fn tick(&mut self, now: f64, dt: f64) -> TickSummary {
         // Read pass: each flow's offer, in ascending id order (the
         // determinism contract).
@@ -285,7 +283,6 @@ impl FlowDriver {
             let rate = self.transports[s]
                 .offered_rate(rtt)
                 .min(self.progress[s].remaining() / dt);
-            // scda-analyze: allow(hot-path-transitive-alloc, per-tick scratch cleared just above with capacity retained — amortized-free after the first tick)
             self.offered.push((slot, rate));
         }
 
@@ -309,7 +306,6 @@ impl FlowDriver {
                 // the last byte really lands one forward-propagation
                 // later (validated against the packet-level simulator in
                 // tests/fluid_vs_packet.rs).
-                // scda-analyze: allow(hot-path-transitive-alloc, one entry per flow completing this tick — bounded by completions, not by τ)
                 summary.completed.push(CompletedFlow {
                     id: ft.flow,
                     size_bytes: progress.size_bytes,

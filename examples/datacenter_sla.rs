@@ -16,7 +16,7 @@ use scda::core::reservation::ReservationBook;
 use scda::core::sla::{Mitigation, SlaPolicy};
 use scda::core::tree::{RateCaps, Telemetry};
 use scda::core::{ControlTree, MetricKind, Params, PriorityPolicy, SlaMonitor};
-use scda::obs::Obs;
+use scda::obs::{phase, Obs};
 use scda::prelude::*;
 use scda::simnet::{FlowId, LinkId};
 
@@ -108,9 +108,7 @@ fn main() {
     // --- 4. After load clears, advertised rates recover.
     println!("\n== recovery ==");
     for _ in 0..8 {
-        obs.time_phase("example.recovery_round", || {
-            ct.control_round(10.0, &mut Load(0.0))
-        });
+        obs.time_phase(phase::CONTROL, || ct.control_round(10.0, &mut Load(0.0)));
     }
     let (bs, rate) = ct
         .best_server_global(Direction::Down)

@@ -1,9 +1,10 @@
 //! The static half of the determinism contract is clippy configuration:
 //! the root `clippy.toml` bans hash-ordered collections and wall-clock
-//! reads in every crate, and each library crate's `lib.rs` sets its print
-//! and deprecation lint levels. CI's clippy job enforces them, but an
-//! entry deleted from the configuration would leave that job green, so
-//! these tests pin the configuration itself inside plain `cargo test`.
+//! reads in every crate, and each library crate's `lib.rs` sets its
+//! print, deprecation, float-compare and unwrap lint levels. CI's clippy
+//! job enforces them, but an entry deleted from the configuration would
+//! leave that job green, so these tests pin the configuration itself
+//! inside plain `cargo test`.
 
 use std::path::Path;
 
@@ -45,16 +46,41 @@ fn library_crates_warn_on_prints_and_deny_deprecated() {
         .map(|e| e.unwrap().file_name().into_string().unwrap())
         .collect();
     names.sort();
-    assert!(names.len() >= 9, "expected every crate, got {names:?}");
+    assert_eq!(
+        names,
+        [
+            "audit",
+            "core",
+            "experiments",
+            "metrics",
+            "obs",
+            "simnet",
+            "transport",
+            "workloads"
+        ],
+        "a crate was added or removed: update this list"
+    );
     for name in names {
         let lib = workspace_file(&format!("crates/{name}/src/lib.rs"));
-        assert!(
-            lib.contains("#![warn(clippy::print_stdout, clippy::print_stderr)]"),
-            "crates/{name}/src/lib.rs does not warn on prints"
-        );
-        assert!(
-            lib.contains("#![deny(deprecated)]"),
-            "crates/{name}/src/lib.rs does not deny deprecated items"
-        );
+        for (attr, what) in [
+            (
+                "#![warn(clippy::print_stdout, clippy::print_stderr)]",
+                "warn on prints",
+            ),
+            ("#![deny(deprecated)]", "deny deprecated items"),
+            (
+                "#![cfg_attr(not(test), warn(clippy::float_cmp))]",
+                "warn on float compares",
+            ),
+            (
+                "#![cfg_attr(not(test), deny(clippy::unwrap_used))]",
+                "deny unwrap",
+            ),
+        ] {
+            assert!(
+                lib.contains(attr),
+                "crates/{name}/src/lib.rs does not {what}"
+            );
+        }
     }
 }
