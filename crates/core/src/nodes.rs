@@ -71,12 +71,6 @@ impl Fes {
     pub fn route_content(&self, content: ContentId) -> usize {
         (fnv1a(content.0) % self.n_nns as u64) as usize
     }
-
-    /// Number of name nodes behind this FES.
-    #[inline]
-    pub fn nns_count(&self) -> usize {
-        self.n_nns
-    }
 }
 
 /// Metadata one NNS keeps per content object.

@@ -125,14 +125,6 @@ impl LinkAllocator {
         self.r_prev = update_rate(self.capacity, self.r_prev, self.kind, sample, params);
         self.r_prev
     }
-
-    /// Effective number of flows `N̂` the last round saw (diagnostic; eq. 3).
-    pub fn effective_flows(&self, sample: &LinkSample) -> f64 {
-        match self.kind {
-            MetricKind::Full => sample.flow_rate_sum / self.r_prev,
-            MetricKind::Simplified => sample.arrival_rate / self.r_prev,
-        }
-    }
 }
 
 /// Stateless core of [`LinkAllocator::update`]: one eq. 2/5 step from

@@ -113,11 +113,6 @@ impl ResourceBook {
         self.servers.get(&id)
     }
 
-    /// Mutable server state (set background load, etc.).
-    pub fn server_mut(&mut self, id: NodeId) -> Option<&mut ServerResources> {
-        self.servers.get_mut(&id)
-    }
-
     /// Track a flow opening against a server's disk.
     pub fn open_flow(&mut self, id: NodeId, write: bool) {
         if let Some(s) = self.servers.get_mut(&id) {

@@ -8,6 +8,11 @@
 //! placement all in the loop. SCDA places writes/replicas/reads by
 //! advertised rates; the RandTCP policy picks uniformly among holders —
 //! isolating what content-aware selection buys at the application level.
+//!
+//! The lifecycle is one more composition on the shared
+//! [`SimKernel`]: [`run_content`] turns the write and read rates into a
+//! request schedule, and a private [`ControlPolicy`] owns the NNS, the
+//! block stores and the RM/RA tree.
 
 use std::collections::BTreeMap;
 
@@ -21,11 +26,19 @@ use scda_core::{
     ProtocolCosts, RateDiscount, SelectorConfig, ServerMetrics,
 };
 use scda_metrics::{FctStats, FlowRecord};
+use scda_obs::Obs;
 use scda_simnet::builders::ThreeTierConfig;
-use scda_simnet::{FlowId, LinkId, Network, NodeId};
-use scda_transport::{AnyTransport, FlowDriver, ScdaWindow};
+use scda_simnet::{FlowId, Network, NodeId};
+use scda_transport::{AnyTransport, CompletedFlow, FlowDriver, ScdaWindow};
+use scda_workloads::{FlowDirection, FlowKind, FlowSpec, Workload};
 
-use crate::runner::SelectionPolicy;
+use crate::runner::kernel::step_count;
+use crate::runner::scda::NetTelemetry;
+use crate::runner::{
+    Admission, BestRatePlacement, ControlPolicy, ExplicitRateTransport, PendingStart, Placement,
+    RunAccounting, SelectionPolicy, SimKernel, SpawnSpec, TransportPolicy,
+};
+use crate::scenario::Scenario;
 
 /// Where replicas may land (§VI: the NNS can ask the level-1 RA for a
 /// rack-local server, or the top RA for the global best).
@@ -116,23 +129,13 @@ pub struct ContentRunResult {
     pub stored_objects: usize,
 }
 
+/// What a flow is to the lifecycle. Client transfers keep their request
+/// time: the FCT clock starts there, so setup latency is part of the
+/// measured completion time.
 enum Purpose {
-    ClientWrite { content: ContentId },
-    ClientRead { holder: NodeId },
+    ClientWrite { content: ContentId, requested: f64 },
+    ClientRead { holder: NodeId, requested: f64 },
     Replication { content: ContentId, replica: NodeId },
-}
-
-/// A flow whose connection setup (figures 3-5 control messages) is still
-/// in flight; it enters the network at `open_at` but its FCT clock started
-/// at `requested_at`.
-struct PendingOpen {
-    open_at: f64,
-    requested_at: f64,
-    id: FlowId,
-    src: NodeId,
-    dst: NodeId,
-    size: f64,
-    transport: AnyTransport,
 }
 
 /// Write placement's storage tie-breaker: among servers advertising
@@ -176,389 +179,463 @@ fn zipf_index(rng: &mut StdRng, n: usize, s: f64) -> usize {
     n - 1
 }
 
-/// Run the content lifecycle under the given placement policy.
-pub fn run_content(cfg: &ContentRunConfig) -> ContentRunResult {
-    let tree = cfg.topo.build();
-    let servers = tree.all_servers();
-    let rack_of: BTreeMap<NodeId, usize> = tree
-        .servers
-        .iter()
-        .enumerate()
-        .flat_map(|(r, rack)| rack.iter().map(move |&s| (s, r)))
-        .collect();
-    // Replica scope as an exclusion set per rack: everything outside it.
-    let out_of_rack: Vec<NodeSet> = tree
-        .servers
-        .iter()
-        .map(|rack| {
-            servers
-                .iter()
-                .copied()
-                .filter(|s| !rack.contains(s))
-                .collect()
+/// A request stream due at `first`, `first + 1/rate`, …, up to the
+/// horizon `steps`. Each request arrives at the first grid time `s·dt` at
+/// or after its due time: the step whose admission stage picks it up.
+/// Sizes and clients are drawn at admission, where they interleave with
+/// the replica draws of completions.
+fn requests(direction: FlowDirection, first: f64, rate: f64, dt: f64, steps: u64) -> Vec<FlowSpec> {
+    let mut out = Vec::new();
+    let mut due = first;
+    loop {
+        // Past the horizon (checked first: a tiny rate puts `due` beyond
+        // any step index).
+        if due > steps as f64 * dt {
+            return out;
+        }
+        // `due / dt` rounds; settle on the exact first grid point.
+        let mut s = (due / dt).ceil() as u64;
+        while s > 0 && due <= (s - 1) as f64 * dt {
+            s -= 1;
+        }
+        while due > s as f64 * dt {
+            s += 1;
+        }
+        if s >= steps {
+            return out;
+        }
+        out.push(FlowSpec {
+            arrival: s as f64 * dt,
+            size_bytes: 0.0,
+            kind: FlowKind::Synthetic,
+            direction,
+            client: 0,
+        });
+        due += 1.0 / rate;
+    }
+}
+
+/// Every content placement ranks plain advertised rates.
+const SELECTOR: SelectorConfig = SelectorConfig {
+    r_scale: f64::INFINITY,
+    power_aware: false,
+};
+
+/// A placement query under `discount`.
+fn query<D: RateDiscount>(discount: &D) -> PlaceQuery<'_, D> {
+    PlaceQuery {
+        energy: None,
+        cfg: &SELECTOR,
+        discount,
+    }
+}
+
+/// The lifecycle's control plane: the NNS (metadata and block stores),
+/// the RM/RA tree and its placement index. Placement is decided here
+/// rather than by a [`Placement`] policy: writes rank on storage, reads
+/// on the object's holders, and every random pick draws from the one
+/// seeded stream that sizes and clients come from.
+struct ContentControl<'a> {
+    cfg: &'a ContentRunConfig,
+    params: Params,
+    ct: ControlTree,
+    costs: ProtocolCosts,
+    racks: Vec<Vec<NodeId>>,
+    servers: Vec<NodeId>,
+    clients: Vec<NodeId>,
+    rng: StdRng,
+    ns: NameService,
+    stores: BTreeMap<NodeId, BlockServer>,
+    /// Objects written so far: object `i` is `ContentId(i)`, and reads
+    /// pick one by Zipf rank.
+    written: usize,
+    purposes: BTreeMap<FlowId, Purpose>,
+    /// The id the kernel gives the next flow. It numbers admissions and
+    /// spawns in one sequence, so a replication's id is known when it is
+    /// spawned.
+    next_id: u64,
+    outstanding_reads: BTreeMap<NodeId, u32>,
+    link_loads: Vec<f64>,
+    metrics_buf: Vec<ServerMetrics>,
+    /// Every placement is a query on this index, refreshed from the
+    /// tree's metrics after each control round.
+    pindex: PlacementIndex,
+    out: ContentRunResult,
+}
+
+impl ContentControl<'_> {
+    /// The tree's current rate for a flow of this purpose.
+    fn rate(&self, purpose: &Purpose) -> Option<f64> {
+        let primary = |content| self.ns.lookup(content).expect("registered").primary;
+        match *purpose {
+            Purpose::ClientWrite { content, .. } => {
+                self.ct.client_rate(primary(content), Direction::Down)
+            }
+            Purpose::ClientRead { holder, .. } => self.ct.client_rate(holder, Direction::Up),
+            Purpose::Replication { content, replica } => {
+                self.ct.transfer_rate(primary(content), replica)
+            }
+        }
+    }
+
+    /// Replicate a freshly written object per §VIII-B, within the
+    /// configured scope; `None` when no server qualifies.
+    fn replicate(
+        &mut self,
+        content: ContentId,
+        c: &CompletedFlow,
+        driver: &mut FlowDriver,
+    ) -> Option<SpawnSpec> {
+        let meta = self.ns.lookup(content).expect("registered");
+        let primary = meta.primary;
+        // The rack-local scope excludes every server outside the
+        // primary's rack.
+        let out_of_scope: NodeSet = match self.cfg.replica_scope {
+            ReplicaScope::Global => NodeSet::new(),
+            ReplicaScope::SameRack => {
+                let rack = self.racks.iter().find(|r| r.contains(&primary));
+                let rack = rack.expect("the primary is a server");
+                let outside = self.servers.iter().filter(|s| !rack.contains(s));
+                outside.copied().collect()
+            }
+        };
+        let replica = match self.cfg.selection {
+            SelectionPolicy::BestRate => self
+                .pindex
+                .replica_target(meta.class, primary, &out_of_scope, &query(&NoDiscount))
+                .map(|(r, _)| r),
+            SelectionPolicy::Random => {
+                let candidates: Vec<NodeId> = self
+                    .servers
+                    .iter()
+                    .copied()
+                    .filter(|s| *s != primary && !out_of_scope.contains(*s))
+                    .collect();
+                (!candidates.is_empty())
+                    .then(|| candidates[self.rng.random_range(0..candidates.len())])
+            }
+        }?;
+        let purpose = Purpose::Replication { content, replica };
+        let rate = self
+            .rate(&purpose)
+            .unwrap_or(self.params.min_rate)
+            .max(self.params.min_rate);
+        self.purposes.insert(FlowId(self.next_id), purpose);
+        self.next_id += 1;
+        let rtt = driver
+            .net_mut()
+            .base_rtt_between(primary, replica)
+            .expect("connected");
+        Some(SpawnSpec {
+            src: primary,
+            dst: replica,
+            server: primary,
+            size: c.size_bytes,
+            arrival: c.finish,
+            start: c.finish + self.costs.internal_write_setup(),
+            transport: AnyTransport::Scda(ScdaWindow::new(rate, rate, rtt)),
         })
-        .collect();
-    let no_exclusions = NodeSet::new();
-    let clients = tree.clients.clone();
+    }
+}
+
+impl ControlPolicy for ContentControl<'_> {
+    fn system(&self) -> &'static str {
+        "SCDA content lifecycle"
+    }
+
+    fn cadence(&self) -> Option<f64> {
+        Some(self.cfg.tau)
+    }
+
+    /// A round before any flow exists, so the first arrivals see
+    /// idle-state advertisements.
+    fn prime(&mut self, driver: &mut FlowDriver) {
+        self.round(0.0, driver);
+    }
+
+    /// A write registers a new object (its size drawn here) on a primary;
+    /// a read draws an object by Zipf popularity and picks a holder.
+    fn admit(
+        &mut self,
+        f: &FlowSpec,
+        id: FlowId,
+        now: f64,
+        driver: &mut FlowDriver,
+        _placement: &mut dyn Placement,
+        transport: &mut dyn TransportPolicy,
+    ) -> Admission {
+        self.next_id = id.0 + 1;
+        let (purpose, client, server, ci, size, setup) = match f.direction {
+            FlowDirection::Write => {
+                let content = ContentId(self.written as u64);
+                let size = self.cfg.median_size * (0.3 + 1.4 * self.rng.random::<f64>());
+                let ci = self.rng.random_range(0..self.clients.len());
+                let primary = match self.cfg.selection {
+                    SelectionPolicy::BestRate => {
+                        let discount = StorageTieBreak(&self.stores);
+                        let class = ContentClass::SemiInteractiveRead;
+                        let none = NodeSet::new();
+                        let pick = self.pindex.write_target(class, &none, &query(&discount));
+                        pick.expect("servers exist").0
+                    }
+                    SelectionPolicy::Random => {
+                        self.servers[self.rng.random_range(0..self.servers.len())]
+                    }
+                };
+                let mut stats = AccessStats::new();
+                stats.record_write(now);
+                self.ns.register(ContentMeta {
+                    id: content,
+                    size_bytes: size,
+                    class: ContentClass::SemiInteractiveRead,
+                    primary,
+                    replicas: vec![],
+                    stats,
+                });
+                self.stores
+                    .get_mut(&primary)
+                    .expect("known server")
+                    .store(content, size);
+                self.written += 1;
+                let purpose = Purpose::ClientWrite {
+                    content,
+                    requested: now,
+                };
+                let setup = self.costs.external_write_setup();
+                (purpose, self.clients[ci], primary, ci, size, setup)
+            }
+            FlowDirection::Read => {
+                let idx = zipf_index(&mut self.rng, self.written, self.cfg.zipf_exponent);
+                let ci = self.rng.random_range(0..self.clients.len());
+                let meta = self
+                    .ns
+                    .lookup_mut(ContentId(idx as u64))
+                    .expect("registered");
+                meta.stats.record_read(now);
+                let holders = meta.holders();
+                let holder = match self.cfg.selection {
+                    SelectionPolicy::BestRate => {
+                        let discount = OutstandingReads(&self.outstanding_reads);
+                        let holder_set = holders.iter().copied().collect();
+                        let pick = self.pindex.read_source(&holder_set, &query(&discount));
+                        pick.expect("holders exist").0
+                    }
+                    SelectionPolicy::Random => holders[self.rng.random_range(0..holders.len())],
+                };
+                *self.outstanding_reads.entry(holder).or_insert(0) += 1;
+                if holder == meta.primary {
+                    self.out.reads_from_primary += 1;
+                } else {
+                    self.out.reads_from_replica += 1;
+                }
+                let purpose = Purpose::ClientRead {
+                    holder,
+                    requested: now,
+                };
+                let (size, setup) = (meta.size_bytes, self.costs.external_read_setup());
+                (purpose, self.clients[ci], holder, ci, size, setup)
+            }
+        };
+        let (src, dst) = match f.direction {
+            FlowDirection::Write => (client, server),
+            FlowDirection::Read => (server, client),
+        };
+        let rate = self.rate(&purpose).unwrap_or(self.params.min_rate);
+        self.purposes.insert(id, purpose);
+        let rtt = driver
+            .net_mut()
+            .base_rtt_between(src, dst)
+            .expect("connected");
+        Admission {
+            src,
+            dst,
+            server,
+            client_idx: ci,
+            start: now + setup,
+            size,
+            transport: transport.open(rate, rtt),
+        }
+    }
+
+    fn on_open(&mut self, p: &PendingStart, _driver: &mut FlowDriver) {
+        // `replicate` filed each spawn under the id it expected.
+        let filed = matches!(self.purposes.get(&p.id), Some(Purpose::Replication { .. }));
+        assert_eq!(p.internal, filed, "flow {} opened under another id", p.id.0);
+    }
+
+    fn round(&mut self, now: f64, driver: &mut FlowDriver) {
+        driver.offered_loads_into(&mut self.link_loads);
+        let mut tel = NetTelemetry {
+            net: driver.net_mut(),
+            loads: &self.link_loads,
+            tau: self.cfg.tau,
+            resources: None,
+        };
+        self.ct.control_round(now, &mut tel);
+        self.ct.server_metrics_into(&mut self.metrics_buf);
+        self.pindex.refresh(&self.metrics_buf);
+        // Refresh on-going flows (§VIII-D).
+        for (&id, purpose) in &self.purposes {
+            let Some(AnyTransport::Scda(w)) = driver.transport_mut(id) else {
+                continue;
+            };
+            let rate = self
+                .rate(purpose)
+                .unwrap_or(self.params.min_rate)
+                .max(self.params.min_rate);
+            w.set_rates(rate, rate);
+        }
+    }
+
+    fn on_complete(
+        &mut self,
+        c: &CompletedFlow,
+        _size: Option<f64>,
+        driver: &mut FlowDriver,
+    ) -> Option<SpawnSpec> {
+        let record = |requested| FlowRecord {
+            size_bytes: c.size_bytes,
+            start: requested,
+            finish: c.finish,
+        };
+        match self.purposes.remove(&c.id).expect("known flow") {
+            Purpose::ClientWrite { content, requested } => {
+                self.out.write_fct.push(record(requested));
+                return self.replicate(content, c, driver);
+            }
+            Purpose::ClientRead { holder, requested } => {
+                if let Some(k) = self.outstanding_reads.get_mut(&holder) {
+                    *k = k.saturating_sub(1);
+                }
+                self.out.read_fct.push(record(requested));
+            }
+            Purpose::Replication { content, replica } => {
+                self.out.replications += 1;
+                self.stores
+                    .get_mut(&replica)
+                    .expect("known server")
+                    .store(content, c.size_bytes);
+                self.ns
+                    .lookup_mut(content)
+                    .expect("registered")
+                    .replicas
+                    .push(replica);
+            }
+        }
+        None
+    }
+}
+
+/// Run the content lifecycle under the given placement policy.
+///
+/// # Panics
+///
+/// Panics if `write_rate`, `read_rate`, `tau` or `median_size` is not
+/// positive and finite, if `zipf_exponent` is not finite, if `dt` is not
+/// positive and finite, or if `duration` is not finite and non-negative.
+pub fn run_content(cfg: &ContentRunConfig) -> ContentRunResult {
+    for (name, v) in [
+        ("write_rate", cfg.write_rate),
+        ("read_rate", cfg.read_rate),
+        ("tau", cfg.tau),
+        ("median_size", cfg.median_size),
+    ] {
+        assert!(
+            v > 0.0 && v.is_finite(),
+            "{name} must be positive and finite"
+        );
+    }
+    assert!(
+        cfg.zipf_exponent.is_finite(),
+        "zipf_exponent must be finite"
+    );
+    let steps = step_count(cfg.duration, cfg.dt);
+
+    // Writes start once the first control rounds have settled, reads a
+    // little later. A read due before the first write finds an empty
+    // catalog and is dropped. `Workload::new` sorts stably, so within a
+    // step writes are admitted before reads.
+    let writes = requests(FlowDirection::Write, 0.3, cfg.write_rate, cfg.dt, steps);
+    let mut reads = requests(FlowDirection::Read, 1.0, cfg.read_rate, cfg.dt, steps);
+    let first_write = writes.first().map_or(f64::INFINITY, |w| w.arrival);
+    let reads_skipped = reads.partition_point(|r| r.arrival < first_write);
+    let schedule = writes.into_iter().chain(reads.split_off(reads_skipped));
+    let sc = Scenario {
+        name: "content lifecycle".into(),
+        topo: cfg.topo.clone(),
+        workload: Workload::new(schedule.collect()),
+        duration: cfg.duration,
+        dt: cfg.dt,
+        tau: cfg.tau,
+        throughput_interval: 1.0,
+        seed: cfg.seed,
+    };
+
+    let tree = cfg.topo.build();
     let params = Params {
         tau: cfg.tau,
         drain_horizon: cfg.tau,
         ..Default::default()
     };
-    let mut ct = ControlTree::from_three_tier(&tree, params.clone(), MetricKind::Full);
-    let costs = ProtocolCosts {
-        control_hop: params.control_hop_delay,
-        client_wan: cfg.topo.client_delay_s,
+    let servers = tree.all_servers();
+    let mut ctrl = ContentControl {
+        cfg,
+        ct: ControlTree::from_three_tier(&tree, params.clone(), MetricKind::Full),
+        costs: ProtocolCosts {
+            control_hop: params.control_hop_delay,
+            client_wan: cfg.topo.client_delay_s,
+        },
+        params,
+        racks: tree.servers.clone(),
+        stores: servers
+            .iter()
+            .map(|&s| (s, BlockServer::new(s, cfg.disk_capacity)))
+            .collect(),
+        servers,
+        clients: tree.clients.clone(),
+        rng: StdRng::seed_from_u64(cfg.seed),
+        ns: NameService::new(4),
+        written: 0,
+        purposes: BTreeMap::new(),
+        next_id: 0,
+        outstanding_reads: BTreeMap::new(),
+        link_loads: vec![0.0; tree.topo.link_count()],
+        metrics_buf: Vec::new(),
+        pindex: PlacementIndex::new(),
+        out: ContentRunResult {
+            write_fct: FctStats::new(),
+            read_fct: FctStats::new(),
+            replications: 0,
+            reads_from_replica: 0,
+            reads_from_primary: 0,
+            reads_skipped,
+            learned_classes: BTreeMap::new(),
+            stored_objects: 0,
+        },
     };
-    let n_links = tree.topo.link_count();
-    let mut driver = FlowDriver::new(Network::new(tree.topo));
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut acct = RunAccounting::new(sc.throughput_interval, Obs::disabled());
+    SimKernel::new(Network::new(tree.topo)).run(
+        &sc,
+        &mut ctrl,
+        &mut BestRatePlacement,
+        &mut ExplicitRateTransport,
+        &mut acct,
+    );
 
-    let mut ns = NameService::new(4);
-    let mut stores: BTreeMap<NodeId, BlockServer> = servers
-        .iter()
-        .map(|&s| (s, BlockServer::new(s, cfg.disk_capacity)))
-        .collect();
-    let selector_cfg = SelectorConfig {
-        r_scale: f64::INFINITY,
-        power_aware: false,
-    };
+    // Learn classes from the observed access patterns (§VII).
     let classifier = ClassifierConfig {
         high_write_rate: 0.02,
         high_read_rate: 0.05,
         ..Default::default()
     };
-
-    // Written catalog in write order (read popularity ranks by recency-
-    // independent Zipf over this list).
-    let mut catalog: Vec<(ContentId, f64)> = Vec::new();
-    let mut purposes: BTreeMap<FlowId, Purpose> = BTreeMap::new();
-    let mut pending: Vec<PendingOpen> = Vec::new();
-
-    let mut outstanding_reads: BTreeMap<NodeId, u32> = BTreeMap::new();
-    let mut write_fct = FctStats::new();
-    let mut read_fct = FctStats::new();
-    let mut replications = 0usize;
-    let mut reads_from_replica = 0usize;
-    let mut reads_from_primary = 0usize;
-    let mut reads_skipped = 0usize;
-
-    let mut link_loads = vec![0.0_f64; n_links];
-    // Every placement below is a query on this index, refreshed from the
-    // tree's metrics after each control round.
-    let mut metrics_buf = Vec::new();
-    let mut pindex = PlacementIndex::new();
-    {
-        let loads = link_loads.clone();
-        let mut tel = Tel {
-            net: driver.net_mut(),
-            loads: &loads,
-            tau: cfg.tau,
-        };
-        ct.control_round(0.0, &mut tel);
-    }
-    ct.server_metrics_into(&mut metrics_buf);
-    pindex.refresh(&metrics_buf);
-
-    struct Tel<'a> {
-        net: &'a mut Network,
-        loads: &'a [f64],
-        tau: f64,
-    }
-    impl scda_core::Telemetry for Tel<'_> {
-        fn sample(&mut self, l: LinkId) -> scda_core::LinkSample {
-            scda_core::LinkSample {
-                queue_bytes: self.net.link_state(l).queue_bytes,
-                flow_rate_sum: self.loads[l.index()],
-                arrival_rate: self.net.link_state_mut(l).take_arrived() / self.tau,
-            }
-        }
-        fn rate_caps(&mut self, _s: NodeId) -> scda_core::RateCaps {
-            scda_core::RateCaps::default()
-        }
-    }
-
-    let mut next_id = 0u64;
-    let mut next_write = 0.3; // let the first control rounds settle
-    let mut next_read = 1.0;
-    let mut next_ctrl = cfg.tau;
-    let steps = (cfg.duration / cfg.dt).ceil() as u64;
-    for step in 0..steps {
-        let now = step as f64 * cfg.dt;
-
-        // --- new content writes ---
-        while next_write <= now {
-            next_write += 1.0 / cfg.write_rate;
-            let content = ContentId(catalog.len() as u64);
-            let size = cfg.median_size * (0.3 + 1.4 * rng.random::<f64>());
-            let client = clients[rng.random_range(0..clients.len())];
-            let primary = match cfg.selection {
-                SelectionPolicy::BestRate => {
-                    let q = PlaceQuery {
-                        energy: None,
-                        cfg: &selector_cfg,
-                        discount: &StorageTieBreak(&stores),
-                    };
-                    pindex
-                        .write_target(ContentClass::SemiInteractiveRead, &no_exclusions, &q)
-                        .expect("servers exist")
-                        .0
-                }
-                SelectionPolicy::Random => servers[rng.random_range(0..servers.len())],
-            };
-            let mut stats = AccessStats::new();
-            stats.record_write(now);
-            ns.register(ContentMeta {
-                id: content,
-                size_bytes: size,
-                class: ContentClass::SemiInteractiveRead,
-                primary,
-                replicas: vec![],
-                stats,
-            });
-            stores
-                .get_mut(&primary)
-                .expect("known server")
-                .store(content, size);
-            catalog.push((content, size));
-
-            let rate = ct
-                .client_rate(primary, Direction::Down)
-                .unwrap_or(params.min_rate);
-            let rtt = driver
-                .net_mut()
-                .base_rtt_between(client, primary)
-                .expect("connected");
-            let id = FlowId(next_id);
-            next_id += 1;
-            pending.push(PendingOpen {
-                open_at: now + costs.external_write_setup(),
-                requested_at: now,
-                id,
-                src: client,
-                dst: primary,
-                size,
-                transport: AnyTransport::Scda(ScdaWindow::new(rate, rate, rtt)),
-            });
-            purposes.insert(id, Purpose::ClientWrite { content });
-        }
-
-        // --- reads over the written catalog ---
-        while next_read <= now {
-            next_read += 1.0 / cfg.read_rate;
-            if catalog.is_empty() {
-                reads_skipped += 1;
-                continue;
-            }
-            let idx = zipf_index(&mut rng, catalog.len(), cfg.zipf_exponent);
-            let (content, size) = catalog[idx];
-            let client = clients[rng.random_range(0..clients.len())];
-            let meta = ns.lookup_mut(content).expect("registered");
-            meta.stats.record_read(now);
-            let holders = meta.holders();
-            let holder = match cfg.selection {
-                SelectionPolicy::BestRate => {
-                    let q = PlaceQuery {
-                        energy: None,
-                        cfg: &selector_cfg,
-                        discount: &OutstandingReads(&outstanding_reads),
-                    };
-                    pindex
-                        .read_source(&holders.iter().copied().collect(), &q)
-                        .expect("holders exist")
-                        .0
-                }
-                SelectionPolicy::Random => holders[rng.random_range(0..holders.len())],
-            };
-            *outstanding_reads.entry(holder).or_insert(0) += 1;
-            if holder == meta.primary {
-                reads_from_primary += 1;
-            } else {
-                reads_from_replica += 1;
-            }
-            let rate = ct
-                .client_rate(holder, Direction::Up)
-                .unwrap_or(params.min_rate);
-            let rtt = driver
-                .net_mut()
-                .base_rtt_between(holder, client)
-                .expect("connected");
-            let id = FlowId(next_id);
-            next_id += 1;
-            pending.push(PendingOpen {
-                open_at: now + costs.external_read_setup(),
-                requested_at: now,
-                id,
-                src: holder,
-                dst: client,
-                size,
-                transport: AnyTransport::Scda(ScdaWindow::new(rate, rate, rtt)),
-            });
-            purposes.insert(id, Purpose::ClientRead { holder });
-        }
-
-        // --- open connections whose setup completed ---
-        let mut i = 0;
-        while i < pending.len() {
-            if pending[i].open_at <= now {
-                let p = pending.swap_remove(i);
-                // The FCT clock starts at request time, so setup latency is
-                // part of the measured completion time.
-                driver.start_flow(p.id, p.src, p.dst, p.size, p.transport, p.requested_at);
-            } else {
-                i += 1;
-            }
-        }
-
-        // --- control round ---
-        if now + 1e-12 >= next_ctrl {
-            next_ctrl += cfg.tau;
-            driver.offered_loads_into(&mut link_loads);
-            {
-                let loads = std::mem::take(&mut link_loads);
-                let mut tel = Tel {
-                    net: driver.net_mut(),
-                    loads: &loads,
-                    tau: cfg.tau,
-                };
-                ct.control_round(now, &mut tel);
-                link_loads = loads;
-            }
-            ct.server_metrics_into(&mut metrics_buf);
-            pindex.refresh(&metrics_buf);
-            // Refresh on-going flows (§VIII-D).
-            let ids: Vec<FlowId> = purposes.keys().copied().collect();
-            for id in ids {
-                if driver.progress(id).is_none() {
-                    continue;
-                }
-                let rate = match &purposes[&id] {
-                    Purpose::ClientWrite { content } => {
-                        let meta = ns.lookup(*content).expect("registered");
-                        ct.client_rate(meta.primary, Direction::Down)
-                    }
-                    Purpose::ClientRead { holder, .. } => ct.client_rate(*holder, Direction::Up),
-                    Purpose::Replication { content, replica } => {
-                        let meta = ns.lookup(*content).expect("registered");
-                        ct.transfer_rate(meta.primary, *replica)
-                    }
-                }
-                .unwrap_or(params.min_rate)
-                .max(params.min_rate);
-                if let Some(AnyTransport::Scda(w)) = driver.transport_mut(id) {
-                    w.set_rates(rate, rate);
-                }
-            }
-        }
-
-        // --- advance and resolve completions ---
-        let summary = driver.tick(now, cfg.dt);
-        for c in &summary.completed {
-            match purposes.remove(&c.id).expect("known flow") {
-                Purpose::ClientWrite { content } => {
-                    write_fct.push(FlowRecord {
-                        size_bytes: c.size_bytes,
-                        start: c.start,
-                        finish: c.finish,
-                    });
-                    // Replicate per §VIII-B.
-                    let meta = ns.lookup(content).expect("registered");
-                    // Restrict candidates to the primary's rack when the
-                    // scope says so — exclude everything outside it.
-                    let out_of_scope = match cfg.replica_scope {
-                        ReplicaScope::Global => &no_exclusions,
-                        ReplicaScope::SameRack => &out_of_rack[rack_of[&meta.primary]],
-                    };
-                    let replica = match cfg.selection {
-                        SelectionPolicy::BestRate => {
-                            let q = PlaceQuery {
-                                energy: None,
-                                cfg: &selector_cfg,
-                                discount: &NoDiscount,
-                            };
-                            pindex
-                                .replica_target(meta.class, meta.primary, out_of_scope, &q)
-                                .map(|(r, _)| r)
-                        }
-                        SelectionPolicy::Random => {
-                            let candidates: Vec<NodeId> = servers
-                                .iter()
-                                .copied()
-                                .filter(|s| *s != meta.primary && !out_of_scope.contains(*s))
-                                .collect();
-                            if candidates.is_empty() {
-                                None
-                            } else {
-                                Some(candidates[rng.random_range(0..candidates.len())])
-                            }
-                        }
-                    };
-                    if let Some(replica) = replica {
-                        let rate = ct
-                            .transfer_rate(meta.primary, replica)
-                            .unwrap_or(params.min_rate)
-                            .max(params.min_rate);
-                        let rtt = driver
-                            .net_mut()
-                            .base_rtt_between(meta.primary, replica)
-                            .expect("connected");
-                        let id = FlowId(next_id);
-                        next_id += 1;
-                        pending.push(PendingOpen {
-                            open_at: c.finish + costs.internal_write_setup(),
-                            requested_at: c.finish,
-                            id,
-                            src: meta.primary,
-                            dst: replica,
-                            size: c.size_bytes,
-                            transport: AnyTransport::Scda(ScdaWindow::new(rate, rate, rtt)),
-                        });
-                        purposes.insert(id, Purpose::Replication { content, replica });
-                    }
-                }
-                Purpose::ClientRead { holder, .. } => {
-                    if let Some(k) = outstanding_reads.get_mut(&holder) {
-                        *k = k.saturating_sub(1);
-                    }
-                    read_fct.push(FlowRecord {
-                        size_bytes: c.size_bytes,
-                        start: c.start,
-                        finish: c.finish,
-                    });
-                }
-                Purpose::Replication { content, replica } => {
-                    replications += 1;
-                    stores
-                        .get_mut(&replica)
-                        .expect("known server")
-                        .store(content, c.size_bytes);
-                    ns.lookup_mut(content)
-                        .expect("registered")
-                        .replicas
-                        .push(replica);
-                }
-            }
-        }
-    }
-
-    // Learn classes from the observed access patterns (§VII).
-    let mut learned_classes: BTreeMap<String, usize> = BTreeMap::new();
-    for &(content, _) in &catalog {
-        let meta = ns.lookup(content).expect("registered");
+    let mut out = ctrl.out;
+    for i in 0..ctrl.written {
+        let meta = ctrl.ns.lookup(ContentId(i as u64)).expect("registered");
         let class = meta.stats.classify(cfg.duration, &classifier);
-        *learned_classes.entry(format!("{class:?}")).or_insert(0) += 1;
+        *out.learned_classes.entry(format!("{class:?}")).or_insert(0) += 1;
     }
-
-    ContentRunResult {
-        write_fct,
-        read_fct,
-        replications,
-        reads_from_replica,
-        reads_from_primary,
-        reads_skipped,
-        learned_classes,
-        stored_objects: stores.values().map(BlockServer::object_count).sum(),
-    }
+    out.stored_objects = ctrl.stores.values().map(BlockServer::object_count).sum();
+    out
 }
 
 #[cfg(test)]
@@ -572,6 +649,75 @@ mod tests {
             seed,
             ..Default::default()
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "write_rate must be positive and finite")]
+    fn negative_write_rate_is_rejected() {
+        run_content(&ContentRunConfig {
+            write_rate: -1.0,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "read_rate must be positive and finite")]
+    fn zero_read_rate_is_rejected() {
+        run_content(&ContentRunConfig {
+            read_rate: 0.0,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "tau must be positive and finite")]
+    fn zero_tau_is_rejected() {
+        run_content(&ContentRunConfig {
+            tau: 0.0,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "median_size must be positive and finite")]
+    fn infinite_median_size_is_rejected() {
+        run_content(&ContentRunConfig {
+            median_size: f64::INFINITY,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "zipf_exponent must be finite")]
+    fn nan_zipf_exponent_is_rejected() {
+        run_content(&ContentRunConfig {
+            zipf_exponent: f64::NAN,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "dt must be positive and finite")]
+    fn zero_dt_is_rejected_before_the_schedule_is_built() {
+        run_content(&ContentRunConfig {
+            dt: 0.0,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    fn requests_arrive_at_the_first_step_at_or_after_their_due_time() {
+        let arrivals = |first, rate| -> Vec<f64> {
+            let reqs = requests(FlowDirection::Read, first, rate, 0.25, 6);
+            reqs.iter().map(|f| f.arrival).collect()
+        };
+        // Due at 0.3, 0.8, 1.3, … on a 0.25 s grid of 6 steps (0 … 1.25).
+        assert_eq!(arrivals(0.3, 2.0), vec![0.5, 1.0]);
+        // A due time on a grid point arrives at that point.
+        assert_eq!(arrivals(0.5, 2.0), vec![0.5, 1.0]);
+        assert_eq!(arrivals(0.0, 0.5), vec![0.0]);
+        // The second request is due far past the horizon.
+        assert_eq!(arrivals(0.3, 1e-300), vec![0.5]);
     }
 
     #[test]

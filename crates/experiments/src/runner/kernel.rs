@@ -4,9 +4,10 @@
 //! [`SimKernel`] owns the *mechanism* — the flow-id sequence, the
 //! pending-start heap, the arrival table and the per-step stage order
 //! (admission → open → per-τ control → transport tick) — and delegates
-//! every *decision* to the [`policy`](super::policy) traits. `run_scda`
-//! and `run_randtcp` differ only in the policy objects they hand the
-//! kernel; neither carries its own copy of the loop.
+//! every *decision* to the [`policy`](super::policy) traits. `run_scda`,
+//! `run_randtcp` and the content lifecycle's `run_content` differ only in
+//! the policy objects and the request schedule they hand the kernel;
+//! none carries its own copy of the loop.
 //!
 //! The kernel reports per-stage wall-clock under the canonical
 //! [`scda_obs::phase`] names when the run carries an enabled handle, and
@@ -26,28 +27,6 @@ use super::policy::{Accounting, ControlPolicy, Placement, TransportPolicy};
 use super::RunResult;
 use crate::scenario::Scenario;
 
-/// An `f64` with the IEEE-754 total order, so keys containing times can
-/// derive `Eq`/`Ord` instead of hand-writing the comparison boilerplate.
-#[derive(Debug, Clone, Copy)]
-pub struct TotalF64(pub f64);
-
-impl PartialEq for TotalF64 {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for TotalF64 {}
-impl PartialOrd for TotalF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TotalF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
 /// Map a workload flow kind onto the audit's traffic classes (the same
 /// grouping as the control plane's `ContentClass` mapping).
 pub fn audit_class_of(kind: FlowKind) -> AuditClass {
@@ -55,24 +34,6 @@ pub fn audit_class_of(kind: FlowKind) -> AuditClass {
         FlowKind::Control | FlowKind::Interactive => AuditClass::Interactive,
         FlowKind::Video | FlowKind::Synthetic => AuditClass::SemiInteractiveRead,
         FlowKind::Datacenter => AuditClass::SemiInteractiveWrite,
-    }
-}
-
-/// Min-heap key for pending starts: start time (total order), then flow
-/// id as the deterministic tiebreak.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct StartKey(pub TotalF64, pub u64);
-
-impl StartKey {
-    /// Build a key from a start time and the flow's id.
-    pub fn new(time: f64, id: u64) -> Self {
-        StartKey(TotalF64(time), id)
-    }
-
-    /// The scheduled start time.
-    #[inline]
-    pub fn time(&self) -> f64 {
-        self.0 .0
     }
 }
 
@@ -106,11 +67,9 @@ pub struct PendingStart {
 pub struct SimKernel {
     driver: FlowDriver,
     /// Pending connection setups, keyed by start time with insertion
-    /// (= flow-id) order breaking ties — the same (time, id) order the
-    /// old `BinaryHeap<Reverse<(StartKey, idx)>>` produced, but drained
-    /// through the event engine's allocation-free
-    /// [`Scheduler::pop_batch_until`] so same-timestamp admission bursts
-    /// open as one batch.
+    /// (= flow-id) order breaking ties, drained through the event
+    /// engine's allocation-free [`Scheduler::pop_batch_until`] so
+    /// same-timestamp admission bursts open as one batch.
     pending: Scheduler<usize>,
     /// Reused batch buffer for the open stage's scheduler drains.
     open_batch: Vec<usize>,
@@ -133,11 +92,6 @@ impl SimKernel {
             arrivals: BTreeMap::new(),
             next_id: 0,
         }
-    }
-
-    /// The transport driver (control policies attach state before a run).
-    pub fn driver_mut(&mut self) -> &mut FlowDriver {
-        &mut self.driver
     }
 
     /// Pre-size the pending-start heap, the start table, and the driver's
@@ -164,6 +118,11 @@ impl SimKernel {
 
     /// Replay `sc` to completion under the given policies and return the
     /// run's results. Consumes the kernel: one kernel, one run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sc.dt` is not positive and finite or `sc.duration` is
+    /// not finite and non-negative.
     pub fn run(
         mut self,
         sc: &Scenario,
@@ -172,6 +131,7 @@ impl SimKernel {
         transport: &mut dyn TransportPolicy,
         acct: &mut dyn Accounting,
     ) -> RunResult {
+        let steps = step_count(sc.duration, sc.dt);
         let observing = acct.obs().is_enabled();
         let auditing = acct.audit().is_enabled();
         self.driver.set_obs(acct.obs().clone());
@@ -181,7 +141,6 @@ impl SimKernel {
         let period = ctrl.cadence();
         let mut next_ctrl = period;
         let mut next_flow = 0usize;
-        let steps = (sc.duration / sc.dt).ceil() as u64;
         for step in 0..steps {
             let now = step as f64 * sc.dt;
 
@@ -203,14 +162,14 @@ impl SimKernel {
                         id.0,
                         audit_class_of(f.kind),
                         adm.server.0,
-                        f.size_bytes,
+                        adm.size,
                     );
                 }
                 self.schedule(adm.start, |id| PendingStart {
                     id,
                     src: adm.src,
                     dst: adm.dst,
-                    size: f.size_bytes,
+                    size: adm.size,
                     arrival: f.arrival,
                     server: adm.server,
                     dir: f.direction,
@@ -314,53 +273,35 @@ impl SimKernel {
             }
         }
 
-        // Flows the horizon cut off: still-active transfers plus setups
-        // that never opened.
-        if observing {
-            let end = sc.duration;
+        // Flows the horizon cut off — still-active transfers plus setups
+        // that never opened — in one walk that reports each to the trace
+        // and, as a shed span, to the audit (a disabled handle ignores
+        // it). Then close every open violation episode so each violation
+        // exports with a time-to-mitigation (censored at the horizon when
+        // unresolved).
+        if observing || auditing {
+            let (end, obs, audit) = (sc.duration, acct.obs(), acct.audit());
+            let active = self.driver.active_flows().map(|(id, _, _)| {
+                let remaining = self.driver.progress(id).map_or(0.0, |p| p.remaining());
+                (id, ShedCause::Horizon, remaining)
+            });
+            let unopened = self
+                .starts
+                .iter()
+                .flatten()
+                .map(|p| (p.id, ShedCause::NeverOpened, p.size));
             let mut timed_out = 0u64;
-            for (id, _, _) in self.driver.active_flows() {
-                let remaining = self
-                    .driver
-                    .progress(id)
-                    .map(|p| p.remaining())
-                    .unwrap_or(0.0);
-                acct.obs().emit(TraceEvent::FlowTimedOut {
+            for (id, cause, remaining) in active.chain(unopened) {
+                obs.emit(TraceEvent::FlowTimedOut {
                     now: end,
                     flow: id.0,
                     remaining_bytes: remaining,
                 });
+                audit.shed(end, id.0, cause, remaining);
                 timed_out += 1;
             }
-            for p in self.starts.iter().flatten() {
-                acct.obs().emit(TraceEvent::FlowTimedOut {
-                    now: end,
-                    flow: p.id.0,
-                    remaining_bytes: p.size,
-                });
-                timed_out += 1;
-            }
-            acct.obs().counter_add(metric::FLOW_TIMED_OUT, timed_out);
-        }
-
-        // Audit the same horizon cut-off as shed spans, then close every
-        // open violation episode so each violation exports with a
-        // time-to-mitigation (censored at the horizon when unresolved).
-        if auditing {
-            let end = sc.duration;
-            for (id, _, _) in self.driver.active_flows() {
-                let remaining = self
-                    .driver
-                    .progress(id)
-                    .map(|p| p.remaining())
-                    .unwrap_or(0.0);
-                acct.audit().shed(end, id.0, ShedCause::Horizon, remaining);
-            }
-            for p in self.starts.iter().flatten() {
-                acct.audit()
-                    .shed(end, p.id.0, ShedCause::NeverOpened, p.size);
-            }
-            acct.audit().finalize(end);
+            obs.counter_add(metric::FLOW_TIMED_OUT, timed_out);
+            audit.finalize(end);
         }
 
         let mut result = RunResult {
@@ -385,31 +326,49 @@ impl SimKernel {
     }
 }
 
+/// The number of `dt` steps that cover `duration` seconds.
+///
+/// # Panics
+///
+/// Panics if `dt` is not positive and finite or `duration` is not finite
+/// and non-negative: a zero `dt` would make the step count `u64::MAX`, a
+/// NaN or negative one would silently run no step at all.
+pub(crate) fn step_count(duration: f64, dt: f64) -> u64 {
+    assert!(dt > 0.0 && dt.is_finite(), "dt must be positive and finite");
+    assert!(
+        duration >= 0.0 && duration.is_finite(),
+        "duration must be finite and non-negative"
+    );
+    (duration / dt).ceil() as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_randtcp;
+    use crate::scenario::Scale;
 
     #[test]
-    fn start_key_orders_by_time_then_id() {
-        // The derived lexicographic order must match the old hand-written
-        // `total_cmp(..).then(id)` comparison, including the f64 edge
-        // cases total_cmp pins down (-0.0 < +0.0, NaN sorts last).
-        let a = StartKey::new(1.0, 5);
-        let b = StartKey::new(1.0, 6);
-        let c = StartKey::new(2.0, 0);
-        assert!(a < b && b < c);
-        assert!(StartKey::new(-0.0, 0) < StartKey::new(0.0, 0));
-        assert!(StartKey::new(f64::NAN, 0) > StartKey::new(f64::INFINITY, u64::MAX));
-        assert_eq!(StartKey::new(3.5, 7), StartKey::new(3.5, 7));
+    #[should_panic(expected = "dt must be positive and finite")]
+    fn zero_dt_is_rejected() {
+        let mut sc = Scenario::video(Scale::Quick, false, 1);
+        sc.dt = 0.0;
+        run_randtcp(&sc);
+    }
+
+    #[test]
+    #[should_panic(expected = "duration must be finite and non-negative")]
+    fn negative_duration_is_rejected() {
+        let mut sc = Scenario::video(Scale::Quick, false, 1);
+        sc.duration = -1.0;
+        run_randtcp(&sc);
     }
 
     #[test]
     fn pending_scheduler_drains_in_start_then_insertion_order() {
         // The kernel parks pending starts on a `Scheduler<usize>`:
         // earlier start first, insertion (= flow id) order breaking
-        // ties, same-timestamp entries arriving as one batch — the
-        // order the old `BinaryHeap<Reverse<(StartKey, idx)>>` popped
-        // in, just batched.
+        // ties, same-timestamp entries arriving as one batch.
         let mut sched: Scheduler<usize> = Scheduler::new();
         // (start, idx): idx is allocated in insertion order by
         // SimKernel::schedule, exactly like flow ids.

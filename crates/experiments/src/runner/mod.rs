@@ -38,7 +38,7 @@ pub mod policy;
 pub mod randtcp;
 pub mod scda;
 
-pub use kernel::{audit_class_of, PendingStart, SimKernel, StartKey, TotalF64};
+pub use kernel::{audit_class_of, PendingStart, SimKernel};
 pub use policy::{
     Accounting, Admission, BestRatePlacement, ControlPolicy, ExplicitRateTransport, Placement,
     PlacementCtx, RandomPlacement, RunAccounting, SpawnSpec, TcpTransport, TransportPolicy,
@@ -278,7 +278,9 @@ mod tests {
     use super::*;
     use crate::scenario::Scale;
     use scda_obs::phase;
-    use scda_simnet::NodeId;
+    use scda_simnet::{FlowId, NodeId};
+    use scda_transport::{CompletedFlow, FlowDriver};
+    use scda_workloads::FlowSpec;
 
     fn tiny_video(include_control: bool) -> Scenario {
         let mut sc = Scenario::video(Scale::Quick, include_control, 42);
@@ -365,6 +367,87 @@ mod tests {
         assert_eq!(r.system, "SCDA");
         assert!(r.completed > 0, "completed {}/{}", r.completed, r.requested);
         assert!(r.control_rounds > 0);
+    }
+
+    #[test]
+    fn the_kernel_opens_the_size_admission_returns() {
+        // A policy may resolve a request's size at admission (a content
+        // read learns its object's size there): the kernel must open,
+        // complete and record the admitted size, not the `FlowSpec`'s.
+        struct Resized {
+            inner: RandTcpControl,
+            opened: Vec<f64>,
+        }
+        impl ControlPolicy for Resized {
+            fn system(&self) -> &'static str {
+                self.inner.system()
+            }
+            fn admit(
+                &mut self,
+                f: &FlowSpec,
+                id: FlowId,
+                now: f64,
+                driver: &mut FlowDriver,
+                placement: &mut dyn Placement,
+                transport: &mut dyn TransportPolicy,
+            ) -> Admission {
+                let adm = self.inner.admit(f, id, now, driver, placement, transport);
+                Admission {
+                    size: 2.0 * f.size_bytes + 1.0,
+                    ..adm
+                }
+            }
+            fn on_open(&mut self, p: &PendingStart, _driver: &mut FlowDriver) {
+                self.opened.push(p.size);
+            }
+            fn on_complete(
+                &mut self,
+                c: &CompletedFlow,
+                size: Option<f64>,
+                _driver: &mut FlowDriver,
+            ) -> Option<SpawnSpec> {
+                assert_eq!(size.map(f64::to_bits), Some(c.size_bytes.to_bits()));
+                None
+            }
+        }
+
+        let sc = tiny_video(false);
+        let tree = sc.topo.build();
+        let mut ctrl = Resized {
+            inner: RandTcpControl::new(&tree),
+            opened: Vec::new(),
+        };
+        let mut acct = RunAccounting::new(sc.throughput_interval, Obs::disabled());
+        let r = SimKernel::new(Network::new(tree.topo)).run(
+            &sc,
+            &mut ctrl,
+            &mut RandomPlacement::new(1),
+            &mut TcpTransport::default(),
+            &mut acct,
+        );
+
+        let mut admitted: Vec<f64> = sc
+            .workload
+            .flows
+            .iter()
+            .map(|f| 2.0 * f.size_bytes + 1.0)
+            .collect();
+        admitted.sort_by(f64::total_cmp);
+        ctrl.opened.sort_by(f64::total_cmp);
+        assert_eq!(
+            ctrl.opened, admitted,
+            "every flow opens at its admitted size"
+        );
+        assert!(r.completed > 0);
+        for rec in r.fct.records() {
+            assert!(
+                admitted
+                    .binary_search_by(|s| s.total_cmp(&rec.size_bytes))
+                    .is_ok(),
+                "recorded size {} was never admitted",
+                rec.size_bytes
+            );
+        }
     }
 
     #[test]

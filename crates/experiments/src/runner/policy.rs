@@ -154,6 +154,9 @@ pub struct Admission {
     pub client_idx: usize,
     /// When the connection opens: arrival + setup cost (+ wake latency).
     pub start: f64,
+    /// Bytes to transfer: the request's own size, or what admission
+    /// resolved it to (a content read learns its object's size here).
+    pub size: f64,
     /// The transport that will carry the flow.
     pub transport: AnyTransport,
 }

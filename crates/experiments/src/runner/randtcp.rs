@@ -78,6 +78,7 @@ impl ControlPolicy for RandTcpControl {
             server,
             client_idx: f.client,
             start: f.arrival + ProtocolCosts::tcp_handshake(one_way),
+            size: f.size_bytes,
             transport: transport.open(0.0, 2.0 * one_way),
         }
     }

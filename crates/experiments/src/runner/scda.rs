@@ -35,11 +35,11 @@ use super::{class_of, RunResult, ScdaOptions};
 use crate::scenario::Scenario;
 
 /// Telemetry bridge from the simulated network to the control tree.
-struct NetTelemetry<'a> {
-    net: &'a mut scda_simnet::Network,
-    loads: &'a [f64],
-    tau: f64,
-    resources: Option<&'a ResourceBook>,
+pub(crate) struct NetTelemetry<'a> {
+    pub(crate) net: &'a mut scda_simnet::Network,
+    pub(crate) loads: &'a [f64],
+    pub(crate) tau: f64,
+    pub(crate) resources: Option<&'a ResourceBook>,
 }
 
 impl Telemetry for NetTelemetry<'_> {
@@ -537,6 +537,7 @@ impl ControlPolicy for ScdaControl {
             server,
             client_idx: ci,
             start: f.arrival + setup + wake_delay,
+            size: f.size_bytes,
             transport: transport.open(rate, base_rtt),
         }
     }
