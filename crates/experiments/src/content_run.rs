@@ -28,7 +28,7 @@ use scda_core::{
 use scda_metrics::{FctStats, FlowRecord};
 use scda_obs::Obs;
 use scda_simnet::builders::ThreeTierConfig;
-use scda_simnet::{FlowId, Network, NodeId};
+use scda_simnet::{FlowId, FlowTable, Network, NodeId};
 use scda_transport::{AnyTransport, CompletedFlow, FlowDriver, ScdaWindow};
 use scda_workloads::{FlowDirection, FlowKind, FlowSpec, Workload};
 
@@ -249,7 +249,8 @@ struct ContentControl<'a> {
     /// Objects written so far: object `i` is `ContentId(i)`, and reads
     /// pick one by Zipf rank.
     written: usize,
-    purposes: BTreeMap<FlowId, Purpose>,
+    /// What each admitted or spawned flow is for, until it completes.
+    purposes: FlowTable<Purpose>,
     /// The id the kernel gives the next flow. It numbers admissions and
     /// spawns in one sequence, so a replication's id is known when it is
     /// spawned.
@@ -459,7 +460,7 @@ impl ControlPolicy for ContentControl<'_> {
 
     fn on_open(&mut self, p: &PendingStart, _driver: &mut FlowDriver) {
         // `replicate` filed each spawn under the id it expected.
-        let filed = matches!(self.purposes.get(&p.id), Some(Purpose::Replication { .. }));
+        let filed = matches!(self.purposes.get(p.id), Some(Purpose::Replication { .. }));
         assert_eq!(p.internal, filed, "flow {} opened under another id", p.id.0);
     }
 
@@ -475,7 +476,7 @@ impl ControlPolicy for ContentControl<'_> {
         self.ct.server_metrics_into(&mut self.metrics_buf);
         self.pindex.refresh(&self.metrics_buf);
         // Refresh on-going flows (§VIII-D).
-        for (&id, purpose) in &self.purposes {
+        for (id, purpose) in self.purposes.iter() {
             let Some(AnyTransport::Scda(w)) = driver.transport_mut(id) else {
                 continue;
             };
@@ -498,7 +499,7 @@ impl ControlPolicy for ContentControl<'_> {
             start: requested,
             finish: c.finish,
         };
-        match self.purposes.remove(&c.id).expect("known flow") {
+        match self.purposes.remove(c.id).expect("known flow") {
             Purpose::ClientWrite { content, requested } => {
                 self.out.write_fct.push(record(requested));
                 return self.replicate(content, c, driver);
@@ -596,7 +597,7 @@ pub fn run_content(cfg: &ContentRunConfig) -> ContentRunResult {
         rng: StdRng::seed_from_u64(cfg.seed),
         ns: NameService::new(4),
         written: 0,
-        purposes: BTreeMap::new(),
+        purposes: FlowTable::new(),
         next_id: 0,
         outstanding_reads: BTreeMap::new(),
         link_loads: vec![0.0; tree.topo.link_count()],

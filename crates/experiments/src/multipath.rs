@@ -20,7 +20,7 @@ use serde::Serialize;
 use scda_metrics::{jain_index, FctStats, FlowRecord, Utilization};
 use scda_simnet::builders::clos;
 use scda_simnet::{max_min_rates_into, EcmpRoutes, FlowId, FluidFlow, LinkId, Network};
-use scda_transport::{AnyTransport, FlowDriver, Reno, RenoConfig, ScdaWindow};
+use scda_transport::{AnyTransport, FlowDriver, Reno, RenoConfig, ScdaWindow, TickSummary};
 
 /// How paths and rates are chosen on the Clos.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -169,6 +169,7 @@ pub fn run_multipath(cfg: &MultipathConfig, policy: PathPolicy) -> MultipathResu
     let mut in_flight: Vec<FlowId> = Vec::new();
     let mut fluid_flows: Vec<FluidFlow> = Vec::new();
     let mut fair_rates: Vec<f64> = Vec::new();
+    let mut summary = TickSummary::default();
     let horizon = cfg.duration + 30.0;
     let steps = (horizon / cfg.dt).ceil() as u64;
     let link_caps: Vec<f64> = fd
@@ -267,7 +268,7 @@ pub fn run_multipath(cfg: &MultipathConfig, policy: PathPolicy) -> MultipathResu
             u.record(loads[l], link_caps[l], cfg.dt);
         }
 
-        let summary = fd.tick(now, cfg.dt);
+        fd.tick(now, cfg.dt, &mut summary);
         for c in &summary.completed {
             fct.push(FlowRecord {
                 size_bytes: c.size_bytes,

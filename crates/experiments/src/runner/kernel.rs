@@ -2,25 +2,24 @@
 //! system composition.
 //!
 //! [`SimKernel`] owns the *mechanism* — the flow-id sequence, the
-//! pending-start heap, the arrival table and the per-step stage order
-//! (admission → open → per-τ control → transport tick) — and delegates
-//! every *decision* to the [`policy`](super::policy) traits. `run_scda`,
-//! `run_randtcp` and the content lifecycle's `run_content` differ only in
-//! the policy objects and the request schedule they hand the kernel;
-//! none carries its own copy of the loop.
+//! pending-start slab and heap, the arrival table and the per-step
+//! stage order (admission → open → per-τ control → transport tick) —
+//! and delegates every *decision* to the [`policy`](super::policy)
+//! traits. `run_scda`, `run_randtcp` and the content lifecycle's
+//! `run_content` differ only in the policy objects and the request
+//! schedule they hand the kernel; none carries its own copy of the loop.
 //!
 //! The kernel reports per-stage wall-clock under the canonical
 //! [`scda_obs::phase`] names when the run carries an enabled handle, and
 //! records nothing (not even an `Instant`) otherwise.
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 use scda_audit::{AuditClass, ShedCause};
 use scda_metrics::{FctStats, FlowRecord, ThroughputSeries};
 use scda_obs::{metric, phase, TraceEvent};
-use scda_simnet::{FlowId, Network, NodeId, Scheduler};
-use scda_transport::{AnyTransport, FlowDriver};
+use scda_simnet::{FlowId, FlowTable, Network, NodeId, Scheduler};
+use scda_transport::{AnyTransport, FlowDriver, TickSummary};
 use scda_workloads::{FlowDirection, FlowKind};
 
 use super::policy::{Accounting, ControlPolicy, Placement, TransportPolicy};
@@ -63,21 +62,27 @@ pub struct PendingStart {
 
 /// The shared replay loop. Owns the transport driver and the flow
 /// lifecycle bookkeeping; everything system-specific lives behind the
-/// policy traits passed to [`SimKernel::run`].
+/// policy traits passed to [`SimKernel::run`]. Every per-flow table it
+/// keeps is sized by the flows pending or in flight, not by the run.
 pub struct SimKernel {
     driver: FlowDriver,
-    /// Pending connection setups, keyed by start time with insertion
-    /// (= flow-id) order breaking ties, drained through the event
-    /// engine's allocation-free [`Scheduler::pop_batch_until`] so
-    /// same-timestamp admission bursts open as one batch.
+    /// Pending connection setups as `starts` slots, keyed by start time
+    /// with insertion (= flow-id) order breaking ties, drained through
+    /// the event engine's allocation-free [`Scheduler::pop_batch_until`]
+    /// so same-timestamp admission bursts open as one batch.
     pending: Scheduler<usize>,
     /// Reused batch buffer for the open stage's scheduler drains.
     open_batch: Vec<usize>,
+    /// Slab of pending starts: a slot is taken at schedule time and
+    /// freed when the flow opens, so it holds the starts pending at once.
     starts: Vec<Option<PendingStart>>,
-    /// id → (arrival, size) for external flows, the FCT record source.
-    /// A `BTreeMap` so any future iteration over it is id-ordered —
-    /// `HashMap` order would vary per process and break replayability.
-    arrivals: BTreeMap<FlowId, (f64, f64)>,
+    /// Free `starts` slots.
+    free_starts: Vec<usize>,
+    /// External flows in flight: id → (arrival, size), the FCT record
+    /// source.
+    arrivals: FlowTable<(f64, f64)>,
+    /// Reused tick outcome.
+    summary: TickSummary,
     next_id: u64,
 }
 
@@ -89,29 +94,32 @@ impl SimKernel {
             pending: Scheduler::new(),
             open_batch: Vec::new(),
             starts: Vec::new(),
-            arrivals: BTreeMap::new(),
+            free_starts: Vec::new(),
+            arrivals: FlowTable::new(),
+            summary: TickSummary::default(),
             next_id: 0,
         }
     }
 
-    /// Pre-size the pending-start heap, the start table, and the driver's
-    /// flow columns for `n` flows, so hyperscale runs build their arrival
-    /// schedule without doubling reallocations.
-    pub fn reserve_flows(&mut self, n: usize) {
-        self.pending.reserve(n);
-        self.starts.reserve(n);
-        self.driver.reserve_flows(n);
-    }
-
-    /// Schedule a flow: allocate the next id, park the start on the
-    /// scheduler. Ids and scheduler sequence numbers are allocated by
-    /// this one function, so the scheduler's (time, seq) order equals
-    /// the (time, id) order admissions replay in.
+    /// Schedule a flow: allocate the next id, park the start in a free
+    /// slab slot and the slot on the scheduler. Ids and scheduler
+    /// sequence numbers are allocated by this one function, so the
+    /// scheduler's (time, seq) order equals the (time, id) order
+    /// admissions replay in, whichever slot each start occupies.
     fn schedule(&mut self, start: f64, build: impl FnOnce(FlowId) -> PendingStart) -> FlowId {
         let id = FlowId(self.next_id);
         self.next_id += 1;
-        let idx = self.starts.len();
-        self.starts.push(Some(build(id)));
+        let p = Some(build(id));
+        let idx = match self.free_starts.pop() {
+            Some(idx) => {
+                self.starts[idx] = p;
+                idx
+            }
+            None => {
+                self.starts.push(p);
+                self.starts.len() - 1
+            }
+        };
         self.pending.at(start, idx);
         id
     }
@@ -194,7 +202,8 @@ impl SimKernel {
                 for &idx in &batch {
                     let p = self.starts[idx]
                         .take()
-                        .expect("invariant: each start index is scheduled exactly once");
+                        .expect("invariant: a scheduled slot holds its start until it opens");
+                    self.free_starts.push(idx);
                     ctrl.on_open(&p, &mut self.driver);
                     if !p.internal {
                         self.arrivals.insert(p.id, (p.arrival, p.size));
@@ -232,10 +241,11 @@ impl SimKernel {
                 reason = "per-stage wall-clock profiling; gated on obs and never read by sim state"
             )]
             let t_tick = observing.then(Instant::now);
-            let summary = self.driver.tick(now, sc.dt);
+            let mut summary = std::mem::take(&mut self.summary);
+            self.driver.tick(now, sc.dt, &mut summary);
             acct.on_tick(now, summary.delivered_bytes, self.driver.active_count());
             for c in &summary.completed {
-                let entry = self.arrivals.remove(&c.id);
+                let entry = self.arrivals.remove(c.id);
                 let spawn = ctrl.on_complete(c, entry.map(|(_, size)| size), &mut self.driver);
                 if let Some((arrival, size)) = entry {
                     acct.on_completion(FlowRecord {
@@ -268,6 +278,7 @@ impl SimKernel {
                     }
                 }
             }
+            self.summary = summary;
             if let Some(t) = t_tick {
                 acct.obs().phase_add(phase::TICK, t.elapsed());
             }
@@ -285,10 +296,11 @@ impl SimKernel {
                 let remaining = self.driver.progress(id).map_or(0.0, |p| p.remaining());
                 (id, ShedCause::Horizon, remaining)
             });
-            let unopened = self
-                .starts
-                .iter()
-                .flatten()
+            // Slab slots are reused, so slot order is not id order.
+            let mut unopened: Vec<&PendingStart> = self.starts.iter().flatten().collect();
+            unopened.sort_unstable_by_key(|p| p.id);
+            let unopened = unopened
+                .into_iter()
                 .map(|p| (p.id, ShedCause::NeverOpened, p.size));
             let mut timed_out = 0u64;
             for (id, cause, remaining) in active.chain(unopened) {
@@ -362,6 +374,51 @@ mod tests {
         let mut sc = Scenario::video(Scale::Quick, false, 1);
         sc.duration = -1.0;
         run_randtcp(&sc);
+    }
+
+    #[test]
+    fn horizon_reports_unopened_starts_in_id_order() {
+        // A horizon that falls mid-arrivals leaves setups pending. Opens
+        // free slab slots that later starts reuse, so slot order is not
+        // id order; the horizon walk must still report by id.
+        let mut sc = Scenario::video(Scale::Quick, false, 1);
+        sc.duration = 8.0;
+        let obs = scda_obs::Obs::enabled();
+        let opts = crate::runner::ScdaOptions {
+            obs: obs.clone(),
+            ..Default::default()
+        };
+        crate::runner::run_scda(&sc, &opts);
+        let jsonl = obs.trace_jsonl().expect("enabled");
+        let flow_of = |line: &str| -> u64 {
+            let rest = &line[line.find("\"flow\":").expect("flow field") + 7..];
+            let end = rest
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(rest.len());
+            rest[..end].parse().expect("flow id")
+        };
+        let started: Vec<u64> = jsonl
+            .lines()
+            .filter(|l| l.contains("\"event\":\"flow_started\""))
+            .map(flow_of)
+            .collect();
+        let (active, unopened): (Vec<u64>, Vec<u64>) = jsonl
+            .lines()
+            .filter(|l| l.contains("\"event\":\"flow_timed_out\""))
+            .map(flow_of)
+            .partition(|id| started.contains(id));
+        assert!(
+            unopened.len() >= 2,
+            "the horizon must cut setups: {unopened:?}"
+        );
+        assert!(
+            active.is_sorted(),
+            "active flows out of id order: {active:?}"
+        );
+        assert!(
+            unopened.is_sorted(),
+            "unopened starts out of id order: {unopened:?}"
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@ use scda_core::{
 };
 use scda_obs::{metric, phase, Candidate, TraceEvent, MAX_CANDIDATES};
 use scda_simnet::builders::ThreeTierTree;
-use scda_simnet::{FlowId, LinkId, NodeId};
+use scda_simnet::{FlowId, FlowTable, LinkId, NodeId};
 use scda_transport::{AnyTransport, CompletedFlow, FlowDriver, ScdaWindow, Transport};
 use scda_workloads::{FlowDirection, FlowSpec};
 
@@ -45,9 +45,9 @@ pub(crate) struct NetTelemetry<'a> {
 impl Telemetry for NetTelemetry<'_> {
     fn sample(&mut self, link: LinkId) -> LinkSample {
         LinkSample {
-            queue_bytes: self.net.link_state(link).queue_bytes,
+            queue_bytes: self.net.link_state(link).queue_bytes(),
             flow_rate_sum: self.loads[link.index()],
-            arrival_rate: self.net.link_state_mut(link).take_arrived() / self.tau,
+            arrival_rate: self.net.take_arrived(link) / self.tau,
         }
     }
 
@@ -256,10 +256,14 @@ pub struct ScdaControl {
     link_loads: Vec<f64>,
     /// Outstanding assignments per tree level — the admission discount.
     outstanding: OutstandingDiscount,
-    flow_ctl: BTreeMap<FlowId, FlowCtl>,
+    /// Per-flow control records of the flows in flight.
+    flow_ctl: FlowTable<FlowCtl>,
+    /// Scratch: the driver's `(id, slot)` walk, refilled each round for
+    /// the re-window's merge with `flow_ctl`.
+    slots: Vec<(FlowId, u32)>,
     /// Audit class of admitted-but-not-yet-opened flows (populated only
     /// when auditing; drained into [`FlowCtl`] at open time).
-    pending_class: BTreeMap<FlowId, AuditClass>,
+    pending_class: FlowTable<AuditClass>,
     /// Recent dormant-server wakeups `(time, server)`, kept within the
     /// wake-latency + τ window for violation attribution (§VII-C).
     recent_wakes: Vec<(f64, NodeId)>,
@@ -350,8 +354,9 @@ impl ScdaControl {
                 tree,
                 [x, x, sc.topo.k_factor * x, sc.topo.trunk_mult * x],
             ),
-            flow_ctl: BTreeMap::new(),
-            pending_class: BTreeMap::new(),
+            flow_ctl: FlowTable::new(),
+            slots: Vec::new(),
+            pending_class: FlowTable::new(),
             recent_wakes: Vec::new(),
             metrics_buf: Vec::new(),
             violations: Vec::new(),
@@ -568,7 +573,7 @@ impl ControlPolicy for ScdaControl {
                     AuditClass::Internal
                 } else {
                     self.pending_class
-                        .remove(&p.id)
+                        .remove(p.id)
                         .unwrap_or(AuditClass::Internal)
                 },
             },
@@ -634,7 +639,7 @@ impl ControlPolicy for ScdaControl {
                         endpoints.push(dst);
                         let class = self
                             .flow_ctl
-                            .get(&fid)
+                            .get(fid)
                             .map(|c| c.class)
                             .unwrap_or(AuditClass::Internal);
                         *counts.entry(class).or_insert(0) += 1;
@@ -731,9 +736,9 @@ impl ControlPolicy for ScdaControl {
             // Per-server utilization from the offered rates of the
             // flows it is serving.
             let mut per_server: BTreeMap<NodeId, f64> = BTreeMap::new();
-            for (id, ctl) in &self.flow_ctl {
-                if let Some(t) = driver.transport(*id) {
-                    let rtt = driver.net().rtt(*id);
+            for (id, ctl) in self.flow_ctl.iter() {
+                if let Some(t) = driver.transport(id) {
+                    let rtt = driver.net().rtt(id);
                     *per_server.entry(ctl.server).or_insert(0.0) += t.offered_rate(rtt);
                 }
             }
@@ -757,14 +762,21 @@ impl ControlPolicy for ScdaControl {
 
         // Refresh every on-going flow's windows from fresh allocations;
         // flows the driver no longer knows fall out of the control map.
+        // Both tables are id-ordered, so one merge pairs each record with
+        // its driver slot.
+        self.slots.clear();
+        self.slots.extend(driver.net().flow_slots());
+        let mut live = self.slots.iter().peekable();
         let ct = &self.ct;
         let params = &self.params;
         let client_alloc = &self.client_alloc;
         let opts = &self.opts;
         self.flow_ctl.retain(|id, ctl| {
-            let Some(progress) = driver.progress(*id) else {
+            while live.next_if(|&&(fid, _)| fid < id).is_some() {}
+            let Some(&(_, slot)) = live.next_if(|&&(fid, _)| fid == id) else {
                 return false;
             };
+            let progress = driver.progress_of_slot(slot);
             let remaining = progress.remaining();
             let size = progress.size_bytes;
             let alloc = match &ctl.kind {
@@ -800,7 +812,7 @@ impl ControlPolicy for ScdaControl {
                     rate = rate.max(plan.min_rate);
                 }
             }
-            if let Some(AnyTransport::Scda(win)) = driver.transport_mut(*id) {
+            if let AnyTransport::Scda(win) = driver.transport_of_slot_mut(slot) {
                 win.set_rates(rate, rate);
                 opts.obs.emit_with(|| TraceEvent::FlowRewindowed {
                     now,
@@ -827,7 +839,7 @@ impl ControlPolicy for ScdaControl {
         size: Option<f64>,
         driver: &mut FlowDriver,
     ) -> Option<SpawnSpec> {
-        let ctl = self.flow_ctl.remove(&c.id);
+        let ctl = self.flow_ctl.remove(c.id);
         if let (Some(book), Some(ctl)) = (self.resources.as_mut(), ctl.as_ref()) {
             match &ctl.kind {
                 CtlKind::External { dir, .. } => {

@@ -105,7 +105,7 @@ mod tests {
         net.set_link_capacity(fwd, mbps(8.0));
         // Offer 5 MB/s into a 1 MB/s link: queue builds fast.
         net.advance(0.1, &[(FlowId(1), 5e6)]);
-        assert!(net.link_state(fwd).queue_bytes > 0.0);
+        assert!(net.link_state(fwd).queue_bytes() > 0.0);
         assert_eq!(net.topo().link(fwd).capacity_bps, mbps(8.0));
     }
 

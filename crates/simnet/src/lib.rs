@@ -33,7 +33,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`units`] | simulation time and rate/byte unit helpers |
-//! | [`ids`] | typed index newtypes ([`NodeId`], [`LinkId`], [`FlowId`]) |
+//! | [`ids`] | typed index newtypes ([`NodeId`], [`LinkId`], [`FlowId`]) and the id-ordered [`FlowTable`] |
 //! | [`event`] | generic binary-heap event queue ([`event::Scheduler`]) |
 //! | [`engine`] | the run loop driving a [`engine::Simulation`] |
 //! | [`topology`] | node/link arena and construction API |
@@ -68,7 +68,7 @@ pub use ecmp::EcmpRoutes;
 pub use engine::{run_to_completion, run_until, Simulation};
 pub use event::Scheduler;
 pub use fluid::{max_min_rates_into, FluidFlow};
-pub use ids::{FlowId, LinkId, NodeId};
+pub use ids::{FlowId, FlowTable, LinkId, NodeId};
 pub use link::LinkState;
 pub use network::{FlowRef, FlowTick, Network, TickReport};
 pub use packet::{simulate_packets, PacketFlow, PacketSimResult, SourceModel};

@@ -17,8 +17,9 @@ use crate::units::{Bytes, BytesPerSec, Seconds};
 /// Mutable queue/accounting state of one directed link.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LinkState {
-    /// Current FIFO occupancy in bytes (`Q(t)` of Table I).
-    pub queue_bytes: f64,
+    /// Current FIFO occupancy in bytes (`Q(t)` of Table I). Private:
+    /// only [`LinkState::advance`] moves it.
+    queue_bytes: f64,
     /// Bytes that arrived since the last [`LinkState::take_arrived`] call
     /// (the `L(t)` of eq. 5, reset every control interval).
     arrived_since_sample: f64,
@@ -73,6 +74,12 @@ impl LinkState {
         }
         self.queue_bytes = q;
         drop_frac
+    }
+
+    /// Current FIFO occupancy in bytes (`Q(t)` of Table I).
+    #[inline]
+    pub fn queue_bytes(&self) -> f64 {
+        self.queue_bytes
     }
 
     /// Queueing delay a byte entering now would experience, in seconds.

@@ -8,11 +8,12 @@
 //! transport (TCP) or an explicit-rate transport (SCDA) needs to react.
 //!
 //! Flows live in a slot arena (DESIGN.md §10): ids resolve through a
-//! `BTreeMap` once at insert, and the hot tick path works on dense
-//! `u32` slots with all per-flow paths packed into one CSR arena. Link
-//! capacities and queueing delays are cached in columns so the per-tick
-//! flow loops never touch the topology or recompute a division per
-//! flow-link visit.
+//! [`FlowTable`] sized by the flows in flight, and the hot tick path
+//! works on dense `u32` slots with all per-flow paths packed into one
+//! CSR arena. Link capacities and queueing delays are cached in columns
+//! so the per-tick flow loops never touch the topology or recompute a
+//! division per flow-link visit, and each slot's queueing-inflated RTT
+//! is cached too, so reading it never walks the path.
 //!
 //! This arena is the only flow table on the data path: the transport
 //! layer's `FlowDriver` keeps its per-flow columns (progress, transport)
@@ -25,9 +26,7 @@
 //! `scda-core` and whoever runs the max-min solver over the network's
 //! flows.
 
-use std::collections::BTreeMap;
-
-use crate::ids::{FlowId, LinkId, NodeId};
+use crate::ids::{FlowId, FlowTable, LinkId, NodeId};
 use crate::link::LinkState;
 use crate::routing::{PathId, Routes};
 use crate::topology::Topology;
@@ -98,6 +97,16 @@ pub struct TickReport {
     pub flows: Vec<FlowTick>,
 }
 
+/// `base_rtt + Σ qd` over `path`: the one definition of a flow's
+/// queueing-inflated RTT, summed in path order as the tick report sums it.
+fn queued_rtt(base_rtt: f64, path: &[LinkId], qd: &[f64]) -> f64 {
+    let mut qdelay = 0.0;
+    for &l in path {
+        qdelay += qd[l.index()];
+    }
+    base_rtt + qdelay
+}
+
 /// The fluid network: topology + routes + link queues + active flows.
 pub struct Network {
     topo: Topology,
@@ -110,8 +119,9 @@ pub struct Network {
     /// Queue capacity in bytes.
     queue_cap: Vec<f64>,
     /// Current queueing delay (`links[l].queueing_delay(cap_bytes[l])`);
-    /// valid because queues change only inside `advance_slots_into` and
-    /// capacities only through `faults::set_link_capacity`.
+    /// valid because queues change only inside `advance_slots_into` (queue
+    /// state is read-only outside this crate) and capacities only through
+    /// `faults::set_link_capacity`.
     qd: Vec<f64>,
     /// Scratch: per-link aggregate offered rate (bytes/s) this tick.
     offered: Vec<f64>,
@@ -122,11 +132,16 @@ pub struct Network {
     serv: Vec<f64>,
 
     // ---- flow slot arena ----
-    index: BTreeMap<FlowId, u32>,
+    /// id → slot, the id order every per-flow walk follows.
+    index: FlowTable<u32>,
     slot_id: Vec<FlowId>,
     srcs: Vec<NodeId>,
     dsts: Vec<NodeId>,
     base_rtt: Vec<f64>,
+    /// Per live slot: `base_rtt + Σ qd` over its path, summed in path
+    /// order, bit for bit. Rewritten wherever `qd` changes or a slot is
+    /// filled (see [`Network::rtt_of_slot`]).
+    rtt: Vec<f64>,
     path_start: Vec<u32>,
     path_len: Vec<u32>,
     path_data: Vec<LinkId>,
@@ -159,11 +174,12 @@ impl Network {
             offered: vec![0.0; n_links],
             keep: vec![1.0; n_links],
             serv: vec![1.0; n_links],
-            index: BTreeMap::new(),
+            index: FlowTable::new(),
             slot_id: Vec::new(),
             srcs: Vec::new(),
             dsts: Vec::new(),
             base_rtt: Vec::new(),
+            rtt: Vec::new(),
             path_start: Vec::new(),
             path_len: Vec::new(),
             path_data: Vec::new(),
@@ -204,14 +220,24 @@ impl Network {
 
     /// Internal: re-derive the cached link columns from the topology
     /// after the `faults` module changed it. The queueing-delay cache is
-    /// recomputed against the new capacities so `rtt` never reads a
-    /// stale division.
+    /// recomputed against the new capacities, and every live slot's RTT
+    /// against the new delays, so `rtt` never reads a stale division.
     pub(crate) fn refresh_link_columns(&mut self) {
         for i in 0..self.links.len() {
             let link = &self.topo.links()[i];
             self.cap_bytes[i] = link.capacity_bytes();
             self.queue_cap[i] = link.queue_cap_bytes;
             self.qd[i] = self.links[i].queueing_delay(self.cap_bytes[i]);
+        }
+        self.rewalk_rtts();
+    }
+
+    /// Recompute every live slot's RTT from the current `qd`.
+    fn rewalk_rtts(&mut self) {
+        for s in 0..self.rtt.len() {
+            if self.live[s] {
+                self.rtt[s] = queued_rtt(self.base_rtt[s], self.path_of_slot(s as u32), &self.qd);
+            }
         }
     }
 
@@ -250,7 +276,7 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if the id is already active.
+    /// Panics if the id is already active, before the arena changes.
     pub fn insert_flow_interned(
         &mut self,
         id: FlowId,
@@ -258,7 +284,9 @@ impl Network {
         dst: NodeId,
         pid: PathId,
     ) -> FlowRef<'_> {
+        assert!(!self.index.contains(id), "flow id {id} already active");
         let base_rtt = self.routes.rtt_of(pid);
+        let rtt = queued_rtt(base_rtt, self.routes.path_of(pid), &self.qd);
         let len = self.routes.path_of(pid).len();
         self.maybe_compact_paths(len);
         let start = self.path_data.len() as u32;
@@ -271,6 +299,7 @@ impl Network {
                 self.srcs[s] = src;
                 self.dsts[s] = dst;
                 self.base_rtt[s] = base_rtt;
+                self.rtt[s] = rtt;
                 self.path_start[s] = start;
                 self.path_len[s] = len;
                 self.live[s] = true;
@@ -282,14 +311,14 @@ impl Network {
                 self.srcs.push(src);
                 self.dsts.push(dst);
                 self.base_rtt.push(base_rtt);
+                self.rtt.push(rtt);
                 self.path_start.push(start);
                 self.path_len.push(len);
                 self.live.push(true);
                 slot
             }
         };
-        let prev = self.index.insert(id, slot);
-        assert!(prev.is_none(), "flow id {id} already active");
+        self.index.insert(id, slot);
         self.flow_at(slot)
     }
 
@@ -335,7 +364,7 @@ impl Network {
     pub fn remove_flow(&mut self, id: FlowId) -> NetFlow {
         let slot = self
             .index
-            .remove(&id)
+            .remove(id)
             .unwrap_or_else(|| panic!("flow {id} not active"));
         let s = slot as usize;
         let len = self.path_len[s] as usize;
@@ -368,7 +397,7 @@ impl Network {
     /// path).
     #[inline]
     pub fn flow_slot(&self, id: FlowId) -> Option<u32> {
-        self.index.get(&id).copied()
+        self.index.get(id).copied()
     }
 
     /// [`Network::flow_slot`] for a flow the caller knows is active.
@@ -381,7 +410,7 @@ impl Network {
     /// every deterministic per-flow accumulation downstream relies on.
     #[inline]
     pub fn flow_slots(&self) -> impl Iterator<Item = (FlowId, u32)> + '_ {
-        self.index.iter().map(|(&id, &slot)| (id, slot))
+        self.index.iter().map(|(id, &slot)| (id, slot))
     }
 
     /// The flow occupying `slot` (must be live).
@@ -439,16 +468,14 @@ impl Network {
     }
 
     /// Queueing-inflated RTT by arena slot (the hot-path form: no id
-    /// lookup, queueing delays read from the per-link cache).
+    /// lookup and no path walk). A column read, always equal bit for bit
+    /// to `base_rtt + Σ qd` over the slot's path: a slot's entry is
+    /// walked when it is filled, the tick report rewrites every offered
+    /// slot's, and every other change to `qd` re-walks all live slots.
     #[inline]
     pub fn rtt_of_slot(&self, slot: u32) -> f64 {
-        let s = slot as usize;
-        let start = self.path_start[s] as usize;
-        self.base_rtt[s]
-            + self.path_data[start..start + self.path_len[s] as usize]
-                .iter()
-                .map(|&l| self.qd[l.index()])
-                .sum::<f64>()
+        debug_assert!(self.live[slot as usize], "flow slot {slot} not live");
+        self.rtt[slot as usize]
     }
 
     /// Link queue/accounting state.
@@ -457,21 +484,26 @@ impl Network {
         &self.links[l.index()]
     }
 
-    /// Mutable link state (the resource monitors use this to sample-and-
-    /// reset arrival counters; queue state itself only changes inside
-    /// `advance_slots_into`, so the cached queueing delays stay valid).
+    /// Read and reset a link's arrival counter (bytes since the previous
+    /// call): the per-control-interval `L(t)` the resource monitors
+    /// sample. The only write to link state from outside this crate;
+    /// queues change only inside [`Network::advance_slots_into`], which
+    /// keeps the cached queueing delays and RTTs valid.
     #[inline]
-    pub fn link_state_mut(&mut self, l: LinkId) -> &mut LinkState {
-        &mut self.links[l.index()]
+    pub fn take_arrived(&mut self, l: LinkId) -> f64 {
+        self.links[l.index()].take_arrived()
     }
 
     /// Advance the whole network by `dt` seconds, slot-addressed.
     ///
     /// `offered` lists `(arena slot, bytes/second)` (see
-    /// [`Network::flow_slot`]); flows not listed offer zero. Every link
-    /// (even idle ones) integrates its queue, so queues drain during
-    /// lulls. `report` is cleared and refilled with one [`FlowTick`] per
-    /// offered flow, in offered order. Arithmetic is bit-identical to the
+    /// [`Network::flow_slot`]), each live slot at most once; flows not
+    /// listed offer zero. Every link (even idle ones) integrates its
+    /// queue, so queues drain during lulls. `report` is cleared and
+    /// refilled with one [`FlowTick`] per offered flow, in offered order,
+    /// and each offered slot's cached RTT takes the report's value. When
+    /// `offered` leaves a live flow out, every live slot's RTT is
+    /// re-walked instead. Arithmetic is bit-identical to the
     /// historical per-flow formulation: the per-link survival/service/
     /// queueing factors are hoisted into columns, and an underloaded
     /// link's service factor is exactly 1.0 (multiplying by it reproduces
@@ -525,12 +557,17 @@ impl Network {
                 service *= self.serv[i];
                 qdelay += self.qd[i];
             }
+            let rtt = self.base_rtt[s] + qdelay;
+            self.rtt[s] = rtt;
             report.flows.push(FlowTick {
                 flow: self.slot_id[s],
                 goodput_bytes: rate * dt * service,
                 loss_frac: 1.0 - survive,
-                rtt: self.base_rtt[s] + qdelay,
+                rtt,
             });
+        }
+        if offered.len() < self.index.len() {
+            self.rewalk_rtts();
         }
     }
 }
@@ -580,6 +617,20 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_insert_leaves_the_arena_unchanged() {
+        let (mut n, s, r, _) = net();
+        n.insert_flow(FlowId(1), s[0], r[0]);
+        let path = n.flow(FlowId(1)).path().to_vec();
+        let dup = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            n.insert_flow(FlowId(1), s[1], r[1]);
+        }));
+        assert!(dup.is_err(), "a duplicate id must panic");
+        assert_eq!(n.flow_count(), 1);
+        assert_eq!(n.flow(FlowId(1)).path(), &path[..]);
+        assert_eq!(n.endpoints_of_slot(n.flow(FlowId(1)).slot()), (s[0], r[0]));
+    }
+
+    #[test]
     fn base_rtt_accounts_for_both_directions() {
         let (mut n, s, r, _) = net();
         let f = n.insert_flow(FlowId(1), s[0], r[0]);
@@ -609,7 +660,7 @@ mod tests {
         let rep1 = n.advance(0.005, &offered);
         // First tick: queue absorbs (queue cap 100 KB > 50 KB excess).
         assert_eq!(rep1.flows[0].loss_frac, 0.0);
-        assert!(n.link_state(fwd).queue_bytes > 0.0);
+        assert!(n.link_state(fwd).queue_bytes() > 0.0);
         // Keep pushing; queue fills and drops begin.
         let mut lossy = false;
         for _ in 0..20 {
@@ -636,10 +687,10 @@ mod tests {
         let (mut n, s, r, (fwd, _)) = net();
         n.insert_flow(FlowId(1), s[0], r[0]);
         n.advance(0.01, &[(FlowId(1), 50e6)]);
-        let q1 = n.link_state(fwd).queue_bytes;
+        let q1 = n.link_state(fwd).queue_bytes();
         assert!(q1 > 0.0);
         n.advance(0.05, &[]); // nobody sends
-        assert!(n.link_state(fwd).queue_bytes < q1);
+        assert!(n.link_state(fwd).queue_bytes() < q1);
     }
 
     #[test]

@@ -37,7 +37,7 @@ impl CompletedFlow {
     }
 }
 
-/// Outcome of one driver tick.
+/// Outcome of one driver tick, refilled in place by [`FlowDriver::tick`].
 #[derive(Debug, Clone, Default)]
 pub struct TickSummary {
     /// Flows that finished during this tick.
@@ -234,6 +234,20 @@ impl FlowDriver {
         Some(&self.progress[slot as usize])
     }
 
+    /// Progress of the active flow in network slot `slot` (a slot from
+    /// [`Network::flow_slots`]: a caller that merges its own id-ordered
+    /// table against that walk needs no id lookups).
+    #[inline]
+    pub fn progress_of_slot(&self, slot: u32) -> &FlowProgress {
+        &self.progress[slot as usize]
+    }
+
+    /// Transport of the active flow in network slot `slot`.
+    #[inline]
+    pub fn transport_of_slot_mut(&mut self, slot: u32) -> &mut AnyTransport {
+        &mut self.transports[slot as usize]
+    }
+
     /// Iterate over active flow ids with their endpoints, in id order.
     pub fn active_flows(&self) -> impl Iterator<Item = (FlowId, NodeId, NodeId)> + '_ {
         self.net.flow_slots().map(|(id, slot)| {
@@ -267,13 +281,16 @@ impl FlowDriver {
         }
     }
 
-    /// Advance every flow by `dt` seconds starting at time `now`.
+    /// Advance every flow by `dt` seconds starting at time `now`, and
+    /// refill `summary` with the tick's outcome.
     ///
     /// Each transport offers `min(its rate, remaining/dt)`; the network
     /// resolves contention; transports digest the outcome; completed flows
     /// are removed and reported. One serial pass in ascending flow-id
-    /// order, so every float accumulation is deterministic.
-    pub fn tick(&mut self, now: f64, dt: f64) -> TickSummary {
+    /// order, so every float accumulation is deterministic. `summary` is
+    /// the caller's to reuse: a tick that completes flows allocates
+    /// nothing once its list has grown to the largest completion burst.
+    pub fn tick(&mut self, now: f64, dt: f64, summary: &mut TickSummary) {
         // Read pass: each flow's offer, in ascending id order (the
         // determinism contract).
         self.offered.clear();
@@ -290,7 +307,8 @@ impl FlowDriver {
         self.net.advance_slots_into(dt, &self.offered, &mut report);
 
         let tick_end = now + dt;
-        let mut summary = TickSummary::default();
+        summary.completed.clear();
+        summary.delivered_bytes = 0.0;
         for (ft, &(slot, rate)) in report.flows.iter().zip(&self.offered) {
             let s = slot as usize;
             debug_assert_eq!(
@@ -338,7 +356,6 @@ impl FlowDriver {
                 self.audit.completed(c.finish, c.id.0, c.fct());
             }
         }
-        summary
     }
 }
 
@@ -357,9 +374,11 @@ mod tests {
 
     fn run(d: &mut FlowDriver, t0: f64, dur: f64, dt: f64) -> Vec<CompletedFlow> {
         let mut done = Vec::new();
+        let mut summary = TickSummary::default();
         let mut now = t0;
         while now < t0 + dur {
-            done.extend(d.tick(now, dt).completed);
+            d.tick(now, dt, &mut summary);
+            done.extend_from_slice(&summary.completed);
             now += dt;
         }
         done
@@ -488,7 +507,7 @@ mod tests {
             AnyTransport::Tcp(Reno::default()),
             0.0,
         );
-        d.tick(0.0, 0.001);
+        d.tick(0.0, 0.001, &mut TickSummary::default());
         let p = d.abort_flow(FlowId(1)).unwrap();
         assert!(p.acked_bytes < 1e6);
         assert_eq!(d.active_count(), 0);
@@ -508,10 +527,11 @@ mod tests {
             0.0,
         );
         // Warm up RTT estimate, then measure one tick.
+        let mut s100 = TickSummary::default();
         for i in 0..100 {
-            d.tick(i as f64 * 0.001, 0.001);
+            d.tick(i as f64 * 0.001, 0.001, &mut s100);
         }
-        let s100 = d.tick(0.1, 0.001);
+        d.tick(0.1, 0.001, &mut s100);
         assert!((s100.delivered_bytes - rate * 0.001).abs() < rate * 0.001 * 0.1);
     }
 

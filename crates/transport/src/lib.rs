@@ -30,7 +30,7 @@ pub mod flow;
 pub mod scda;
 pub mod tcp;
 
-pub use driver::{CompletedFlow, FlowDriver};
+pub use driver::{CompletedFlow, FlowDriver, TickSummary};
 pub use flow::FlowProgress;
 pub use scda::ScdaWindow;
 pub use tcp::{Reno, RenoConfig};

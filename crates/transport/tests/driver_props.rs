@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use scda_simnet::builders::dumbbell;
 use scda_simnet::units::mbps;
 use scda_simnet::{FlowId, Network, NodeId};
-use scda_transport::{AnyTransport, FlowDriver, ScdaWindow};
+use scda_transport::{AnyTransport, FlowDriver, ScdaWindow, TickSummary};
 
 const PAIRS: usize = 4;
 const DT: f64 = 0.001;
@@ -75,6 +75,7 @@ proptest! {
         let (topo, s, r, _) = dumbbell(PAIRS, mbps(80.0), 0.001, 200_000.0);
         let mut d = FlowDriver::new(Network::new(topo));
         let mut model: BTreeMap<FlowId, Flow> = BTreeMap::new();
+        let mut summary = TickSummary::default();
         let mut now = 0.0;
         for (step, op) in ops.iter().enumerate() {
             match *op {
@@ -103,7 +104,7 @@ proptest! {
                         if model.is_empty() {
                             break;
                         }
-                        let summary = d.tick(now, DT);
+                        d.tick(now, DT, &mut summary);
                         now += DT;
                         for c in &summary.completed {
                             let f = model.remove(&c.id).expect("completed flow was live");

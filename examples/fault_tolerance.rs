@@ -12,7 +12,7 @@ use scda::core::sla::SlaPolicy;
 use scda::core::tree::{RateCaps, Telemetry};
 use scda::prelude::*;
 use scda::simnet::{FlowId, LinkId, Network, NodeId};
-use scda::transport::{AnyTransport, FlowDriver, ScdaWindow, Transport};
+use scda::transport::{AnyTransport, FlowDriver, ScdaWindow, TickSummary, Transport};
 
 /// Telemetry over the live network + current per-link flow loads.
 struct Live<'a> {
@@ -23,9 +23,9 @@ struct Live<'a> {
 impl Telemetry for Live<'_> {
     fn sample(&mut self, l: LinkId) -> LinkSample {
         LinkSample {
-            queue_bytes: self.net.link_state(l).queue_bytes,
+            queue_bytes: self.net.link_state(l).queue_bytes(),
             flow_rate_sum: self.loads[l.index()],
-            arrival_rate: self.net.link_state_mut(l).take_arrived() / self.tau,
+            arrival_rate: self.net.take_arrived(l) / self.tau,
         }
     }
     fn rate_caps(&mut self, _s: NodeId) -> RateCaps {
@@ -56,6 +56,7 @@ fn main() {
     let reader = tree.clients[0];
     let mut driver = FlowDriver::new(Network::new(tree.topo));
     let n_links = driver.net().topo().link_count();
+    let mut summary = TickSummary::default();
 
     // A long read from a rack-0 server toward a client.
     let x = 500e6 / 8.0;
@@ -123,7 +124,7 @@ fn main() {
                 w.set_rates(rate, rate);
             }
         }
-        driver.tick(now, dt);
+        driver.tick(now, dt, &mut summary);
         now += dt;
     }
 

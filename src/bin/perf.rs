@@ -32,7 +32,7 @@ use scda_core::tree::{RateCaps, Telemetry};
 use scda_core::{ControlTree, MetricKind, Params};
 use scda_simnet::builders::ThreeTierConfig;
 use scda_simnet::{FlowId, LinkId, Network, NodeId};
-use scda_transport::{AnyTransport, FlowDriver, ScdaWindow};
+use scda_transport::{AnyTransport, FlowDriver, ScdaWindow, TickSummary};
 
 /// Concurrent flows in the probe.
 const FLOWS: usize = 100_000;
@@ -95,9 +95,9 @@ fn control_round_hyperscale() {
     impl Telemetry for LoadTel<'_> {
         fn sample(&mut self, l: LinkId) -> LinkSample {
             LinkSample {
-                queue_bytes: self.net.link_state(l).queue_bytes,
+                queue_bytes: self.net.link_state(l).queue_bytes(),
                 flow_rate_sum: self.loads[l.index()],
-                arrival_rate: self.net.link_state_mut(l).take_arrived() / self.tau,
+                arrival_rate: self.net.take_arrived(l) / self.tau,
             }
         }
         fn rate_caps(&mut self, _s: NodeId) -> RateCaps {
@@ -110,12 +110,14 @@ fn control_round_hyperscale() {
     let mut now = 0.0;
     let mut violations_total = 0;
     let mut completed = 0;
+    let mut summary = TickSummary::default();
     let (mut tick, mut control, mut iteration) = (Vec::new(), Vec::new(), Vec::new());
     // The first super-step is not timed: it pays the lazy allocations.
     for timed in std::iter::once(false).chain([true; ITERS]) {
         now += tau;
         let t0 = Instant::now();
-        let done = driver.tick(now, tau).completed.len();
+        driver.tick(now, tau, &mut summary);
+        let done = summary.completed.len();
         let t1 = Instant::now();
         driver.offered_loads_into(&mut link_loads);
         let mut tel = LoadTel {

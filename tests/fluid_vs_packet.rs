@@ -10,7 +10,7 @@ use scda::simnet::builders::dumbbell;
 use scda::simnet::packet::{simulate_packets, PacketFlow, SourceModel};
 use scda::simnet::units::mbps;
 use scda::simnet::{FlowId, Network, NodeId};
-use scda::transport::{AnyTransport, FlowDriver, ScdaWindow};
+use scda::transport::{AnyTransport, FlowDriver, ScdaWindow, TickSummary};
 
 /// Run one explicit-rate flow through the fluid model; return its FCT.
 fn fluid_fct(topo: scda::simnet::Topology, src: NodeId, dst: NodeId, size: f64, rate: f64) -> f64 {
@@ -25,9 +25,11 @@ fn fluid_fct(topo: scda::simnet::Topology, src: NodeId, dst: NodeId, size: f64, 
         0.0,
     );
     let dt = 0.001;
+    let mut summary = TickSummary::default();
     let mut now = 0.0;
     while now < 120.0 {
-        if let Some(c) = d.tick(now, dt).completed.first() {
+        d.tick(now, dt, &mut summary);
+        if let Some(c) = summary.completed.first() {
             return c.fct();
         }
         now += dt;
@@ -149,9 +151,11 @@ fn contended_link_serves_both_models_equally() {
         );
     }
     let mut fluid_fcts = Vec::new();
+    let mut summary = TickSummary::default();
     let mut now = 0.0;
     while now < 120.0 && fluid_fcts.len() < 2 {
-        fluid_fcts.extend(d.tick(now, 0.001).completed.iter().map(|c| c.fct()));
+        d.tick(now, 0.001, &mut summary);
+        fluid_fcts.extend(summary.completed.iter().map(|c| c.fct()));
         now += 0.001;
     }
     assert_eq!(fluid_fcts.len(), 2);

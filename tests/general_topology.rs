@@ -10,7 +10,7 @@ use scda::core::{ControlTree, Direction, MetricKind, Params};
 use scda::simnet::builders::clos;
 use scda::simnet::units::mbps;
 use scda::simnet::{FlowId, LinkId, Network, NodeId, Routes, Topology};
-use scda::transport::{AnyTransport, FlowDriver, Reno};
+use scda::transport::{AnyTransport, FlowDriver, Reno, TickSummary};
 
 #[test]
 fn clos_fabric_routes_all_pairs_and_spreads_flows() {
@@ -43,9 +43,11 @@ fn tcp_flows_complete_over_the_clos() {
         );
     }
     let mut done = 0;
+    let mut summary = TickSummary::default();
     let mut now = 0.0;
     while now < 30.0 {
-        done += driver.tick(now, 0.002).completed.len();
+        driver.tick(now, 0.002, &mut summary);
+        done += summary.completed.len();
         now += 0.002;
     }
     assert_eq!(done, 3, "all cross-rack flows complete on the Clos");

@@ -6,6 +6,7 @@
 use scda::core::sla::SlaPolicy;
 use scda::experiments::{run_scda, ScdaOptions};
 use scda::prelude::*;
+use scda::transport::TickSummary;
 
 fn hot_scenario(seed: u64) -> Scenario {
     // Compress arrivals into a short burst to force contention.
@@ -160,14 +161,15 @@ fn link_failure_mid_run_is_survivable_at_the_network_layer() {
     );
     // Run a bit, fail the rack uplink, keep running: the in-flight flow
     // starves (its path is pinned), but a rerouted replacement finishes.
+    let mut summary = TickSummary::default();
     let mut now = 0.0;
     for _ in 0..100 {
-        driver.tick(now, 0.005);
+        driver.tick(now, 0.005, &mut summary);
         now += 0.005;
     }
     driver.net_mut().fail_link(edge_up);
     for _ in 0..200 {
-        driver.tick(now, 0.005);
+        driver.tick(now, 0.005, &mut summary);
         now += 0.005;
     }
     let stuck = driver
@@ -188,7 +190,8 @@ fn link_failure_mid_run_is_survivable_at_the_network_layer() {
     );
     let mut done = false;
     for _ in 0..4000 {
-        if !driver.tick(now, 0.005).completed.is_empty() {
+        driver.tick(now, 0.005, &mut summary);
+        if !summary.completed.is_empty() {
             done = true;
             break;
         }

@@ -6,7 +6,9 @@
 //! Each test below warms one of those paths on the quick fixture, then
 //! counts the allocations a window of steady-state calls makes, and that
 //! count must be zero. Growth up to a high-water mark belongs to the
-//! warm-up; a buffer rebuilt per call shows up in the window.
+//! warm-up; a buffer rebuilt per call shows up in the window. The last
+//! check is a whole replay: doubling its horizon may add only the output
+//! buffers' doublings.
 //!
 //! The counting allocator counts only on the thread that opened a window,
 //! so the harness's other test threads do not leak into it.
@@ -14,14 +16,14 @@
 mod common;
 
 use scda_experiments::runner::{
-    BestRatePlacement, ControlPolicy, ExplicitRateTransport, PendingStart, RunResult, ScdaControl,
-    ScdaOptions,
+    BestRatePlacement, ControlPolicy, ExplicitRateTransport, PendingStart, RunAccounting,
+    RunResult, ScdaControl, ScdaOptions, SimKernel,
 };
 use scda_experiments::{Scale, Scenario};
 use scda_metrics::{FctStats, ThroughputSeries};
 use scda_simnet::builders::ThreeTierTree;
 use scda_simnet::{FlowId, Network, NodeId, Routes, Scheduler};
-use scda_transport::FlowDriver;
+use scda_transport::{FlowDriver, TickSummary};
 use scda_workloads::{FlowDirection, FlowSpec};
 
 use common::allocations;
@@ -83,8 +85,9 @@ fn tau(
     driver: &mut FlowDriver,
     step: &mut u32,
 ) -> u64 {
+    let mut summary = TickSummary::default();
     for _ in 0..(sc.tau / sc.dt).round() as u32 {
-        let summary = driver.tick(f64::from(*step) * sc.dt, sc.dt);
+        driver.tick(f64::from(*step) * sc.dt, sc.dt, &mut summary);
         assert!(summary.completed.is_empty());
         *step += 1;
     }
@@ -95,8 +98,9 @@ fn tau(
 #[test]
 fn flow_driver_ticks_without_completions() {
     let (sc, _, mut driver) = loaded_scda();
-    let tick = |driver: &mut FlowDriver, step: u32| {
-        let summary = driver.tick(f64::from(step) * sc.dt, sc.dt);
+    let mut summary = TickSummary::default();
+    let mut tick = |driver: &mut FlowDriver, step: u32| {
+        driver.tick(f64::from(step) * sc.dt, sc.dt, &mut summary);
         assert!(summary.completed.is_empty());
     };
     for step in 0..200 {
@@ -221,17 +225,16 @@ fn network_remove_and_reinsert_at_constant_population() {
     let mut net = Network::new(tree.topo);
     // Paths of different lengths: server to client, and server to server
     // within a rack or across the fabric.
+    let n = servers.len();
     let endpoints = |i: usize| match i % 3 {
-        0 => (servers[i], clients[i % clients.len()]),
-        1 => (servers[i], servers[i + 1]),
-        _ => (servers[i], servers[servers.len() - 1 - i]),
+        0 => (servers[i % n], clients[i % clients.len()]),
+        1 => (servers[i % n], servers[(i + 1) % n]),
+        _ => (servers[i % n], servers[n - 1 - i % n]),
     };
-    // The id index is a `BTreeMap`: past one leaf (11 entries) its nodes
-    // split and merge under churn, about one allocation per 30 cycles at
-    // 64 flows, so this window holds the population inside one leaf. What
-    // it measures is the slot free list and the path arena, compactions
-    // included.
-    const FLOWS: usize = 10;
+    // 64 flows in flight, each removed and reinserted in a stride that
+    // visits the whole id range: the window covers the id table, the slot
+    // free list and the path arena, compactions included.
+    const FLOWS: usize = 64;
     for i in 0..FLOWS {
         let (src, dst) = endpoints(i);
         net.insert_flow(FlowId(i as u64), src, dst);
@@ -248,6 +251,65 @@ fn network_remove_and_reinsert_at_constant_population() {
     let n = allocations(|| churn(200 * FLOWS));
     assert_eq!(n, 0, "steady remove/insert churn allocated {n} times");
     assert_eq!(net.flow_count(), FLOWS);
+}
+
+/// A whole `SimKernel` replay of the quick fixture's first `horizon`
+/// seconds under the stock SCDA policies: its allocations, its completed
+/// flows and its throughput bins. The scenario, the control plane and a
+/// network with every server-client route warm are built outside the
+/// count.
+fn replay_allocations(horizon: f64) -> (u64, usize, usize) {
+    let (mut sc, tree) = fixture();
+    sc.workload.flows.retain(|f| f.arrival < horizon);
+    sc.duration = horizon;
+    let mut ctrl = ScdaControl::new(&sc, &ScdaOptions::default(), &tree);
+    let mut acct = RunAccounting::new(sc.throughput_interval, scda_obs::Obs::disabled());
+    let mut net = Network::new(tree.topo.clone());
+    for &s in &tree.all_servers() {
+        for &c in &tree.clients {
+            net.base_rtt_between(s, c);
+            net.base_rtt_between(c, s);
+        }
+    }
+    let mut result = None;
+    let n = allocations(|| {
+        result = Some(SimKernel::new(net).run(
+            &sc,
+            &mut ctrl,
+            &mut BestRatePlacement,
+            &mut ExplicitRateTransport,
+            &mut acct,
+        ));
+    });
+    let r = result.expect("the replay ran");
+    (n, r.completed, r.throughput.points().len())
+}
+
+#[test]
+fn whole_replay_allocations_do_not_grow_with_the_horizon() {
+    // Twice the horizon at the same arrival rate: about twice the
+    // requests, completions and throughput bins, and the same scale of
+    // flows pending and in flight. Growth belongs only to the four output
+    // `Vec`s that keep one entry per completion or per bin (`FctStats`'s
+    // records and `ThroughputSeries`'s three columns). Each may double
+    // twice more: once because its length doubles, once more because a
+    // Poisson count need not stop at exactly double. The same slack
+    // absorbs an in-flight table reaching a higher high-water mark once.
+    // An allocation per completing tick or per flow adds a hundred.
+    const OUTPUT_VECS: u64 = 4;
+    const BOUND: u64 = 2 * OUTPUT_VECS;
+    let (short, short_done, short_bins) = replay_allocations(10.0);
+    let (long, long_done, long_bins) = replay_allocations(20.0);
+    assert!(
+        long_done > short_done * 3 / 2 && long_bins == 2 * short_bins,
+        "the longer replay must do more work: {short_done} -> {long_done} completions, \
+         {short_bins} -> {long_bins} bins"
+    );
+    assert!(
+        long <= short + BOUND,
+        "a 20 s replay allocated {long} times, a 10 s one {short}: more than \
+         {BOUND} output-buffer doublings apart"
+    );
 }
 
 #[test]
