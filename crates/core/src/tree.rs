@@ -280,9 +280,6 @@ pub struct ControlTree {
     up: DirColumns,
     down_scratch: DirScratch,
     up_scratch: DirScratch,
-    /// Best over the subtree of `min(R̂_d, R̂_u)` with the achieving BS —
-    /// the interactive-content selection metric (§VII-A).
-    best_inter: Vec<Option<(f64, NodeId)>>,
     /// Node index → RM position (index into the RM-ordered columns);
     /// [`NONE`] for RAs.
     rm_pos: Vec<u32>,
@@ -521,7 +518,6 @@ impl ControlTree {
             up,
             down_scratch: DirScratch::with_len(n),
             up_scratch: DirScratch::with_len(n),
-            best_inter: vec![None; n],
             rm_pos,
             rm_depth,
             rm_anc,
@@ -776,7 +772,6 @@ impl ControlTree {
             let ru = self.up.r_own[id].min(caps.send);
             self.down.r_hat[id] = rd;
             self.up.r_hat[id] = ru;
-            self.best_inter[id] = Some((rd.min(ru), server));
         }
         for i in self.level_offsets[1]..self.order.len() {
             self.fold_children(self.order[i].0);
@@ -834,7 +829,6 @@ impl ControlTree {
     fn fold_children(&mut self, id: usize) {
         let mut best_down: Option<(f64, NodeId)> = None;
         let mut best_up: Option<(f64, NodeId)> = None;
-        let mut best_inter: Option<(f64, NodeId)> = None;
         let start = self.child_start[id] as usize;
         let end = self.child_start[id + 1] as usize;
         for &c in &self.child_list[start..end] {
@@ -849,18 +843,12 @@ impl ControlTree {
                     best_up = Some((self.up.r_hat[c], bs));
                 }
             }
-            if let Some((v, bs)) = self.best_inter[c] {
-                if best_inter.is_none_or(|(bv, _)| v > bv) {
-                    best_inter = Some((v, bs));
-                }
-            }
         }
         let (own_down, own_up) = (self.down.r_own[id], self.up.r_own[id]);
         self.down.r_hat[id] = best_down.map_or(own_down, |(v, _)| v.min(own_down));
         self.down.best_bs[id] = best_down.map(|(_, bs)| bs);
         self.up.r_hat[id] = best_up.map_or(own_up, |(v, _)| v.min(own_up));
         self.up.best_bs[id] = best_up.map(|(_, bs)| bs);
-        self.best_inter[id] = best_inter.map(|(v, bs)| (v.min(own_down).min(own_up), bs));
     }
 
     /// Flush one observed round into the trace ring and metrics registry:
@@ -975,12 +963,6 @@ impl ControlTree {
         cols.best_bs[ra.0].map(|bs| (bs, cols.r_hat[ra.0]))
     }
 
-    /// The best interactive-content server under a specific RA
-    /// (max of `min(R̂_d, R̂_u)` over its subtree).
-    pub fn best_server_interactive_at(&self, ra: CtrlId) -> Option<(NodeId, f64)> {
-        self.best_inter[ra.0].map(|(v, bs)| (bs, v))
-    }
-
     /// Number of nodes whose own-link allocation moved by more than
     /// `rel_eps` (relative) in the last round — the paper's Δ-reporting
     /// optimization sends updates only for these ("it can send the
@@ -1000,12 +982,6 @@ impl ControlTree {
     /// gets when it asks the level-`h_max` RA (global write placement).
     pub fn best_server_global(&self, dir: Direction) -> Option<(NodeId, f64)> {
         self.best_server_at(self.root, dir)
-    }
-
-    /// The best server for interactive content: global argmax of
-    /// `min(R̂_d, R̂_u)` (§VII-A).
-    pub fn best_server_interactive(&self) -> Option<(NodeId, f64)> {
-        self.best_inter[self.root.0].map(|(v, bs)| (bs, v))
     }
 
     /// How the tree groups its servers, for a
@@ -1197,6 +1173,7 @@ impl ControlTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ContentClass, NoDiscount, NodeSet, PlaceQuery, PlacementIndex, SelectorConfig};
     use scda_simnet::builders::ThreeTierConfig;
     use scda_simnet::units::mbps;
 
@@ -1348,19 +1325,24 @@ mod tests {
     #[test]
     fn interactive_best_uses_min_of_directions() {
         let (tree, mut ct) = small_tree();
-        // Server A: great downlink, terrible uplink. Server B: balanced.
+        // Server A: the best downlink (every other server's is loaded),
+        // and a terrible uplink.
         struct Skewed {
             a_up: LinkId,
+            other_downs: Vec<LinkId>,
         }
         impl Telemetry for Skewed {
             fn sample(&mut self, l: LinkId) -> LinkSample {
-                if l == self.a_up {
-                    LinkSample {
-                        flow_rate_sum: 1e10,
-                        ..Default::default()
-                    }
+                let flow_rate_sum = if l == self.a_up {
+                    1e10
+                } else if self.other_downs.contains(&l) {
+                    1e9
                 } else {
-                    LinkSample::default()
+                    0.0
+                };
+                LinkSample {
+                    flow_rate_sum,
+                    ..Default::default()
                 }
             }
             fn rate_caps(&mut self, _s: NodeId) -> RateCaps {
@@ -1368,13 +1350,35 @@ mod tests {
             }
         }
         let a = tree.servers[0][0];
+        let (a_up, a_down) = tree.server_links[0][0];
+        let other_downs = tree.server_links.iter().flatten();
+        let other_downs = other_downs.map(|&(_, d)| d).filter(|&d| d != a_down);
         let mut tel = Skewed {
-            a_up: tree.server_links[0][0].0,
+            a_up,
+            other_downs: other_downs.collect(),
         };
         for _ in 0..5 {
             ct.control_round(0.0, &mut tel);
         }
-        let (bs, _) = ct.best_server_interactive().unwrap();
+        // §VII-A ranks interactive content on min(R_d, R_u): the
+        // placement index's `Rank::MinBoth`, over the tree's own shape.
+        let mut index = PlacementIndex::with_shape(ct.index_shape());
+        index.refresh(&metrics_of(&ct));
+        let cfg = SelectorConfig {
+            r_scale: f64::INFINITY,
+            power_aware: false,
+        };
+        let q = PlaceQuery {
+            energy: None,
+            cfg: &cfg,
+            discount: &NoDiscount,
+        };
+        let none = NodeSet::new();
+        let write = index.write_target(ContentClass::SemiInteractiveWrite, &none, &q);
+        assert_eq!(write.map(|(s, _)| s), Some(a), "A has the best downlink");
+        let (bs, _) = index
+            .write_target(ContentClass::Interactive, &none, &q)
+            .expect("servers exist");
         assert_ne!(bs, a, "interactive selection must avoid the skewed server");
     }
 
@@ -1490,8 +1494,6 @@ mod tests {
                 .expect("rack has servers");
             assert!(tree.servers[r].contains(&bs), "rack {r} returned {bs}");
             assert!(rate > 0.0);
-            let (ibs, _) = ct.best_server_interactive_at(ra).expect("rack has servers");
-            assert!(tree.servers[r].contains(&ibs));
         }
         assert_eq!(ct.ras_at_iter(2).count(), 2);
         assert_eq!(ct.ras_at_iter(3).count(), 1);
@@ -1653,10 +1655,6 @@ mod tests {
             assert_eq!(
                 plain.best_server_global(Direction::Down),
                 observed.best_server_global(Direction::Down)
-            );
-            assert_eq!(
-                plain.best_server_interactive(),
-                observed.best_server_interactive()
             );
         }
         struct Mixed;

@@ -11,8 +11,11 @@
 //!
 //! The lifecycle is one more composition on the shared
 //! [`SimKernel`]: [`run_content`] turns the write and read rates into a
-//! request schedule, and a private [`ControlPolicy`] owns the NNS, the
-//! block stores and the RM/RA tree.
+//! request schedule, and a private [`ControlPolicy`] owns the NNS and the
+//! block stores. It runs on the same SCDA plane as the headline runs —
+//! one RM/RA tree, its placement index and one per-τ round — and keeps
+//! only the content-side concerns: what each flow is for and how it is
+//! re-windowed.
 
 use std::collections::BTreeMap;
 
@@ -21,22 +24,21 @@ use rand::{Rng, SeedableRng};
 
 use scda_core::nodes::ContentMeta;
 use scda_core::{
-    AccessStats, BlockServer, ClassifierConfig, ContentClass, ContentId, ControlTree, Direction,
-    MetricKind, NameService, NoDiscount, NodeSet, Params, PlaceQuery, PlacementIndex,
-    ProtocolCosts, RateDiscount, SelectorConfig, ServerMetrics,
+    AccessStats, BlockServer, ClassifierConfig, ContentClass, ContentId, Direction, MetricKind,
+    NameService, NoDiscount, NodeSet, Params, PlaceQuery, RateDiscount, SelectorConfig,
+    ServerMetrics,
 };
 use scda_metrics::{FctStats, FlowRecord};
 use scda_obs::Obs;
 use scda_simnet::builders::ThreeTierConfig;
 use scda_simnet::{FlowId, FlowTable, Network, NodeId};
-use scda_transport::{AnyTransport, CompletedFlow, FlowDriver, ScdaWindow};
+use scda_transport::{AnyTransport, CompletedFlow, FlowDriver};
 use scda_workloads::{FlowDirection, FlowKind, FlowSpec, Workload};
 
 use crate::runner::kernel::step_count;
-use crate::runner::scda::NetTelemetry;
 use crate::runner::{
     Admission, BestRatePlacement, ControlPolicy, ExplicitRateTransport, PendingStart, Placement,
-    RunAccounting, SelectionPolicy, SimKernel, SpawnSpec, TransportPolicy,
+    RunAccounting, ScdaPlane, SelectionPolicy, SimKernel, SpawnSpec, TransportPolicy,
 };
 use crate::scenario::Scenario;
 
@@ -230,19 +232,15 @@ fn query<D: RateDiscount>(discount: &D) -> PlaceQuery<'_, D> {
     }
 }
 
-/// The lifecycle's control plane: the NNS (metadata and block stores),
-/// the RM/RA tree and its placement index. Placement is decided here
-/// rather than by a [`Placement`] policy: writes rank on storage, reads
-/// on the object's holders, and every random pick draws from the one
-/// seeded stream that sizes and clients come from.
+/// The lifecycle's control plane: the NNS (metadata and block stores)
+/// on the shared SCDA plane. Placement is decided here rather than by a
+/// [`Placement`] policy: writes rank on storage, reads on the object's
+/// holders, and every random pick draws from the one seeded stream that
+/// sizes and clients come from.
 struct ContentControl<'a> {
     cfg: &'a ContentRunConfig,
-    params: Params,
-    ct: ControlTree,
-    costs: ProtocolCosts,
+    plane: ScdaPlane,
     racks: Vec<Vec<NodeId>>,
-    servers: Vec<NodeId>,
-    clients: Vec<NodeId>,
     rng: StdRng,
     ns: NameService,
     stores: BTreeMap<NodeId, BlockServer>,
@@ -256,11 +254,6 @@ struct ContentControl<'a> {
     /// spawned.
     next_id: u64,
     outstanding_reads: BTreeMap<NodeId, u32>,
-    link_loads: Vec<f64>,
-    metrics_buf: Vec<ServerMetrics>,
-    /// Every placement is a query on this index, refreshed from the
-    /// tree's metrics after each control round.
-    pindex: PlacementIndex,
     out: ContentRunResult,
 }
 
@@ -268,13 +261,14 @@ impl ContentControl<'_> {
     /// The tree's current rate for a flow of this purpose.
     fn rate(&self, purpose: &Purpose) -> Option<f64> {
         let primary = |content| self.ns.lookup(content).expect("registered").primary;
+        let ct = &self.plane.ct;
         match *purpose {
             Purpose::ClientWrite { content, .. } => {
-                self.ct.client_rate(primary(content), Direction::Down)
+                ct.client_rate(primary(content), Direction::Down)
             }
-            Purpose::ClientRead { holder, .. } => self.ct.client_rate(holder, Direction::Up),
+            Purpose::ClientRead { holder, .. } => ct.client_rate(holder, Direction::Up),
             Purpose::Replication { content, replica } => {
-                self.ct.transfer_rate(primary(content), replica)
+                ct.transfer_rate(primary(content), replica)
             }
         }
     }
@@ -289,6 +283,7 @@ impl ContentControl<'_> {
     ) -> Option<SpawnSpec> {
         let meta = self.ns.lookup(content).expect("registered");
         let primary = meta.primary;
+        let servers = &self.plane.servers;
         // The rack-local scope excludes every server outside the
         // primary's rack.
         let out_of_scope: NodeSet = match self.cfg.replica_scope {
@@ -296,18 +291,18 @@ impl ContentControl<'_> {
             ReplicaScope::SameRack => {
                 let rack = self.racks.iter().find(|r| r.contains(&primary));
                 let rack = rack.expect("the primary is a server");
-                let outside = self.servers.iter().filter(|s| !rack.contains(s));
+                let outside = servers.iter().filter(|s| !rack.contains(s));
                 outside.copied().collect()
             }
         };
         let replica = match self.cfg.selection {
             SelectionPolicy::BestRate => self
+                .plane
                 .pindex
                 .replica_target(meta.class, primary, &out_of_scope, &query(&NoDiscount))
                 .map(|(r, _)| r),
             SelectionPolicy::Random => {
-                let candidates: Vec<NodeId> = self
-                    .servers
+                let candidates: Vec<NodeId> = servers
                     .iter()
                     .copied()
                     .filter(|s| *s != primary && !out_of_scope.contains(*s))
@@ -317,25 +312,12 @@ impl ContentControl<'_> {
             }
         }?;
         let purpose = Purpose::Replication { content, replica };
-        let rate = self
-            .rate(&purpose)
-            .unwrap_or(self.params.min_rate)
-            .max(self.params.min_rate);
         self.purposes.insert(FlowId(self.next_id), purpose);
         self.next_id += 1;
-        let rtt = driver
-            .net_mut()
-            .base_rtt_between(primary, replica)
-            .expect("connected");
-        Some(SpawnSpec {
-            src: primary,
-            dst: replica,
-            server: primary,
-            size: c.size_bytes,
-            arrival: c.finish,
-            start: c.finish + self.costs.internal_write_setup(),
-            transport: AnyTransport::Scda(ScdaWindow::new(rate, rate, rtt)),
-        })
+        Some(
+            self.plane
+                .replication(primary, replica, c.size_bytes, c.finish, driver),
+        )
     }
 }
 
@@ -348,10 +330,8 @@ impl ControlPolicy for ContentControl<'_> {
         Some(self.cfg.tau)
     }
 
-    /// A round before any flow exists, so the first arrivals see
-    /// idle-state advertisements.
     fn prime(&mut self, driver: &mut FlowDriver) {
-        self.round(0.0, driver);
+        self.plane.prime(driver, None);
     }
 
     /// A write registers a new object (its size drawn here) on a primary;
@@ -370,17 +350,21 @@ impl ControlPolicy for ContentControl<'_> {
             FlowDirection::Write => {
                 let content = ContentId(self.written as u64);
                 let size = self.cfg.median_size * (0.3 + 1.4 * self.rng.random::<f64>());
-                let ci = self.rng.random_range(0..self.clients.len());
+                let ci = self.rng.random_range(0..self.plane.clients.len());
                 let primary = match self.cfg.selection {
                     SelectionPolicy::BestRate => {
                         let discount = StorageTieBreak(&self.stores);
                         let class = ContentClass::SemiInteractiveRead;
                         let none = NodeSet::new();
-                        let pick = self.pindex.write_target(class, &none, &query(&discount));
+                        let pick = self
+                            .plane
+                            .pindex
+                            .write_target(class, &none, &query(&discount));
                         pick.expect("servers exist").0
                     }
                     SelectionPolicy::Random => {
-                        self.servers[self.rng.random_range(0..self.servers.len())]
+                        let servers = &self.plane.servers;
+                        servers[self.rng.random_range(0..servers.len())]
                     }
                 };
                 let mut stats = AccessStats::new();
@@ -402,12 +386,12 @@ impl ControlPolicy for ContentControl<'_> {
                     content,
                     requested: now,
                 };
-                let setup = self.costs.external_write_setup();
-                (purpose, self.clients[ci], primary, ci, size, setup)
+                let setup = self.plane.costs.external_write_setup();
+                (purpose, self.plane.clients[ci], primary, ci, size, setup)
             }
             FlowDirection::Read => {
                 let idx = zipf_index(&mut self.rng, self.written, self.cfg.zipf_exponent);
-                let ci = self.rng.random_range(0..self.clients.len());
+                let ci = self.rng.random_range(0..self.plane.clients.len());
                 let meta = self
                     .ns
                     .lookup_mut(ContentId(idx as u64))
@@ -418,7 +402,10 @@ impl ControlPolicy for ContentControl<'_> {
                     SelectionPolicy::BestRate => {
                         let discount = OutstandingReads(&self.outstanding_reads);
                         let holder_set = holders.iter().copied().collect();
-                        let pick = self.pindex.read_source(&holder_set, &query(&discount));
+                        let pick = self
+                            .plane
+                            .pindex
+                            .read_source(&holder_set, &query(&discount));
                         pick.expect("holders exist").0
                     }
                     SelectionPolicy::Random => holders[self.rng.random_range(0..holders.len())],
@@ -433,15 +420,15 @@ impl ControlPolicy for ContentControl<'_> {
                     holder,
                     requested: now,
                 };
-                let (size, setup) = (meta.size_bytes, self.costs.external_read_setup());
-                (purpose, self.clients[ci], holder, ci, size, setup)
+                let (size, setup) = (meta.size_bytes, self.plane.costs.external_read_setup());
+                (purpose, self.plane.clients[ci], holder, ci, size, setup)
             }
         };
         let (src, dst) = match f.direction {
             FlowDirection::Write => (client, server),
             FlowDirection::Read => (server, client),
         };
-        let rate = self.rate(&purpose).unwrap_or(self.params.min_rate);
+        let rate = self.rate(&purpose).unwrap_or(self.plane.params.min_rate);
         self.purposes.insert(id, purpose);
         let rtt = driver
             .net_mut()
@@ -465,25 +452,14 @@ impl ControlPolicy for ContentControl<'_> {
     }
 
     fn round(&mut self, now: f64, driver: &mut FlowDriver) {
-        driver.offered_loads_into(&mut self.link_loads);
-        let mut tel = NetTelemetry {
-            net: driver.net_mut(),
-            loads: &self.link_loads,
-            tau: self.cfg.tau,
-            resources: None,
-        };
-        self.ct.control_round(now, &mut tel);
-        self.ct.server_metrics_into(&mut self.metrics_buf);
-        self.pindex.refresh(&self.metrics_buf);
+        self.plane.round(now, driver, None);
         // Refresh on-going flows (§VIII-D).
+        let min = self.plane.params.min_rate;
         for (id, purpose) in self.purposes.iter() {
             let Some(AnyTransport::Scda(w)) = driver.transport_mut(id) else {
                 continue;
             };
-            let rate = self
-                .rate(purpose)
-                .unwrap_or(self.params.min_rate)
-                .max(self.params.min_rate);
+            let rate = self.rate(purpose).unwrap_or(min).max(min);
             w.set_rates(rate, rate);
         }
     }
@@ -575,34 +551,24 @@ pub fn run_content(cfg: &ContentRunConfig) -> ContentRunResult {
     let tree = cfg.topo.build();
     let params = Params {
         tau: cfg.tau,
-        drain_horizon: cfg.tau,
         ..Default::default()
     };
-    let servers = tree.all_servers();
+    let plane = ScdaPlane::new(&tree, params, MetricKind::Full, cfg.topo.client_delay_s);
     let mut ctrl = ContentControl {
         cfg,
-        ct: ControlTree::from_three_tier(&tree, params.clone(), MetricKind::Full),
-        costs: ProtocolCosts {
-            control_hop: params.control_hop_delay,
-            client_wan: cfg.topo.client_delay_s,
-        },
-        params,
         racks: tree.servers.clone(),
-        stores: servers
+        stores: plane
+            .servers
             .iter()
             .map(|&s| (s, BlockServer::new(s, cfg.disk_capacity)))
             .collect(),
-        servers,
-        clients: tree.clients.clone(),
+        plane,
         rng: StdRng::seed_from_u64(cfg.seed),
         ns: NameService::new(4),
         written: 0,
         purposes: FlowTable::new(),
         next_id: 0,
         outstanding_reads: BTreeMap::new(),
-        link_loads: vec![0.0; tree.topo.link_count()],
-        metrics_buf: Vec::new(),
-        pindex: PlacementIndex::new(),
         out: ContentRunResult {
             write_fct: FctStats::new(),
             read_fct: FctStats::new(),

@@ -16,7 +16,10 @@
 //!   places each request on the best server for its content class, flows
 //!   pay the figure-3/5 control-message setup, start at their
 //!   *allocated* explicit rate, and get re-windowed every τ (§VIII-D).
-//!   SLA violations are counted as they are detected.
+//!   SLA violations are counted as they are detected. The tree, its
+//!   placement index and the per-τ round are one crate-private
+//!   `ScdaPlane` (runner/plane.rs), which the content lifecycle's
+//!   policy runs on too.
 //!
 //! The ablation grid (selection × transport) is the same kernel with the
 //! policy objects swapped — see [`run_scda_with`] for plugging in
@@ -34,11 +37,13 @@ use scda_workloads::FlowKind;
 use crate::scenario::Scenario;
 
 pub mod kernel;
+mod plane;
 pub mod policy;
 pub mod randtcp;
 pub mod scda;
 
 pub use kernel::{audit_class_of, PendingStart, SimKernel};
+pub(crate) use plane::ScdaPlane;
 pub use policy::{
     Accounting, Admission, BestRatePlacement, ControlPolicy, ExplicitRateTransport, Placement,
     PlacementCtx, RandomPlacement, RunAccounting, SpawnSpec, TcpTransport, TransportPolicy,

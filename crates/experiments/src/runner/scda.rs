@@ -1,13 +1,14 @@
 //! The SCDA control plane as a [`ControlPolicy`].
 //!
-//! [`ScdaControl`] owns every piece of shared SCDA state — the RM/RA
-//! [`ControlTree`], the client-side WAN allocators, the outstanding-load
-//! discounts, per-flow control records, the SLA monitor/mitigation
-//! ladder, resource and energy books, and the snapshot stream — and
-//! reacts to the kernel's lifecycle hooks: admission prices each request
-//! through the figure-3/5 setup costs, the per-τ round measures and
-//! re-windows (§VIII-D), and completions trigger §VIII-B replication
-//! writes.
+//! [`ScdaControl`] runs on the shared `ScdaPlane` — the RM/RA tree, its
+//! placement index and the per-τ round — and owns what the headline runs
+//! add to it: the client-side WAN allocators, the outstanding-load
+//! discount, per-flow control records, violation attribution, the SLA
+//! monitor/mitigation ladder, resource and energy books, and the
+//! snapshot stream. It reacts to the kernel's lifecycle hooks: admission
+//! prices each request through the figure-3/5 setup costs, the per-τ
+//! round measures, mitigates and re-windows (§VIII-D), and completions
+//! trigger §VIII-B replication writes.
 
 use std::collections::BTreeMap;
 
@@ -16,50 +17,23 @@ use scda_audit::{
     MITIGATION_REASSIGN,
 };
 use scda_core::{
-    discounted_share, share_bound, ContentClass, ControlTree, Direction, EnergyBook, GroupSpan,
-    LinkAllocator, LinkSample, Mitigation, NoDiscount, NodeSet, OpenFlowSjf, Params, PlaceQuery,
-    PlacementIndex, PriorityPolicy, ProtocolCosts, RateCaps, RateDiscount, ResourceBook,
-    ServerMetrics, SlaMonitor, SlaViolation, SnapshotStream, Telemetry,
+    discounted_share, share_bound, ContentClass, Direction, EnergyBook, GroupSpan, LinkAllocator,
+    Mitigation, NoDiscount, NodeSet, OpenFlowSjf, Params, PlaceQuery, PriorityPolicy, RateDiscount,
+    ResourceBook, ServerMetrics, SlaMonitor, SnapshotStream, Telemetry,
 };
 use scda_obs::{metric, phase, Candidate, TraceEvent, MAX_CANDIDATES};
 use scda_simnet::builders::ThreeTierTree;
 use scda_simnet::{FlowId, FlowTable, LinkId, NodeId};
-use scda_transport::{AnyTransport, CompletedFlow, FlowDriver, ScdaWindow, Transport};
+use scda_transport::{AnyTransport, CompletedFlow, FlowDriver, Transport};
 use scda_workloads::{FlowDirection, FlowSpec};
 
 use super::kernel::{audit_class_of, PendingStart};
+use super::plane::{NetTelemetry, ScdaPlane};
 use super::policy::{
     Admission, ControlPolicy, Placement, PlacementCtx, SpawnSpec, TransportPolicy,
 };
 use super::{class_of, RunResult, ScdaOptions};
 use crate::scenario::Scenario;
-
-/// Telemetry bridge from the simulated network to the control tree.
-pub(crate) struct NetTelemetry<'a> {
-    pub(crate) net: &'a mut scda_simnet::Network,
-    pub(crate) loads: &'a [f64],
-    pub(crate) tau: f64,
-    pub(crate) resources: Option<&'a ResourceBook>,
-}
-
-impl Telemetry for NetTelemetry<'_> {
-    fn sample(&mut self, link: LinkId) -> LinkSample {
-        LinkSample {
-            queue_bytes: self.net.link_state(link).queue_bytes(),
-            flow_rate_sum: self.loads[link.index()],
-            arrival_rate: self.net.take_arrived(link) / self.tau,
-        }
-    }
-
-    fn rate_caps(&mut self, server: NodeId) -> RateCaps {
-        // Infinite unless the run models server resources (eq. 4's
-        // R_other): then disk/CPU caps flow into every advertised rate.
-        match self.resources {
-            Some(book) => book.rate_caps(server),
-            None => RateCaps::default(),
-        }
-    }
-}
 
 /// What a flow is, for rate refresh, energy attribution and completion
 /// bookkeeping.
@@ -244,16 +218,11 @@ fn weight_of(
 /// The SCDA control plane (see the module docs).
 pub struct ScdaControl {
     opts: ScdaOptions,
-    params: Params,
-    ct: ControlTree,
-    costs: ProtocolCosts,
-    servers: Vec<NodeId>,
-    clients: Vec<NodeId>,
+    plane: ScdaPlane,
     client_links: Vec<(LinkId, LinkId)>,
     /// Client-side RMs: allocators for the WAN links the RA tree does not
     /// cover ("FES agents associated with the UCL clients").
     client_alloc: Vec<(LinkAllocator, LinkAllocator)>,
-    link_loads: Vec<f64>,
     /// Outstanding assignments per tree level — the admission discount.
     outstanding: OutstandingDiscount,
     /// Per-flow control records of the flows in flight.
@@ -267,22 +236,12 @@ pub struct ScdaControl {
     /// Recent dormant-server wakeups `(time, server)`, kept within the
     /// wake-latency + τ window for violation attribution (§VII-C).
     recent_wakes: Vec<(f64, NodeId)>,
-    /// Scratch buffer the round's metrics are read into on their way to
-    /// the index (reused: no per-round allocation at the 16k-server scale).
-    metrics_buf: Vec<ServerMetrics>,
-    /// The round's SLA violations, refilled in place every round.
-    violations: Vec<SlaViolation>,
-    /// Persistent placement index over the raw per-server path rates,
-    /// refreshed from the control tree's metric deltas once per round;
-    /// every admission and replica pick is a query on it.
-    pindex: PlacementIndex,
     resources: Option<ResourceBook>,
     /// Original capacities of links that received reserve bandwidth, to
     /// bound how far mitigation may grow them.
     boosted: BTreeMap<LinkId, f64>,
     energy: Option<EnergyBook>,
     server_link_bytes: f64,
-    tau: f64,
     sla_monitor: Option<SlaMonitor>,
     snap_stream: Option<SnapshotStream>,
     sla_violations: usize,
@@ -296,37 +255,31 @@ impl ScdaControl {
     /// Build the SCDA control plane over a freshly built topology tree
     /// (call before the tree's `topo` moves into the kernel's network).
     pub fn new(sc: &Scenario, opts: &ScdaOptions, tree: &ThreeTierTree) -> Self {
-        let servers = tree.all_servers();
-        let clients = tree.clients.clone();
-        let client_links = tree.client_links.clone();
         let params = Params {
             tau: sc.tau,
-            drain_horizon: sc.tau,
             ..opts.params.clone()
         };
-        let mut ct = ControlTree::from_three_tier(tree, params.clone(), opts.metric);
+        let mut plane = ScdaPlane::new(tree, params, opts.metric, sc.topo.client_delay_s);
         assert!(
-            (ct.hmax() as usize) < scda_core::tree::MAX_LEVELS,
+            (plane.ct.hmax() as usize) < scda_core::tree::MAX_LEVELS,
             "OutstandingDiscount prices the server, rack, aggregation and \
              trunk levels from the per-server level cache: the tree must \
              fit its MAX_LEVELS"
         );
-        ct.set_obs(opts.obs.clone());
-        let costs = ProtocolCosts {
-            control_hop: params.control_hop_delay,
-            client_wan: sc.topo.client_delay_s,
-        };
+        plane.ct.set_obs(opts.obs.clone());
+        let client_links = tree.client_links.clone();
         let client_alloc: Vec<(LinkAllocator, LinkAllocator)> = client_links
             .iter()
             .map(|&(up, down)| {
                 let cap_up = tree.topo.link(up).capacity_bytes();
                 let cap_down = tree.topo.link(down).capacity_bytes();
                 (
-                    LinkAllocator::new(cap_up, opts.metric, &params),
-                    LinkAllocator::new(cap_down, opts.metric, &params),
+                    LinkAllocator::new(cap_up, opts.metric, &plane.params),
+                    LinkAllocator::new(cap_down, opts.metric, &plane.params),
                 )
             })
             .collect();
+        let servers = &plane.servers;
         let resources = opts.resource_profiles.as_ref().map(|profiles| {
             assert!(
                 !profiles.is_empty(),
@@ -343,13 +296,9 @@ impl ScdaControl {
             })
         });
         let x = sc.topo.base_bw_bps / 8.0;
-        let pindex = PlacementIndex::with_shape(ct.index_shape());
         ScdaControl {
-            params,
-            ct,
-            costs,
+            plane,
             client_alloc,
-            link_loads: vec![0.0_f64; tree.topo.link_count()],
             outstanding: OutstandingDiscount::new(
                 tree,
                 [x, x, sc.topo.k_factor * x, sc.topo.trunk_mult * x],
@@ -358,14 +307,10 @@ impl ScdaControl {
             slots: Vec::new(),
             pending_class: FlowTable::new(),
             recent_wakes: Vec::new(),
-            metrics_buf: Vec::new(),
-            violations: Vec::new(),
-            pindex,
             resources,
             boosted: BTreeMap::new(),
             energy,
             server_link_bytes: x,
-            tau: sc.tau,
             sla_monitor: opts.mitigation.clone().map(SlaMonitor::new),
             snap_stream: opts.snapshot_every.map(SnapshotStream::new),
             sla_violations: 0,
@@ -373,8 +318,6 @@ impl ScdaControl {
             replications_completed: 0,
             control_rounds: 0,
             changed_dirs_total: 0,
-            servers,
-            clients,
             client_links,
             opts: opts.clone(),
         }
@@ -387,21 +330,11 @@ impl ControlPolicy for ScdaControl {
     }
 
     fn cadence(&self) -> Option<f64> {
-        Some(self.tau)
+        Some(self.plane.params.tau)
     }
 
     fn prime(&mut self, driver: &mut FlowDriver) {
-        // Prime the tree so the first arrivals see idle-state
-        // advertisements.
-        let mut tel = NetTelemetry {
-            net: driver.net_mut(),
-            loads: &self.link_loads,
-            tau: self.tau,
-            resources: self.resources.as_ref(),
-        };
-        self.ct.control_round(0.0, &mut tel);
-        self.ct.server_metrics_into(&mut self.metrics_buf);
-        self.pindex.refresh(&self.metrics_buf);
+        self.plane.prime(driver, self.resources.as_ref());
     }
 
     fn admit(
@@ -413,7 +346,7 @@ impl ControlPolicy for ScdaControl {
         placement: &mut dyn Placement,
         transport: &mut dyn TransportPolicy,
     ) -> Admission {
-        let client = self.clients[f.client % self.clients.len()];
+        let client = self.plane.clients[f.client % self.plane.clients.len()];
 
         // One path for every run: the placement policy answers from the
         // index under the outstanding-load discount, evaluated only at
@@ -427,8 +360,8 @@ impl ControlPolicy for ScdaControl {
         let ctx = PlacementCtx {
             class: class_of(f.kind),
             direction: f.direction,
-            servers: &self.servers,
-            index: &self.pindex,
+            servers: &self.plane.servers,
+            index: &self.plane.pindex,
             query: &q,
         };
         let (server, sel_rate) = self
@@ -445,7 +378,7 @@ impl ControlPolicy for ScdaControl {
                 rate: 0.0,
             }; MAX_CANDIDATES];
             let mut len = 0;
-            for m in self.pindex.metrics() {
+            for m in self.plane.pindex.metrics() {
                 let (down, up) = self.outstanding.adjust(m);
                 let rate = match f.direction {
                     FlowDirection::Write => down,
@@ -499,13 +432,13 @@ impl ControlPolicy for ScdaControl {
             FlowDirection::Write => (
                 client,
                 server,
-                self.costs.external_write_setup(),
+                self.plane.costs.external_write_setup(),
                 Direction::Down,
             ),
             FlowDirection::Read => (
                 server,
                 client,
-                self.costs.external_read_setup(),
+                self.plane.costs.external_read_setup(),
                 Direction::Up,
             ),
         };
@@ -514,9 +447,10 @@ impl ControlPolicy for ScdaControl {
             .base_rtt_between(src, dst)
             .expect("client and server are connected");
         let tree_rate = self
+            .plane
             .ct
             .client_rate(server, tree_dir)
-            .unwrap_or(self.params.min_rate);
+            .unwrap_or(self.plane.params.min_rate);
         let ci = f.client % self.client_alloc.len();
         let wan_rate = match f.direction {
             FlowDirection::Write => self.client_alloc[ci].0.rate(),
@@ -530,7 +464,7 @@ impl ControlPolicy for ScdaControl {
             tree_rate,
             now,
         );
-        let mut rate = (w * tree_rate.min(wan_rate)).max(self.params.min_rate);
+        let mut rate = (w * tree_rate.min(wan_rate)).max(self.plane.params.min_rate);
         if let Some(plan) = &self.opts.reservations {
             if id.0.is_multiple_of(plan.every) {
                 rate = rate.max(plan.min_rate);
@@ -581,54 +515,44 @@ impl ControlPolicy for ScdaControl {
     }
 
     fn round(&mut self, now: f64, driver: &mut FlowDriver) {
-        // Current offered rates, per link (the S sums of eq. 4/6 —
-        // weights are already baked into each flow's installed rate).
-        driver.offered_loads_into(&mut self.link_loads);
-        let mut round_violations = std::mem::take(&mut self.violations);
-        {
-            let mut tel = NetTelemetry {
-                net: driver.net_mut(),
-                loads: &self.link_loads,
-                tau: self.tau,
-                resources: self.resources.as_ref(),
-            };
-            self.ct
-                .control_round_into(now, &mut tel, &mut round_violations);
-            self.sla_violations += round_violations.len();
-            self.control_rounds += 1;
-            self.changed_dirs_total += self.ct.changed_nodes(0.05);
-            // Client-side RM updates over the same telemetry.
-            for (ci, &(up, down)) in self.client_links.iter().enumerate() {
-                let su = tel.sample(up);
-                let sd = tel.sample(down);
-                self.client_alloc[ci].0.update(&su, &self.params);
-                self.client_alloc[ci].1.update(&sd, &self.params);
-            }
+        self.plane.round(now, driver, self.resources.as_ref());
+        self.sla_violations += self.plane.violations.len();
+        self.control_rounds += 1;
+        self.changed_dirs_total += self.plane.ct.changed_nodes(0.05);
+        // Client-side RM updates over the same loads: the WAN links the
+        // tree does not cover.
+        let params = &self.plane.params;
+        let mut tel = NetTelemetry {
+            net: driver.net_mut(),
+            loads: &self.plane.link_loads,
+            tau: params.tau,
+            resources: self.resources.as_ref(),
+        };
+        for (ci, &(up, down)) in self.client_links.iter().enumerate() {
+            let su = tel.sample(up);
+            let sd = tel.sample(down);
+            self.client_alloc[ci].0.update(&su, params);
+            self.client_alloc[ci].1.update(&sd, params);
         }
-        // Absorb the round's fresh advertisements into the placement
-        // index. Server metrics only move inside `control_round`, so one
-        // incremental refresh per round keeps the index bit-identical to
-        // a fresh snapshot until the next round (the mitigation ladder
-        // below touches capacity columns only, which the metrics
-        // snapshot does not read).
-        self.ct.server_metrics_into(&mut self.metrics_buf);
-        self.pindex.refresh(&self.metrics_buf);
         // Attribute each violation *before* the mitigation ladder runs,
         // so the recorded bottleneck and traffic mix are the ones the
         // monitor saw at detection time: walk the control tree's max-min
         // bottleneck for the violated server/direction, count the active
         // flows crossing the saturated link per class, and flag any
         // dormant-server wakeup still in flight under the affected set.
-        if self.opts.audit.is_enabled() && !round_violations.is_empty() {
+        // The wake list is pruned every audited round, violations or
+        // not, so a quiet run does not keep every wake it ever made.
+        if self.opts.audit.is_enabled() {
             let wake_window = self
                 .opts
                 .energy
                 .as_ref()
                 .map(|e| e.model.wake_latency)
                 .unwrap_or(0.0)
-                + self.tau;
+                + params.tau;
             self.recent_wakes.retain(|&(t, _)| now - t <= wake_window);
-            for v in &round_violations {
+            let ct = &self.plane.ct;
+            for v in &self.plane.violations {
                 let mut affected: Vec<u64> = Vec::new();
                 let mut endpoints: Vec<NodeId> = Vec::new();
                 let mut counts: BTreeMap<AuditClass, u32> = BTreeMap::new();
@@ -651,14 +575,13 @@ impl ControlPolicy for ScdaControl {
                     .map(|(&c, _)| c)
                     .unwrap_or(AuditClass::Internal);
                 let server = if v.site.level == 0 {
-                    self.ct.server_of(v.site.node)
+                    ct.server_of(v.site.node)
                 } else {
-                    self.ct
-                        .best_server_at(v.site.node, v.site.direction)
+                    ct.best_server_at(v.site.node, v.site.direction)
                         .map(|(s, _)| s)
                 };
                 let (b_level, b_link) = server
-                    .and_then(|s| self.ct.bottleneck_of(s, v.site.direction))
+                    .and_then(|s| ct.bottleneck_of(s, v.site.direction))
                     .unwrap_or((v.site.level, v.site.link));
                 let dormant_wake = self
                     .recent_wakes
@@ -690,7 +613,7 @@ impl ControlPolicy for ScdaControl {
         // escalates repeat offenders (reassignment happens naturally —
         // the violated link's rates collapse and selection avoids it).
         if let Some(mon) = self.sla_monitor.as_mut() {
-            for v in &round_violations {
+            for v in &self.plane.violations {
                 match mon.ingest(*v) {
                     Mitigation::AddBandwidth { extra } => {
                         let link = v.site.link;
@@ -700,7 +623,7 @@ impl ControlPolicy for ScdaControl {
                             (cur + extra * 8.0).min(orig * self.opts.mitigation_reserve_factor);
                         if new > cur {
                             driver.net_mut().set_link_capacity(link, new);
-                            self.ct.set_link_capacity(link, new / 8.0);
+                            self.plane.ct.set_link_capacity(link, new / 8.0);
                             self.mitigations_applied += 1;
                             self.opts
                                 .audit
@@ -726,7 +649,12 @@ impl ControlPolicy for ScdaControl {
         // Close audit episodes for links that left the violated set (the
         // violation cleared without an explicit mitigation action).
         if self.opts.audit.is_enabled() {
-            let violated: Vec<u32> = round_violations.iter().map(|v| v.site.link.0).collect();
+            let violated: Vec<u32> = self
+                .plane
+                .violations
+                .iter()
+                .map(|v| v.site.link.0)
+                .collect();
             self.opts.audit.round_end(now, &violated);
         }
 
@@ -750,7 +678,7 @@ impl ControlPolicy for ScdaControl {
                 // until demand wakes them. The placement index's mirror
                 // was refreshed from this round's metrics above, so it
                 // doubles as the snapshot here.
-                for m in self.pindex.metrics() {
+                for m in self.plane.pindex.metrics() {
                     let busy = per_server.get(&m.server).copied().unwrap_or(0.0) > 0.0;
                     if !busy && m.path_up >= self.opts.selector.r_scale && book.is_active(m.server)
                     {
@@ -767,8 +695,8 @@ impl ControlPolicy for ScdaControl {
         self.slots.clear();
         self.slots.extend(driver.net().flow_slots());
         let mut live = self.slots.iter().peekable();
-        let ct = &self.ct;
-        let params = &self.params;
+        let ct = &self.plane.ct;
+        let params = &self.plane.params;
         let client_alloc = &self.client_alloc;
         let opts = &self.opts;
         self.flow_ctl.retain(|id, ctl| {
@@ -827,10 +755,9 @@ impl ControlPolicy for ScdaControl {
             .obs
             .gauge_set(metric::FLOWS_ACTIVE, driver.active_count() as f64);
         if let Some(stream) = self.snap_stream.as_mut() {
-            let ct = &self.ct;
+            let ct = &self.plane.ct;
             stream.offer_with(|| ct.snapshot(now));
         }
-        self.violations = round_violations;
     }
 
     fn on_complete(
@@ -882,31 +809,17 @@ impl ControlPolicy for ScdaControl {
                 cfg: &self.opts.selector,
                 discount: &NoDiscount,
             };
-            let replica_pick = self.pindex.replica_target(
+            let replica_pick = self.plane.pindex.replica_target(
                 ContentClass::SemiInteractiveRead,
                 primary,
                 &NodeSet::new(),
                 &q,
             );
             if let Some((replica, _)) = replica_pick {
-                let rate = self
-                    .ct
-                    .transfer_rate(primary, replica)
-                    .unwrap_or(self.params.min_rate)
-                    .max(self.params.min_rate);
-                let base_rtt = driver
-                    .net_mut()
-                    .base_rtt_between(primary, replica)
-                    .expect("servers are connected");
-                return Some(SpawnSpec {
-                    src: primary,
-                    dst: replica,
-                    server: primary,
-                    size,
-                    arrival: c.finish,
-                    start: c.finish + self.costs.internal_write_setup(),
-                    transport: AnyTransport::Scda(ScdaWindow::new(rate, rate, base_rtt)),
-                });
+                return Some(
+                    self.plane
+                        .replication(primary, replica, size, c.finish, driver),
+                );
             }
         }
         None
@@ -931,9 +844,14 @@ impl ControlPolicy for ScdaControl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scda_core::{MetricKind, SelectorConfig};
+    use crate::runner::{BestRatePlacement, EnergyOptions, ExplicitRateTransport};
+    use crate::Scale;
+    use scda_core::{
+        ControlTree, LinkSample, MetricKind, PlacementIndex, RateCaps, SelectorConfig,
+    };
     use scda_simnet::builders::ThreeTierConfig;
     use scda_simnet::units::mbps;
+    use scda_simnet::Network;
     use std::collections::VecDeque;
 
     struct Idle;
@@ -1039,5 +957,46 @@ mod tests {
             "release saturates at zero"
         );
         assert_eq!(d.per_agg[tree.agg_of_rack[7]], 0);
+    }
+
+    /// An audited run with dormancy keeps a wake only as long as
+    /// attribution can use it: rounds without violations prune the list
+    /// too.
+    #[test]
+    fn quiet_audited_rounds_forget_old_wakes() {
+        let sc = Scenario::video(Scale::Quick, false, 1);
+        let tree = sc.topo.build();
+        let opts = ScdaOptions {
+            energy: Some(EnergyOptions::default()),
+            audit: scda_audit::Audit::enabled(),
+            ..ScdaOptions::default()
+        };
+        let mut ctl = ScdaControl::new(&sc, &opts, &tree);
+        let mut driver = FlowDriver::new(Network::new(tree.topo));
+        ctl.prime(&mut driver);
+        let book = ctl.energy.as_mut().expect("energy enabled");
+        for &s in &ctl.plane.servers {
+            book.scale_down(s);
+        }
+        // Admitted but never opened: each request wakes the server it
+        // lands on and leaves the fabric idle.
+        for (i, f) in sc.workload.flows.iter().take(5).enumerate() {
+            ctl.admit(
+                f,
+                FlowId(i as u64),
+                0.0,
+                &mut driver,
+                &mut BestRatePlacement,
+                &mut ExplicitRateTransport,
+            );
+        }
+        assert!(!ctl.recent_wakes.is_empty(), "admissions woke servers");
+        let window = EnergyOptions::default().model.wake_latency + sc.tau;
+        let rounds = (window / sc.tau).ceil() as u32 + 2;
+        for k in 1..=rounds {
+            ctl.round(f64::from(k) * sc.tau, &mut driver);
+        }
+        assert_eq!(ctl.sla_violations, 0, "the rounds were quiet");
+        assert!(ctl.recent_wakes.is_empty(), "{:?}", ctl.recent_wakes);
     }
 }

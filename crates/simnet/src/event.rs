@@ -61,10 +61,6 @@ pub struct Scheduler<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     seq: u64,
     now: SimTime,
-    /// Reusable same-timestamp batch buffer, loaned to the engine drain
-    /// via [`Scheduler::take_batch`] so steady-state drains allocate
-    /// nothing.
-    batch: Vec<E>,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -80,7 +76,6 @@ impl<E> Scheduler<E> {
             heap: BinaryHeap::new(),
             seq: 0,
             now: 0.0,
-            batch: Vec::new(),
         }
     }
 
@@ -195,19 +190,6 @@ impl<E> Scheduler<E> {
         }
         Some(t)
     }
-
-    /// Detach the scheduler's reusable batch buffer. The engine drain
-    /// takes it, feeds it to [`Scheduler::pop_batch_until`] while
-    /// handlers mutate the scheduler, and hands it back with
-    /// [`Scheduler::put_batch`] so its capacity is kept across drains.
-    pub fn take_batch(&mut self) -> Vec<E> {
-        std::mem::take(&mut self.batch)
-    }
-
-    /// Return a buffer taken with [`Scheduler::take_batch`].
-    pub fn put_batch(&mut self, buf: Vec<E>) {
-        self.batch = buf;
-    }
 }
 
 #[cfg(test)]
@@ -318,21 +300,6 @@ mod tests {
         assert_eq!(s.len(), 1, "past-deadline events stay queued");
         assert_eq!(s.now(), 0.0, "clock does not move on a refused batch");
         assert_eq!(s.pop_batch_until(5.0, &mut out), Some(5.0));
-    }
-
-    #[test]
-    fn batch_buffer_keeps_capacity_across_loans() {
-        let mut s = Scheduler::new();
-        for i in 0..64 {
-            s.at(1.0, i);
-        }
-        let mut buf = s.take_batch();
-        s.pop_batch_until(f64::INFINITY, &mut buf);
-        assert_eq!(buf.len(), 64);
-        let cap = buf.capacity();
-        s.put_batch(buf);
-        let buf = s.take_batch();
-        assert_eq!(buf.capacity(), cap, "capacity survives the round-trip");
     }
 
     #[test]

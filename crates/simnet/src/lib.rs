@@ -5,7 +5,7 @@
 //! Efficient Content Storage and Retrieval* (Fesehaye & Nahrstedt, HPDC
 //! 2013). The paper evaluated SCDA inside NS2; this crate is the NS2
 //! substitute: it provides everything the evaluation needs — an event
-//! engine, datacenter topologies (including the paper's figure-6 three-tier
+//! queue, datacenter topologies (including the paper's figure-6 three-tier
 //! tree), shortest-path routing, fluid links with FIFO byte queues and drop
 //! accounting, and a max-min water-filling reference solver.
 //!
@@ -35,7 +35,6 @@
 //! | [`units`] | simulation time and rate/byte unit helpers |
 //! | [`ids`] | typed index newtypes ([`NodeId`], [`LinkId`], [`FlowId`]) and the id-ordered [`FlowTable`] |
 //! | [`event`] | generic binary-heap event queue ([`event::Scheduler`]) |
-//! | [`engine`] | the run loop driving a [`engine::Simulation`] |
 //! | [`topology`] | node/link arena and construction API |
 //! | [`builders`] | figure-6 three-tier tree, fat-tree, VL2-like Clos, dumbbell |
 //! | [`routing`] | shortest paths: an O(depth) climb on a tree fabric, cached per-source Dijkstra on general graphs; interned |
@@ -51,7 +50,6 @@
 
 pub mod builders;
 pub mod ecmp;
-pub mod engine;
 pub mod event;
 pub mod faults;
 pub mod fluid;
@@ -65,7 +63,6 @@ pub mod units;
 
 pub use builders::{ThreeTierConfig, ThreeTierTree};
 pub use ecmp::EcmpRoutes;
-pub use engine::{run_to_completion, run_until, Simulation};
 pub use event::Scheduler;
 pub use fluid::{max_min_rates_into, FluidFlow};
 pub use ids::{FlowId, FlowTable, LinkId, NodeId};

@@ -3,7 +3,7 @@
 //! The headline experiments run on the fluid model ([`crate::Network`]),
 //! which DESIGN.md argues preserves everything the paper measures. This
 //! module is the evidence: a store-and-forward, per-packet, event-driven
-//! simulator (built on [`crate::Scheduler`]/[`crate::engine`]) over the
+//! simulator (built on [`crate::Scheduler`]) over the
 //! *same* topologies, against which the fluid model's completion times and
 //! queueing delays are cross-validated in `tests/` — the NS2-fidelity
 //! check, minus NS2.
@@ -19,7 +19,6 @@
 
 use std::collections::VecDeque;
 
-use crate::engine::{run_until, Simulation};
 use crate::event::Scheduler;
 use crate::ids::{LinkId, NodeId};
 use crate::routing::Routes;
@@ -142,11 +141,8 @@ impl PacketSim {
             sched.after(pkt.bytes / lq.cap_bytes_per_s, Ev::Depart { link });
         }
     }
-}
 
-impl Simulation for PacketSim {
-    type Event = Ev;
-
+    /// Handle one event at time `now`; schedule any follow-ups on `sched`.
     fn handle(&mut self, now: f64, ev: Ev, sched: &mut Scheduler<Ev>) {
         match ev {
             Ev::Inject { flow } => {
@@ -277,7 +273,17 @@ pub fn simulate_packets(topo: &Topology, flows: &[PacketFlow], horizon: f64) -> 
     for (i, f) in flows.iter().enumerate() {
         sched.at(f.start, Ev::Inject { flow: i });
     }
-    let events = run_until(&mut sim, &mut sched, horizon);
+    // Drain in timestamp order until the queue empties or the next event
+    // is strictly after the horizon (events at the horizon still run),
+    // one same-timestamp batch at a time.
+    let mut events = 0;
+    let mut batch = Vec::new();
+    while let Some(now) = sched.pop_batch_until(horizon, &mut batch) {
+        events += batch.len() as u64;
+        for ev in batch.drain(..) {
+            sim.handle(now, ev, &mut sched);
+        }
+    }
     PacketSimResult {
         flows: sim
             .flows

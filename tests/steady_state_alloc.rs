@@ -115,6 +115,12 @@ fn flow_driver_ticks_without_completions() {
     assert_eq!(driver.active_count(), 40);
 }
 
+/// The shared SCDA round: each `ScdaControl::round` runs the crate's one
+/// per-τ sequence (`ScdaPlane::round`: offered loads, the tree's round
+/// into a kept violations buffer, the index refresh) before its own
+/// attribution, mitigation and re-window. The content lifecycle's
+/// policy is crate-private and calls the same function, so this window
+/// holds its round to zero allocations too.
 #[test]
 fn scda_control_rounds_with_violations() {
     let (sc, mut scda, mut driver) = loaded_scda();
