@@ -56,6 +56,16 @@ pub enum AuditClass {
 }
 
 impl AuditClass {
+    /// Every class, in declaration (= `Ord`) order; `class as usize`
+    /// indexes it.
+    pub const ALL: [AuditClass; 5] = [
+        AuditClass::Interactive,
+        AuditClass::SemiInteractiveRead,
+        AuditClass::SemiInteractiveWrite,
+        AuditClass::Passive,
+        AuditClass::Internal,
+    ];
+
     /// Stable lowercase name used in JSONL exports and report keys.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -215,12 +225,20 @@ struct ViolationEntry {
     rec: ViolationRecord,
     mitigation_cause: Option<&'static str>,
     time_to_mitigation: Option<f64>,
+    /// The next violation of the same episode (unused after its last).
+    next_in_episode: usize,
 }
 
-#[derive(Debug, Clone)]
+/// An episode still open on `link`. Its violations are a chain through
+/// [`ViolationEntry::next_in_episode`] from `first` to `last`, in record
+/// order, so an episode holds no list of its own.
+#[derive(Debug, Clone, Copy)]
 struct OpenEpisode {
+    link: u32,
     opened: f64,
-    violation_idxs: Vec<usize>,
+    first: usize,
+    last: usize,
+    count: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -261,32 +279,55 @@ pub const MITIGATION_UNRESOLVED: &str = "unresolved_at_horizon";
 pub struct AuditCore {
     spans: BTreeMap<u64, FlowSpan>,
     violations: Vec<ViolationEntry>,
-    open_episodes: BTreeMap<u32, OpenEpisode>,
+    /// Open episodes, sorted by link.
+    open_episodes: Vec<OpenEpisode>,
     episodes: Vec<EpisodeRecord>,
     wakeups: Vec<WakeupRecord>,
     horizon: Option<f64>,
 }
 
 impl AuditCore {
-    fn close_episode(&mut self, link: u32, now: f64, cause: &'static str) {
-        if let Some(ep) = self.open_episodes.remove(&link) {
-            for &i in &ep.violation_idxs {
-                let v = &mut self.violations[i];
-                // An unresolved close keeps the last advisory action
-                // (reassign/escalate) as the cause when one was recorded.
-                if cause != MITIGATION_UNRESOLVED || v.mitigation_cause.is_none() {
-                    v.mitigation_cause = Some(cause);
-                }
-                v.time_to_mitigation = Some((now - v.rec.time).max(0.0));
+    /// Where `link`'s open episode is, or would go, in `open_episodes`.
+    fn find_episode(&self, link: u32) -> Result<usize, usize> {
+        self.open_episodes.binary_search_by_key(&link, |e| e.link)
+    }
+
+    /// `f` on each violation of `ep`, in record order.
+    fn for_each_violation(&mut self, ep: OpenEpisode, mut f: impl FnMut(&mut ViolationEntry)) {
+        let mut i = ep.first;
+        loop {
+            let v = &mut self.violations[i];
+            f(v);
+            if i == ep.last {
+                break;
             }
-            self.episodes.push(EpisodeRecord {
-                link,
-                opened: ep.opened,
-                closed: now,
-                violations: ep.violation_idxs.len() as u64,
-                cause,
-            });
+            i = v.next_in_episode;
         }
+    }
+
+    fn close_episode(&mut self, link: u32, now: f64, cause: &'static str) {
+        if let Ok(at) = self.find_episode(link) {
+            let ep = self.open_episodes.remove(at);
+            self.close(ep, now, cause);
+        }
+    }
+
+    fn close(&mut self, ep: OpenEpisode, now: f64, cause: &'static str) {
+        self.for_each_violation(ep, |v| {
+            // An unresolved close keeps the last advisory action
+            // (reassign/escalate) as the cause when one was recorded.
+            if cause != MITIGATION_UNRESOLVED || v.mitigation_cause.is_none() {
+                v.mitigation_cause = Some(cause);
+            }
+            v.time_to_mitigation = Some((now - v.rec.time).max(0.0));
+        });
+        self.episodes.push(EpisodeRecord {
+            link: ep.link,
+            opened: ep.opened,
+            closed: now,
+            violations: ep.count,
+            cause,
+        });
     }
 }
 
@@ -418,21 +459,32 @@ impl Audit {
                 }
             }
             let idx = c.violations.len();
-            let link = rec.link;
-            let time = rec.time;
+            let (link, time) = (rec.link, rec.time);
             c.violations.push(ViolationEntry {
                 rec,
                 mitigation_cause: None,
                 time_to_mitigation: None,
+                next_in_episode: idx,
             });
-            c.open_episodes
-                .entry(link)
-                .or_insert(OpenEpisode {
-                    opened: time,
-                    violation_idxs: Vec::new(),
-                })
-                .violation_idxs
-                .push(idx);
+            match c.find_episode(link) {
+                Ok(at) => {
+                    let last = c.open_episodes[at].last;
+                    c.violations[last].next_in_episode = idx;
+                    let ep = &mut c.open_episodes[at];
+                    ep.last = idx;
+                    ep.count += 1;
+                }
+                Err(at) => c.open_episodes.insert(
+                    at,
+                    OpenEpisode {
+                        link,
+                        opened: time,
+                        first: idx,
+                        last: idx,
+                        count: 1,
+                    },
+                ),
+            }
         }
     }
 
@@ -444,13 +496,13 @@ impl Audit {
         if let Some(mut c) = self.lock() {
             if action == MITIGATION_ADD_BANDWIDTH {
                 c.close_episode(link, now, MITIGATION_ADD_BANDWIDTH);
-            } else if let Some(ep) = c.open_episodes.get(&link) {
-                for i in ep.violation_idxs.clone() {
-                    let v = &mut c.violations[i];
+            } else if let Ok(at) = c.find_episode(link) {
+                let ep = c.open_episodes[at];
+                c.for_each_violation(ep, |v| {
                     if v.mitigation_cause.is_none() {
                         v.mitigation_cause = Some(action);
                     }
-                }
+                });
             }
         }
     }
@@ -460,14 +512,15 @@ impl Audit {
     /// as [`MITIGATION_CLEARED`].
     pub fn round_end(&self, now: f64, violated_links: &[u32]) {
         if let Some(mut c) = self.lock() {
-            let cleared: Vec<u32> = c
-                .open_episodes
-                .keys()
-                .filter(|l| !violated_links.contains(l))
-                .copied()
-                .collect();
-            for link in cleared {
-                c.close_episode(link, now, MITIGATION_CLEARED);
+            // In link order, as the episodes are kept.
+            let mut at = 0;
+            while at < c.open_episodes.len() {
+                if violated_links.contains(&c.open_episodes[at].link) {
+                    at += 1;
+                } else {
+                    let ep = c.open_episodes.remove(at);
+                    c.close(ep, now, MITIGATION_CLEARED);
+                }
             }
         }
     }
@@ -488,9 +541,8 @@ impl Audit {
     /// time-to-mitigation), so every exported violation carries a value.
     pub fn finalize(&self, horizon: f64) {
         if let Some(mut c) = self.lock() {
-            let open: Vec<u32> = c.open_episodes.keys().copied().collect();
-            for link in open {
-                c.close_episode(link, horizon, MITIGATION_UNRESOLVED);
+            for ep in std::mem::take(&mut c.open_episodes) {
+                c.close(ep, horizon, MITIGATION_UNRESOLVED);
             }
             c.horizon = Some(horizon);
         }

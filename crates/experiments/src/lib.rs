@@ -12,7 +12,9 @@
 //!   costs) and RandTCP (random server selection + TCP Reno +
 //!   handshake);
 //! * [`figures`] — the figure index: five simulation groups → figures
-//!   7-18 as [`scda_metrics::FigureReport`]s.
+//!   7-18 as [`scda_metrics::FigureReport`]s;
+//! * [`probe`] — what a harness reads off a run: the kernel's stage
+//!   boundaries ([`probe::KernelClock`]) and [`RunResult::digest`].
 //!
 //! The `figures` binary (`cargo run --release --bin figures`)
 //! regenerates any or all figures from the command line.
@@ -27,6 +29,7 @@ pub mod ablations;
 pub mod content_run;
 pub mod figures;
 pub mod multipath;
+pub mod probe;
 pub mod replication;
 pub mod runner;
 pub mod scenario;

@@ -9,21 +9,22 @@
 //! `run_content` differ only in the policy objects and the request
 //! schedule they hand the kernel; none carries its own copy of the loop.
 //!
-//! The kernel reports per-stage wall-clock under the canonical
-//! [`scda_obs::phase`] names when the run carries an enabled handle, and
-//! records nothing (not even an `Instant`) otherwise.
-
-use std::time::Instant;
+//! The kernel crosses one set of stage boundaries and tells a
+//! [`KernelClock`] of each ([`SimKernel::run_clocked`]). Per-stage
+//! wall-clock under the canonical [`scda_obs::phase`] names is one such
+//! clock, run when the run carries an enabled handle; otherwise nothing
+//! reads the time (not even an `Instant`).
 
 use scda_audit::{AuditClass, ShedCause};
 use scda_metrics::{FctStats, FlowRecord, ThroughputSeries};
-use scda_obs::{metric, phase, TraceEvent};
+use scda_obs::{metric, TraceEvent};
 use scda_simnet::{FlowId, FlowTable, Network, NodeId, Scheduler};
 use scda_transport::{AnyTransport, FlowDriver, TickSummary};
 use scda_workloads::{FlowDirection, FlowKind};
 
 use super::policy::{Accounting, ControlPolicy, Placement, TransportPolicy};
 use super::RunResult;
+use crate::probe::{Clocks, KernelClock, NoClock, PhaseClock, Stage};
 use crate::scenario::Scenario;
 
 /// Map a workload flow kind onto the audit's traffic classes (the same
@@ -132,16 +133,41 @@ impl SimKernel {
     /// Panics if `sc.dt` is not positive and finite or `sc.duration` is
     /// not finite and non-negative.
     pub fn run(
-        mut self,
+        self,
         sc: &Scenario,
         ctrl: &mut dyn ControlPolicy,
         placement: &mut dyn Placement,
         transport: &mut dyn TransportPolicy,
         acct: &mut dyn Accounting,
     ) -> RunResult {
+        self.run_clocked(sc, ctrl, placement, transport, acct, &mut NoClock)
+    }
+
+    /// [`SimKernel::run`], telling `clock` of every stage boundary the
+    /// step loop crosses (see [`crate::probe`]). The clock only watches:
+    /// the run is the same run. `clock` may be a `&mut dyn KernelClock`;
+    /// a concrete type compiles its boundaries in, so [`NoClock`] costs
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// As [`SimKernel::run`].
+    pub fn run_clocked<C: KernelClock + ?Sized>(
+        mut self,
+        sc: &Scenario,
+        ctrl: &mut dyn ControlPolicy,
+        placement: &mut dyn Placement,
+        transport: &mut dyn TransportPolicy,
+        acct: &mut dyn Accounting,
+        clock: &mut C,
+    ) -> RunResult {
         let steps = step_count(sc.duration, sc.dt);
         let observing = acct.obs().is_enabled();
         let auditing = acct.audit().is_enabled();
+        let mut clock = Clocks {
+            phases: observing.then(|| PhaseClock::new(acct.obs().clone())),
+            caller: clock,
+        };
         self.driver.set_obs(acct.obs().clone());
         self.driver.set_audit(acct.audit().clone());
         ctrl.prime(&mut self.driver);
@@ -153,13 +179,10 @@ impl SimKernel {
             let now = step as f64 * sc.dt;
 
             // Admission: classify, select a server, price the setup.
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "per-stage wall-clock profiling; gated on obs and never read by sim state"
-            )]
-            let t_admit = observing.then(Instant::now);
+            clock.enter(Stage::Step);
             while next_flow < sc.workload.flows.len() && sc.workload.flows[next_flow].arrival <= now
             {
+                clock.enter(Stage::Admit);
                 let f = sc.workload.flows[next_flow];
                 next_flow += 1;
                 let id = FlowId(self.next_id);
@@ -186,20 +209,17 @@ impl SimKernel {
                     transport: adm.transport,
                 });
             }
-            if let Some(t) = t_admit {
-                acct.obs().phase_add(phase::ADMISSION, t.elapsed());
-            }
 
             // Open connections whose setup completed, one same-timestamp
             // batch per scheduler drain.
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "per-stage wall-clock profiling; gated on obs and never read by sim state"
-            )]
-            let t_open = observing.then(Instant::now);
             let mut batch = std::mem::take(&mut self.open_batch);
-            while self.pending.pop_batch_until(now, &mut batch).is_some() {
+            loop {
+                clock.enter(Stage::PopBatch);
+                if self.pending.pop_batch_until(now, &mut batch).is_none() {
+                    break;
+                }
                 for &idx in &batch {
+                    clock.enter(Stage::Open);
                     let p = self.starts[idx]
                         .take()
                         .expect("invariant: a scheduled slot holds its start until it opens");
@@ -214,37 +234,25 @@ impl SimKernel {
             }
             batch.clear();
             self.open_batch = batch;
-            if let Some(t) = t_open {
-                acct.obs().phase_add(phase::OPEN, t.elapsed());
-            }
 
             // Control round every τ (skipped entirely for cadence-free
             // policies — RandTCP has no control plane).
             if let (Some(period), Some(nc)) = (period, next_ctrl) {
                 if now + 1e-12 >= nc {
-                    #[expect(
-                        clippy::disallowed_methods,
-                        reason = "per-stage wall-clock profiling; gated on obs and never read by sim state"
-                    )]
-                    let t_ctrl = observing.then(Instant::now);
+                    clock.enter(Stage::Round);
                     next_ctrl = Some(nc + period);
                     ctrl.round(now, &mut self.driver);
-                    if let Some(t) = t_ctrl {
-                        acct.obs().phase_add(phase::CONTROL, t.elapsed());
-                    }
                 }
             }
 
             // Drive the data plane one tick and account completions.
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "per-stage wall-clock profiling; gated on obs and never read by sim state"
-            )]
-            let t_tick = observing.then(Instant::now);
+            clock.enter(Stage::Tick);
             let mut summary = std::mem::take(&mut self.summary);
             self.driver.tick(now, sc.dt, &mut summary);
+            clock.enter(Stage::Account);
             acct.on_tick(now, summary.delivered_bytes, self.driver.active_count());
             for c in &summary.completed {
+                clock.enter(Stage::Completion);
                 let entry = self.arrivals.remove(c.id);
                 let spawn = ctrl.on_complete(c, entry.map(|(_, size)| size), &mut self.driver);
                 if let Some((arrival, size)) = entry {
@@ -279,9 +287,7 @@ impl SimKernel {
                 }
             }
             self.summary = summary;
-            if let Some(t) = t_tick {
-                acct.obs().phase_add(phase::TICK, t.elapsed());
-            }
+            clock.enter(Stage::Idle);
         }
 
         // Flows the horizon cut off — still-active transfers plus setups

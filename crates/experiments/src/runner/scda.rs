@@ -236,6 +236,15 @@ pub struct ScdaControl {
     /// Recent dormant-server wakeups `(time, server)`, kept within the
     /// wake-latency + τ window for violation attribution (§VII-C).
     recent_wakes: Vec<(f64, NodeId)>,
+    /// Scratch for an audited round: one violation's affected flows and
+    /// their endpoints, and the round's violated links.
+    affected: Vec<u64>,
+    endpoints: Vec<NodeId>,
+    violated: Vec<u32>,
+    /// Offered rate per server, indexed by `NodeId.0`, summed over the
+    /// flows it serves by the round's re-window walk (sized only when
+    /// the run accounts energy).
+    server_load: Vec<f64>,
     resources: Option<ResourceBook>,
     /// Original capacities of links that received reserve bandwidth, to
     /// bound how far mitigation may grow them.
@@ -295,6 +304,11 @@ impl ScdaControl {
                 1.0 + spread * (((i * 7919) % 101) as f64 / 100.0 - 0.5)
             })
         });
+        let server_load = if energy.is_some() {
+            vec![0.0; tree.topo.node_count()]
+        } else {
+            Vec::new()
+        };
         let x = sc.topo.base_bw_bps / 8.0;
         ScdaControl {
             plane,
@@ -307,6 +321,10 @@ impl ScdaControl {
             slots: Vec::new(),
             pending_class: FlowTable::new(),
             recent_wakes: Vec::new(),
+            affected: Vec::new(),
+            endpoints: Vec::new(),
+            violated: Vec::new(),
+            server_load,
             resources,
             boosted: BTreeMap::new(),
             energy,
@@ -553,24 +571,28 @@ impl ControlPolicy for ScdaControl {
             self.recent_wakes.retain(|&(t, _)| now - t <= wake_window);
             let ct = &self.plane.ct;
             for v in &self.plane.violations {
-                let mut affected: Vec<u64> = Vec::new();
-                let mut endpoints: Vec<NodeId> = Vec::new();
-                let mut counts: BTreeMap<AuditClass, u32> = BTreeMap::new();
+                self.affected.clear();
+                self.endpoints.clear();
+                let mut counts = [0u32; AuditClass::ALL.len()];
                 for (fid, src, dst) in driver.active_flows() {
                     if driver.net().flow(fid).path().contains(&v.site.link) {
-                        affected.push(fid.0);
-                        endpoints.push(src);
-                        endpoints.push(dst);
+                        self.affected.push(fid.0);
+                        self.endpoints.push(src);
+                        self.endpoints.push(dst);
                         let class = self
                             .flow_ctl
                             .get(fid)
                             .map(|c| c.class)
                             .unwrap_or(AuditClass::Internal);
-                        *counts.entry(class).or_insert(0) += 1;
+                        counts[class as usize] += 1;
                     }
                 }
-                let dominant_class = counts
+                // The most frequent class, the first in class order among
+                // equals.
+                let dominant_class = AuditClass::ALL
                     .iter()
+                    .zip(&counts)
+                    .filter(|&(_, &n)| n > 0)
                     .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
                     .map(|(&c, _)| c)
                     .unwrap_or(AuditClass::Internal);
@@ -586,7 +608,7 @@ impl ControlPolicy for ScdaControl {
                 let dormant_wake = self
                     .recent_wakes
                     .iter()
-                    .any(|&(_, s)| endpoints.contains(&s));
+                    .any(|&(_, s)| self.endpoints.contains(&s));
                 self.opts.audit.violation(
                     ViolationRecord {
                         time: v.time,
@@ -599,11 +621,11 @@ impl ControlPolicy for ScdaControl {
                             bottleneck_link: b_link.0,
                             bottleneck_level: b_level,
                             dominant_class,
-                            affected_flows: affected.len() as u32,
+                            affected_flows: self.affected.len() as u32,
                             dormant_wake,
                         },
                     },
-                    &affected,
+                    &self.affected,
                 );
             }
         }
@@ -649,49 +671,21 @@ impl ControlPolicy for ScdaControl {
         // Close audit episodes for links that left the violated set (the
         // violation cleared without an explicit mitigation action).
         if self.opts.audit.is_enabled() {
-            let violated: Vec<u32> = self
-                .plane
-                .violations
-                .iter()
-                .map(|v| v.site.link.0)
-                .collect();
-            self.opts.audit.round_end(now, &violated);
-        }
-
-        // Energy accounting + dormancy management (§VII-C/D).
-        let server_link_bytes = self.server_link_bytes;
-        if let Some(book) = self.energy.as_mut() {
-            // Per-server utilization from the offered rates of the
-            // flows it is serving.
-            let mut per_server: BTreeMap<NodeId, f64> = BTreeMap::new();
-            for (id, ctl) in self.flow_ctl.iter() {
-                if let Some(t) = driver.transport(id) {
-                    let rtt = driver.net().rtt(id);
-                    *per_server.entry(ctl.server).or_insert(0.0) += t.offered_rate(rtt);
-                }
-            }
-            book.tick(now, |srv| {
-                per_server.get(&srv).copied().unwrap_or(0.0) / server_link_bytes
-            });
-            if self.opts.energy.as_ref().expect("energy enabled").dormancy {
-                // Idle servers with uplink headroom above R_scale nap
-                // until demand wakes them. The placement index's mirror
-                // was refreshed from this round's metrics above, so it
-                // doubles as the snapshot here.
-                for m in self.plane.pindex.metrics() {
-                    let busy = per_server.get(&m.server).copied().unwrap_or(0.0) > 0.0;
-                    if !busy && m.path_up >= self.opts.selector.r_scale && book.is_active(m.server)
-                    {
-                        book.scale_down(m.server);
-                    }
-                }
-            }
+            self.violated.clear();
+            self.violated
+                .extend(self.plane.violations.iter().map(|v| v.site.link.0));
+            self.opts.audit.round_end(now, &self.violated);
         }
 
         // Refresh every on-going flow's windows from fresh allocations;
         // flows the driver no longer knows fall out of the control map.
         // Both tables are id-ordered, so one merge pairs each record with
-        // its driver slot.
+        // its driver slot. With energy on, the same walk first sums each
+        // server's offered rates, in id order, from the windows the
+        // flows ran under until now.
+        let server_load = &mut self.server_load;
+        let energy_on = self.energy.is_some();
+        server_load.fill(0.0);
         self.slots.clear();
         self.slots.extend(driver.net().flow_slots());
         let mut live = self.slots.iter().peekable();
@@ -704,6 +698,11 @@ impl ControlPolicy for ScdaControl {
             let Some(&(_, slot)) = live.next_if(|&&(fid, _)| fid == id) else {
                 return false;
             };
+            if energy_on {
+                let rtt = driver.net().rtt_of_slot(slot);
+                server_load[ctl.server.index()] +=
+                    driver.transport_of_slot_mut(slot).offered_rate(rtt);
+            }
             let progress = driver.progress_of_slot(slot);
             let remaining = progress.remaining();
             let size = progress.size_bytes;
@@ -751,6 +750,27 @@ impl ControlPolicy for ScdaControl {
             }
             true
         });
+
+        // Energy accounting + dormancy management (§VII-C/D), with
+        // per-server utilization from the loads the walk summed.
+        if let Some(book) = self.energy.as_mut() {
+            let server_link_bytes = self.server_link_bytes;
+            let load = &self.server_load;
+            book.tick(now, |srv| load[srv.index()] / server_link_bytes);
+            if self.opts.energy.as_ref().expect("energy enabled").dormancy {
+                // Idle servers with uplink headroom above R_scale nap
+                // until demand wakes them. The placement index's mirror
+                // was refreshed from this round's metrics above, so it
+                // doubles as the snapshot here.
+                for m in self.plane.pindex.metrics() {
+                    let busy = load[m.server.index()] > 0.0;
+                    if !busy && m.path_up >= self.opts.selector.r_scale && book.is_active(m.server)
+                    {
+                        book.scale_down(m.server);
+                    }
+                }
+            }
+        }
         self.opts
             .obs
             .gauge_set(metric::FLOWS_ACTIVE, driver.active_count() as f64);

@@ -28,6 +28,7 @@ use scda_workloads::FlowDirection;
 /// `assert_eq!` on `f64` would also be exact, but comparing `to_bits`
 /// makes failures print the raw patterns and survives NaN.
 fn assert_bit_identical(a: &RunResult, b: &RunResult) {
+    assert_eq!(a.digest(), b.digest(), "sim digests differ");
     assert_eq!(a.system, b.system);
     assert_eq!(a.requested, b.requested);
     assert_eq!(a.completed, b.completed);

@@ -125,23 +125,26 @@ impl ThreeTierConfig {
     pub fn build(&self) -> ThreeTierTree {
         assert!(self.racks > 0 && self.servers_per_rack > 0 && self.racks_per_agg > 0);
         assert!(self.clients > 0, "at least one client required");
-        let mut topo = Topology::new();
+        let n_aggs = self.racks.div_ceil(self.racks_per_agg);
+        // Core, gateway, aggregations, racks of an edge plus its servers,
+        // clients; every one of them but the core has one cable up.
+        let nodes = 2 + n_aggs + self.racks * (1 + self.servers_per_rack) + self.clients;
+        let mut topo = Topology::with_capacity(nodes, 2 * (nodes - 1));
         let x = self.base_bw_bps;
         let q = self.queue_cap_bytes;
 
-        let core = topo.add_node(NodeKind::Switch { level: 3 }, "core");
-        let client_gw = topo.add_node(NodeKind::Switch { level: 4 }, "client-gw");
+        let core = topo.add_node(NodeKind::Switch { level: 3 });
+        let client_gw = topo.add_node(NodeKind::Switch { level: 4 });
         // Trunk: 6X both ways (figure 6 labels it "6X Gbps").
         let gw_to_core =
             topo.add_link(client_gw, core, self.trunk_mult * x, self.switch_delay_s, q);
         let core_to_gw =
             topo.add_link(core, client_gw, self.trunk_mult * x, self.switch_delay_s, q);
 
-        let n_aggs = self.racks.div_ceil(self.racks_per_agg);
         let mut aggs = Vec::with_capacity(n_aggs);
         let mut agg_links = Vec::with_capacity(n_aggs);
-        for a in 0..n_aggs {
-            let agg = topo.add_node(NodeKind::Switch { level: 2 }, format!("agg{a}"));
+        for _ in 0..n_aggs {
+            let agg = topo.add_node(NodeKind::Switch { level: 2 });
             let up = topo.add_link(agg, core, self.k_factor * x, self.switch_delay_s, q);
             let down = topo.add_link(core, agg, self.k_factor * x, self.switch_delay_s, q);
             aggs.push(agg);
@@ -155,7 +158,7 @@ impl ThreeTierConfig {
         let mut agg_of_rack = Vec::with_capacity(self.racks);
         for r in 0..self.racks {
             let a = r / self.racks_per_agg;
-            let edge = topo.add_node(NodeKind::Switch { level: 1 }, format!("edge{r}"));
+            let edge = topo.add_node(NodeKind::Switch { level: 1 });
             let up = topo.add_link(edge, aggs[a], x, self.switch_delay_s, q);
             let down = topo.add_link(aggs[a], edge, x, self.switch_delay_s, q);
             edges.push(edge);
@@ -164,8 +167,8 @@ impl ThreeTierConfig {
 
             let mut rack_servers = Vec::with_capacity(self.servers_per_rack);
             let mut rack_links = Vec::with_capacity(self.servers_per_rack);
-            for s in 0..self.servers_per_rack {
-                let srv = topo.add_node(NodeKind::Server, format!("rack{r}/srv{s}"));
+            for _ in 0..self.servers_per_rack {
+                let srv = topo.add_node(NodeKind::Server);
                 let sup = topo.add_link(srv, edge, x, self.switch_delay_s, q);
                 let sdown = topo.add_link(edge, srv, x, self.switch_delay_s, q);
                 rack_servers.push(srv);
@@ -177,8 +180,8 @@ impl ThreeTierConfig {
 
         let mut clients = Vec::with_capacity(self.clients);
         let mut client_links = Vec::with_capacity(self.clients);
-        for c in 0..self.clients {
-            let ucl = topo.add_node(NodeKind::Client, format!("ucl{c}"));
+        for _ in 0..self.clients {
+            let ucl = topo.add_node(NodeKind::Client);
             let up = topo.add_link(ucl, client_gw, x, self.client_delay_s, q);
             let down = topo.add_link(client_gw, ucl, x, self.client_delay_s, q);
             clients.push(ucl);
@@ -213,16 +216,16 @@ pub fn dumbbell(
     delay_s: f64,
     queue_cap_bytes: f64,
 ) -> (Topology, Vec<NodeId>, Vec<NodeId>, (LinkId, LinkId)) {
-    let mut topo = Topology::new();
-    let left = topo.add_node(NodeKind::Switch { level: 1 }, "left");
-    let right = topo.add_node(NodeKind::Switch { level: 1 }, "right");
+    let mut topo = Topology::with_capacity(2 + 2 * n, 2 + 4 * n);
+    let left = topo.add_node(NodeKind::Switch { level: 1 });
+    let right = topo.add_node(NodeKind::Switch { level: 1 });
     let fwd = topo.add_link(left, right, bottleneck_bps, delay_s, queue_cap_bytes);
     let rev = topo.add_link(right, left, bottleneck_bps, delay_s, queue_cap_bytes);
     let mut senders = Vec::with_capacity(n);
     let mut receivers = Vec::with_capacity(n);
-    for i in 0..n {
-        let s = topo.add_node(NodeKind::Server, format!("snd{i}"));
-        let r = topo.add_node(NodeKind::Server, format!("rcv{i}"));
+    for _ in 0..n {
+        let s = topo.add_node(NodeKind::Server);
+        let r = topo.add_node(NodeKind::Server);
         topo.add_duplex(
             s,
             left,
@@ -259,12 +262,15 @@ pub fn clos(
     queue_cap_bytes: f64,
 ) -> (Topology, Vec<Vec<NodeId>>) {
     assert!(racks > 0 && servers_per_rack > 0 && n_aggs > 0 && n_cores > 0);
-    let mut topo = Topology::new();
+    let mut topo = Topology::with_capacity(
+        n_cores + n_aggs + racks * (1 + servers_per_rack),
+        2 * (n_aggs * n_cores + racks * (n_aggs + servers_per_rack)),
+    );
     let cores: Vec<NodeId> = (0..n_cores)
-        .map(|i| topo.add_node(NodeKind::Switch { level: 3 }, format!("core{i}")))
+        .map(|_| topo.add_node(NodeKind::Switch { level: 3 }))
         .collect();
     let aggs: Vec<NodeId> = (0..n_aggs)
-        .map(|i| topo.add_node(NodeKind::Switch { level: 2 }, format!("agg{i}")))
+        .map(|_| topo.add_node(NodeKind::Switch { level: 2 }))
         .collect();
     for &a in &aggs {
         for &c in &cores {
@@ -272,14 +278,14 @@ pub fn clos(
         }
     }
     let mut servers = Vec::with_capacity(racks);
-    for r in 0..racks {
-        let edge = topo.add_node(NodeKind::Switch { level: 1 }, format!("edge{r}"));
+    for _ in 0..racks {
+        let edge = topo.add_node(NodeKind::Switch { level: 1 });
         for &a in &aggs {
             topo.add_duplex(edge, a, base_bw_bps, delay_s, queue_cap_bytes);
         }
         let mut rack = Vec::with_capacity(servers_per_rack);
-        for s in 0..servers_per_rack {
-            let srv = topo.add_node(NodeKind::Server, format!("rack{r}/srv{s}"));
+        for _ in 0..servers_per_rack {
+            let srv = topo.add_node(NodeKind::Server);
             topo.add_duplex(srv, edge, base_bw_bps, delay_s, queue_cap_bytes);
             rack.push(srv);
         }
@@ -304,14 +310,19 @@ pub fn fat_tree(
         "fat-tree requires even k >= 2"
     );
     let half = k / 2;
-    let mut topo = Topology::new();
+    // Per pod: `half` aggregations and `half` edges with `half` servers
+    // each; each of the pod's three tiers has `half²` cables up.
+    let mut topo = Topology::with_capacity(
+        half * half + k * (2 * half + half * half),
+        6 * k * half * half,
+    );
     let cores: Vec<NodeId> = (0..half * half)
-        .map(|i| topo.add_node(NodeKind::Switch { level: 3 }, format!("core{i}")))
+        .map(|_| topo.add_node(NodeKind::Switch { level: 3 }))
         .collect();
     let mut pods = Vec::with_capacity(k);
-    for p in 0..k {
+    for _ in 0..k {
         let aggs: Vec<NodeId> = (0..half)
-            .map(|a| topo.add_node(NodeKind::Switch { level: 2 }, format!("pod{p}/agg{a}")))
+            .map(|_| topo.add_node(NodeKind::Switch { level: 2 }))
             .collect();
         // Agg j connects to cores j*half .. (j+1)*half.
         for (j, &agg) in aggs.iter().enumerate() {
@@ -326,13 +337,13 @@ pub fn fat_tree(
             }
         }
         let mut pod_servers = Vec::with_capacity(half * half);
-        for e in 0..half {
-            let edge = topo.add_node(NodeKind::Switch { level: 1 }, format!("pod{p}/edge{e}"));
+        for _ in 0..half {
+            let edge = topo.add_node(NodeKind::Switch { level: 1 });
             for &agg in &aggs {
                 topo.add_duplex(edge, agg, base_bw_bps, delay_s, queue_cap_bytes);
             }
-            for s in 0..half {
-                let srv = topo.add_node(NodeKind::Server, format!("pod{p}/edge{e}/srv{s}"));
+            for _ in 0..half {
+                let srv = topo.add_node(NodeKind::Server);
                 topo.add_duplex(srv, edge, base_bw_bps, delay_s, queue_cap_bytes);
                 pod_servers.push(srv);
             }
@@ -362,7 +373,7 @@ mod tests {
     #[test]
     fn fat_tree_full_bisection_paths() {
         let (topo, pods) = fat_tree(4, mbps(100.0), 0.001, 1e6);
-        let mut routes = Routes::new(&topo);
+        let mut routes = Routes::new();
         // Cross-pod path: server -> edge -> agg -> core -> agg -> edge ->
         // server = 6 links.
         let id = routes.path_handle(&topo, pods[0][0], pods[3][3]).unwrap();
@@ -430,7 +441,7 @@ mod tests {
     fn client_to_server_path_descends_the_tree() {
         let cfg = ThreeTierConfig::default();
         let tree = cfg.build();
-        let mut routes = Routes::new(&tree.topo);
+        let mut routes = Routes::new();
         let client = tree.clients[0];
         let server = tree.servers[7][3];
         let id = routes.path_handle(&tree.topo, client, server).unwrap();
@@ -445,7 +456,7 @@ mod tests {
     fn same_rack_path_stays_in_rack() {
         let cfg = ThreeTierConfig::default();
         let tree = cfg.build();
-        let mut routes = Routes::new(&tree.topo);
+        let mut routes = Routes::new();
         let a = tree.servers[2][0];
         let b = tree.servers[2][5];
         let id = routes.path_handle(&tree.topo, a, b).unwrap();
@@ -456,7 +467,7 @@ mod tests {
     fn cross_rack_same_agg_path() {
         let cfg = ThreeTierConfig::default();
         let tree = cfg.build();
-        let mut routes = Routes::new(&tree.topo);
+        let mut routes = Routes::new();
         // racks 0 and 1 share agg 0 under racks_per_agg = 5.
         let a = tree.servers[0][0];
         let b = tree.servers[1][0];
@@ -478,7 +489,7 @@ mod tests {
     #[test]
     fn dumbbell_routes_through_bottleneck() {
         let (topo, snd, rcv, (fwd, _)) = dumbbell(4, mbps(100.0), 0.001, 1e6);
-        let mut routes = Routes::new(&topo);
+        let mut routes = Routes::new();
         for (s, r) in snd.iter().zip(&rcv) {
             let id = routes.path_handle(&topo, *s, *r).unwrap();
             assert!(
@@ -495,9 +506,9 @@ mod tests {
         // Edge switches have uplinks to both aggs: out-degree of an edge
         // switch is 2 (aggs) + servers_per_rack.
         let edge = topo.switches_at(1).next().unwrap();
-        assert_eq!(topo.out_links(edge).len(), 2 + 2);
+        assert_eq!(topo.out_links(edge).count(), 2 + 2);
         // All pairs are connected.
-        let mut routes = Routes::new(&topo);
+        let mut routes = Routes::new();
         assert!(routes
             .path_handle(&topo, servers[0][0], servers[3][1])
             .is_some());

@@ -52,7 +52,7 @@ impl EcmpRoutes {
             }
             done[u.index()] = true;
             let d = f64::from_bits(d ^ SIGN_FIX);
-            for &l in topo.out_links(u) {
+            for l in topo.out_links(u) {
                 let link = topo.link(l);
                 let v = link.dst;
                 let nd = d + link.delay_s;
@@ -276,8 +276,8 @@ mod tests {
     #[test]
     fn unreachable_is_none() {
         let mut topo = Topology::new();
-        let a = topo.add_node(crate::topology::NodeKind::Server, "a");
-        let b = topo.add_node(crate::topology::NodeKind::Server, "b");
+        let a = topo.add_node(crate::topology::NodeKind::Server);
+        let b = topo.add_node(crate::topology::NodeKind::Server);
         let mut ecmp = EcmpRoutes::new(&topo);
         assert_eq!(ecmp.path(&topo, a, b, FlowId(1)), None);
         assert_eq!(ecmp.path_count(&topo, a, b), 0);

@@ -8,7 +8,8 @@
 //! arrival counter is the `L(t)`/`Λ(t)` of the simplified metric (eq. 5) —
 //! the paper stresses that both are *already maintained by every switch*,
 //! which is why SCDA needs no hardware changes; here they are fields the
-//! resource monitors read.
+//! resource monitors read. Those two `f64`s are the whole state: 16 bytes
+//! per link, and a tick adds nothing to a link beyond them.
 
 use serde::{Deserialize, Serialize};
 
@@ -23,12 +24,6 @@ pub struct LinkState {
     /// Bytes that arrived since the last [`LinkState::take_arrived`] call
     /// (the `L(t)` of eq. 5, reset every control interval).
     arrived_since_sample: f64,
-    /// Lifetime bytes offered to the link.
-    pub total_arrived_bytes: f64,
-    /// Lifetime bytes dropped at the queue tail.
-    pub total_dropped_bytes: f64,
-    /// Lifetime bytes serviced (transmitted onto the wire).
-    pub total_serviced_bytes: f64,
 }
 
 impl LinkState {
@@ -56,18 +51,15 @@ impl LinkState {
         let inflow = (offered * dt).get();
         let service = (cap * dt).get();
         self.arrived_since_sample += inflow;
-        self.total_arrived_bytes += inflow;
 
         let before = self.queue_bytes + inflow;
         let serviced = before.min(service);
-        self.total_serviced_bytes += serviced;
         let mut q = before - serviced;
         let mut drop_frac = 0.0;
         let queue_cap = queue_cap.get();
         if q > queue_cap {
             let dropped = q - queue_cap;
             q = queue_cap;
-            self.total_dropped_bytes += dropped;
             if inflow > 0.0 {
                 drop_frac = (dropped / inflow).min(1.0);
             }
@@ -162,7 +154,7 @@ mod tests {
         let drop = advance(&mut l, 50.0, 100.0, 1000.0, 1.0);
         assert_eq!(drop, 0.0);
         assert_eq!(l.queue_bytes, 0.0);
-        assert_eq!(l.total_serviced_bytes, 50.0);
+        assert_eq!(l.take_arrived(), 50.0, "all 50 bytes arrived and left");
     }
 
     #[test]
@@ -211,19 +203,31 @@ mod tests {
         advance(&mut l, 100.0, 100.0, 1000.0, 2.0);
         assert!((l.take_arrived() - 200.0).abs() < 1e-9);
         assert_eq!(l.take_arrived(), 0.0);
-        assert!((l.total_arrived_bytes - 200.0).abs() < 1e-9);
+        advance(&mut l, 100.0, 100.0, 1000.0, 0.5);
+        assert!(
+            (l.take_arrived() - 50.0).abs() < 1e-9,
+            "counts from the last take only"
+        );
     }
 
     #[test]
     fn conservation_of_bytes() {
         // arrived = serviced + dropped + still queued, over any history.
+        // The ledger is the test's own: arrivals from the offered load,
+        // service from the capacity and the queue the link reported
+        // before each step, drops from the returned fraction.
+        let (cap, queue_cap, dt) = (100.0, 150.0, 0.7);
         let mut l = LinkState::new();
+        let (mut arrived, mut serviced, mut dropped) = (0.0, 0.0, 0.0);
         let loads = [0.0, 500.0, 20.0, 300.0, 0.0, 1000.0, 50.0];
         for &r in &loads {
-            advance(&mut l, r, 100.0, 150.0, 0.7);
+            let inflow = r * dt;
+            serviced += (l.queue_bytes() + inflow).min(cap * dt);
+            dropped += advance(&mut l, r, cap, queue_cap, dt) * inflow;
+            arrived += inflow;
         }
-        let balance =
-            l.total_arrived_bytes - l.total_serviced_bytes - l.total_dropped_bytes - l.queue_bytes;
+        assert!(dropped > 0.0, "the history must overflow the queue");
+        let balance = arrived - serviced - dropped - l.queue_bytes();
         assert!(
             balance.abs() < 1e-6,
             "byte conservation violated: {balance}"

@@ -160,7 +160,7 @@ pub struct Network {
 impl Network {
     /// Wrap a topology; all queues start empty.
     pub fn new(topo: Topology) -> Self {
-        let routes = Routes::new(&topo);
+        let routes = Routes::new();
         let n_links = topo.link_count();
         let cap_bytes: Vec<f64> = topo.links().iter().map(|l| l.capacity_bytes()).collect();
         let queue_cap: Vec<f64> = topo.links().iter().map(|l| l.queue_cap_bytes).collect();
@@ -215,7 +215,7 @@ impl Network {
     /// Internal: replace the routing cache with an empty one for the
     /// current topology (used by the `faults` module).
     pub(crate) fn rebuild_routes(&mut self) {
-        self.routes = Routes::new(&self.topo);
+        self.routes = Routes::new();
     }
 
     /// Internal: re-derive the cached link columns from the topology

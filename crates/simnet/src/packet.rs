@@ -230,7 +230,7 @@ impl PacketSim {
 
 /// Run a packet-level simulation of `flows` over `topo` until `horizon`.
 pub fn simulate_packets(topo: &Topology, flows: &[PacketFlow], horizon: f64) -> PacketSimResult {
-    let mut routes = Routes::new(topo);
+    let mut routes = Routes::new();
     let mut sched: Scheduler<Ev> = Scheduler::new();
     let states: Vec<FlowState> = flows
         .iter()

@@ -43,11 +43,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use crate::ids::{LinkId, NodeId};
-use crate::topology::Topology;
-
-/// `prev`-row / tree-link sentinel: no link (unreachable, the row's own
-/// source, or the tree's root).
-const NO_LINK: u32 = u32::MAX;
+use crate::topology::{Topology, NO_LINK};
 
 /// Intern-table sentinel: the pair is known unreachable, so repeated
 /// queries skip the predecessor walk.
@@ -85,15 +81,17 @@ pub struct Routes {
     /// Dijkstra mode: `prev[src]` = flat predecessor row: entry `dst` is
     /// the link used to *reach* `dst` on the shortest path from `src`
     /// ([`NO_LINK`] if unreachable / dst == src). Computed per source on
-    /// first use.
+    /// first use; the column itself is sized by the first Dijkstra, so a
+    /// tree fabric never holds one.
     prev: Vec<Option<Box<[u32]>>>,
     /// (src, dst) → arena slot, or [`UNREACHABLE`].
     interned: BTreeMap<(u32, u32), u32>,
     /// Content-keyed dedup for explicitly supplied paths (multipath's
     /// ECMP picks), so equal paths share one arena slot.
     explicit: BTreeMap<Box<[LinkId]>, u32>,
-    /// CSR offsets into `path_links`; `len = paths + 1`.
-    path_off: Vec<u32>,
+    /// CSR end offsets into `path_links`: path `i` ends at `path_end[i]`
+    /// and starts where path `i − 1` ends (at 0 for the first).
+    path_end: Vec<u32>,
     /// CSR link data, first link leaves the source.
     path_links: Vec<LinkId>,
     /// Cached propagation RTT (seconds, `2·Σ delay` in path order) per
@@ -102,20 +100,9 @@ pub struct Routes {
 }
 
 impl Routes {
-    /// Empty cache for a topology with `node_count` nodes.
-    pub fn new(topo: &Topology) -> Self {
-        Routes {
-            tree: None,
-            up: Vec::new(),
-            down: Vec::new(),
-            depth: Vec::new(),
-            prev: vec![None; topo.node_count()],
-            interned: BTreeMap::new(),
-            explicit: BTreeMap::new(),
-            path_off: vec![0],
-            path_links: Vec::new(),
-            path_rtt: Vec::new(),
-        }
+    /// Empty cache; nothing is sized until the first lookup.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of distinct interned paths.
@@ -147,7 +134,7 @@ impl Routes {
             fwd += topo.link(l).delay_s;
         }
         let slot = self.path_rtt.len() as u32;
-        self.path_off.push(self.path_links.len() as u32);
+        self.path_end.push(self.path_links.len() as u32);
         self.path_rtt.push(2.0 * fwd);
         self.interned.insert(key, slot);
         Some(PathId(slot))
@@ -156,11 +143,9 @@ impl Routes {
     /// The links of an interned path, first link leaving the source.
     /// Empty for a self-path.
     pub fn path_of(&self, id: PathId) -> &[LinkId] {
-        let (lo, hi) = (
-            self.path_off[id.index()] as usize,
-            self.path_off[id.index() + 1] as usize,
-        );
-        &self.path_links[lo..hi]
+        let i = id.index();
+        let lo = i.checked_sub(1).map_or(0, |p| self.path_end[p] as usize);
+        &self.path_links[lo..self.path_end[i] as usize]
     }
 
     /// Cached end-to-end propagation RTT (seconds, both directions,
@@ -180,7 +165,7 @@ impl Routes {
         let fwd: f64 = path.iter().map(|&l| topo.link(l).delay_s).sum();
         let slot = self.path_rtt.len() as u32;
         self.path_links.extend_from_slice(path);
-        self.path_off.push(self.path_links.len() as u32);
+        self.path_end.push(self.path_links.len() as u32);
         self.path_rtt.push(2.0 * fwd);
         self.explicit.insert(path.into(), slot);
         PathId(slot)
@@ -214,19 +199,23 @@ impl Routes {
         }
         self.up.resize(n, NO_LINK);
         self.down.resize(n, NO_LINK);
-        // While a node is on the stack its `depth` slot is its out-link
-        // cursor; the depth is written when the node is finished.
+        // While a node is on the stack its `depth` slot is its cursor,
+        // the next out-link to visit ([`NO_LINK`] past the last); the
+        // depth is written when the node is finished.
         self.depth.resize(n, 0);
+        self.depth[0] = topo.first_out[0];
         let (mut u, mut d, mut reached) = (0usize, 0u32, 1usize);
         loop {
-            let cursor = self.depth[u] as usize;
-            if let Some(&l) = topo.out_links(NodeId(u as u32)).get(cursor) {
-                self.depth[u] += 1;
+            let cursor = self.depth[u];
+            if cursor != NO_LINK {
+                let l = LinkId(cursor);
+                self.depth[u] = topo.next_out[l.index()];
                 let v = topo.link(l).dst.index();
                 let parent =
                     (self.down[u] != NO_LINK).then(|| topo.link(LinkId(self.down[u])).src.index());
                 if v != 0 && self.down[v] == NO_LINK {
                     self.down[v] = l.0;
+                    self.depth[v] = topo.first_out[v];
                     (u, d, reached) = (v, d + 1, reached + 1);
                 } else if parent == Some(v) && self.up[u] == NO_LINK {
                     self.up[u] = l.0;
@@ -302,10 +291,13 @@ impl Routes {
 
     /// Run Dijkstra from `src` if not cached yet.
     fn ensure_source(&mut self, topo: &Topology, src: NodeId) {
+        let n = topo.node_count();
+        if self.prev.is_empty() {
+            self.prev.resize(n, None);
+        }
         if self.prev[src.index()].is_some() {
             return;
         }
-        let n = topo.node_count();
         let mut dist = vec![f64::INFINITY; n];
         let mut hops = vec![u32::MAX; n];
         let mut prev = vec![NO_LINK; n];
@@ -340,7 +332,7 @@ impl Routes {
                 continue;
             }
             done[u.index()] = true;
-            for &l in topo.out_links(u) {
+            for l in topo.out_links(u) {
                 let link = topo.link(l);
                 let v = link.dst;
                 let nd = d + link.delay_s;
@@ -372,9 +364,9 @@ mod tests {
     /// a - sw - b, plus a slow direct a - b detour with higher delay.
     fn diamondish() -> (Topology, NodeId, NodeId, NodeId) {
         let mut t = Topology::new();
-        let a = t.add_node(NodeKind::Server, "a");
-        let sw = t.add_node(NodeKind::Switch { level: 1 }, "sw");
-        let b = t.add_node(NodeKind::Server, "b");
+        let a = t.add_node(NodeKind::Server);
+        let sw = t.add_node(NodeKind::Switch { level: 1 });
+        let b = t.add_node(NodeKind::Server);
         t.add_duplex(a, sw, mbps(100.0), 0.001, 1e6);
         t.add_duplex(sw, b, mbps(100.0), 0.001, 1e6);
         t.add_duplex(a, b, mbps(10.0), 0.1, 1e6); // slow, high-delay direct
@@ -384,7 +376,7 @@ mod tests {
     #[test]
     fn picks_lower_delay_path() {
         let (t, a, _sw, b) = diamondish();
-        let mut r = Routes::new(&t);
+        let mut r = Routes::new();
         let id = r.path_handle(&t, a, b).unwrap();
         let p = r.path_of(id);
         assert_eq!(p.len(), 2, "should route via the switch, not direct");
@@ -395,7 +387,7 @@ mod tests {
     #[test]
     fn path_to_self_is_empty() {
         let (t, a, ..) = diamondish();
-        let mut r = Routes::new(&t);
+        let mut r = Routes::new();
         let id = r.path_handle(&t, a, a).unwrap();
         assert!(r.path_of(id).is_empty());
         assert_eq!(r.rtt_of(id), 0.0);
@@ -404,9 +396,9 @@ mod tests {
     #[test]
     fn unreachable_is_none() {
         let mut t = Topology::new();
-        let a = t.add_node(NodeKind::Server, "a");
-        let b = t.add_node(NodeKind::Server, "b");
-        let mut r = Routes::new(&t);
+        let a = t.add_node(NodeKind::Server);
+        let b = t.add_node(NodeKind::Server);
+        let mut r = Routes::new();
         assert_eq!(r.path_handle(&t, a, b), None);
         assert_eq!(r.path_handle(&t, a, b), None, "negative result is cached");
         assert_eq!(r.interned_count(), 0, "no path is interned for it");
@@ -415,7 +407,7 @@ mod tests {
     #[test]
     fn base_rtt_doubles_one_way_delay() {
         let (t, a, _sw, b) = diamondish();
-        let mut r = Routes::new(&t);
+        let mut r = Routes::new();
         let id = r.path_handle(&t, a, b).unwrap();
         assert!((r.rtt_of(id) - 2.0 * 0.002).abs() < 1e-12);
     }
@@ -423,7 +415,7 @@ mod tests {
     #[test]
     fn paths_are_link_consistent() {
         let (t, a, _sw, b) = diamondish();
-        let mut r = Routes::new(&t);
+        let mut r = Routes::new();
         let id = r.path_handle(&t, a, b).unwrap();
         let p = r.path_of(id);
         for w in p.windows(2) {
@@ -435,13 +427,13 @@ mod tests {
     fn equal_delay_ties_prefer_fewer_hops() {
         // a -> b directly (delay 2ms) vs a -> sw -> b (1ms + 1ms).
         let mut t = Topology::new();
-        let a = t.add_node(NodeKind::Server, "a");
-        let sw = t.add_node(NodeKind::Switch { level: 1 }, "sw");
-        let b = t.add_node(NodeKind::Server, "b");
+        let a = t.add_node(NodeKind::Server);
+        let sw = t.add_node(NodeKind::Switch { level: 1 });
+        let b = t.add_node(NodeKind::Server);
         t.add_duplex(a, sw, mbps(1.0), 0.001, 1e6);
         t.add_duplex(sw, b, mbps(1.0), 0.001, 1e6);
         t.add_duplex(a, b, mbps(1.0), 0.002, 1e6);
-        let mut r = Routes::new(&t);
+        let mut r = Routes::new();
         let id = r.path_handle(&t, a, b).unwrap();
         assert_eq!(
             r.path_of(id).len(),
@@ -453,7 +445,7 @@ mod tests {
     #[test]
     fn handles_are_interned_per_pair() {
         let (t, a, _sw, b) = diamondish();
-        let mut r = Routes::new(&t);
+        let mut r = Routes::new();
         let id1 = r.path_handle(&t, a, b).unwrap();
         let id2 = r.path_handle(&t, a, b).unwrap();
         assert_eq!(id1, id2, "same pair shares one arena slot");
@@ -466,7 +458,7 @@ mod tests {
     #[test]
     fn reverse_pair_gets_the_mirrored_path() {
         let (t, a, _sw, b) = diamondish();
-        let mut r = Routes::new(&t);
+        let mut r = Routes::new();
         let fwd = r.path_handle(&t, a, b).unwrap();
         let back = r.path_handle(&t, b, a).unwrap();
         let (fwd, back) = (r.path_of(fwd), r.path_of(back));
@@ -480,7 +472,7 @@ mod tests {
     #[test]
     fn explicit_paths_dedup_by_content() {
         let (t, a, _sw, b) = diamondish();
-        let mut r = Routes::new(&t);
+        let mut r = Routes::new();
         let shortest = r.path_handle(&t, a, b).unwrap();
         let links: Vec<LinkId> = r.path_of(shortest).to_vec();
         let e1 = r.intern_explicit(&t, &links);
@@ -493,7 +485,7 @@ mod tests {
     #[test]
     fn self_path_is_empty() {
         let (t, a, _sw, _b) = diamondish();
-        let mut r = Routes::new(&t);
+        let mut r = Routes::new();
         let id = r.path_handle(&t, a, a).unwrap();
         assert_eq!(r.path_of(id), &[]);
         assert_eq!(r.rtt_of(id), 0.0);
@@ -503,8 +495,8 @@ mod tests {
     /// its mode and of one forced to Dijkstra: same `PathId` sequence,
     /// links and RTT bits. Returns the first for mode checks.
     fn matches_dijkstra(t: &Topology) -> Routes {
-        let mut picked = Routes::new(t);
-        let mut dijkstra = Routes::new(t);
+        let mut picked = Routes::new();
+        let mut dijkstra = Routes::new();
         dijkstra.tree = Some(false);
         let n = t.node_count() as u32;
         for (s, d) in (0..n).flat_map(|s| (0..n).map(move |d| (NodeId(s), NodeId(d)))) {
@@ -521,7 +513,7 @@ mod tests {
     fn assert_tree_mode(t: &Topology) {
         let r = matches_dijkstra(t);
         assert_eq!(r.tree, Some(true));
-        assert!(r.prev.iter().all(Option::is_none), "tree mode ran Dijkstra");
+        assert!(r.prev.is_empty(), "tree mode sized a Dijkstra row");
     }
 
     fn assert_dijkstra_mode(t: &Topology) -> Routes {
@@ -560,9 +552,9 @@ mod tests {
         assert_tree_mode(&ragged().topo);
         assert_tree_mode(&crate::builders::dumbbell(3, mbps(10.0), 0.01, 1e6).0);
         let mut t = Topology::new();
-        let a = t.add_node(NodeKind::Server, "a");
+        let a = t.add_node(NodeKind::Server);
         assert_tree_mode(&t);
-        let b = t.add_node(NodeKind::Server, "b");
+        let b = t.add_node(NodeKind::Server);
         t.add_duplex(a, b, mbps(1.0), 0.001, 1e6);
         assert_tree_mode(&t);
     }
@@ -599,9 +591,9 @@ mod tests {
         // 2·(n − 1) links, but c hangs off a one-way link and b has two
         // links up.
         let mut t = Topology::new();
-        let a = t.add_node(NodeKind::Switch { level: 1 }, "a");
-        let b = t.add_node(NodeKind::Server, "b");
-        let c = t.add_node(NodeKind::Server, "c");
+        let a = t.add_node(NodeKind::Switch { level: 1 });
+        let b = t.add_node(NodeKind::Server);
+        let c = t.add_node(NodeKind::Server);
         t.add_link(a, c, mbps(1.0), 0.001, 1e6);
         t.add_duplex(a, b, mbps(1.0), 0.001, 1e6);
         t.add_link(b, a, mbps(1.0), 0.001, 1e6);
@@ -613,16 +605,14 @@ mod tests {
     fn disconnected_graphs_keep_dijkstra_and_cache_unreachable() {
         // A forest: two cables.
         let mut t = Topology::new();
-        let n: Vec<NodeId> = (0..4)
-            .map(|i| t.add_node(NodeKind::Server, format!("n{i}")))
-            .collect();
+        let n: Vec<NodeId> = (0..4).map(|_| t.add_node(NodeKind::Server)).collect();
         t.add_duplex(n[0], n[1], mbps(1.0), 0.001, 1e6);
         t.add_duplex(n[2], n[3], mbps(1.0), 0.001, 1e6);
         let r = assert_dijkstra_mode(&t);
         assert_eq!(r.interned.get(&(0, 2)), Some(&UNREACHABLE));
 
         // 2·(n − 1) links, but a triangle away from node 0.
-        let e = t.add_node(NodeKind::Server, "e");
+        let e = t.add_node(NodeKind::Server);
         t.add_duplex(n[2], e, mbps(1.0), 0.001, 1e6);
         t.add_duplex(n[3], e, mbps(1.0), 0.001, 1e6);
         assert_eq!(t.link_count(), 2 * (t.node_count() - 1));

@@ -1,10 +1,14 @@
 //! Node/link arena and construction API.
 //!
-//! A [`Topology`] is an arena of [`Node`]s and *directed* [`Link`]s plus an
-//! adjacency index. Physical cables are added with [`Topology::add_duplex`],
-//! which creates one link per direction — the SCDA rate metric allocates
-//! uplink and downlink bandwidth independently (the `d`/`u` subscripts of
-//! the paper's Table I), so directions are first-class here.
+//! A [`Topology`] is an arena of [`Node`]s and *directed* [`Link`]s plus a
+//! forward-star adjacency: each node keeps its first and last out-link and
+//! each link the next out-link of its source, three `u32` columns that
+//! list a node's out-links in insertion order. A node is its id and its
+//! [`NodeKind`], nothing more. Physical cables are added with
+//! [`Topology::add_duplex`], which creates one link per direction — the
+//! SCDA rate metric allocates uplink and downlink bandwidth independently
+//! (the `d`/`u` subscripts of the paper's Table I), so directions are
+//! first-class here.
 
 use serde::{Deserialize, Serialize};
 
@@ -34,8 +38,6 @@ pub struct Node {
     pub id: NodeId,
     /// Role and (for switches) tree level.
     pub kind: NodeKind,
-    /// Human-readable name for traces and error messages ("rack3/srv07").
-    pub name: String,
 }
 
 /// A directed link.
@@ -63,13 +65,21 @@ impl Link {
     }
 }
 
-/// The network graph: node and link arenas plus adjacency.
+/// No link: the end of an out-link list in the forward-star columns, and
+/// an unset link slot in [`crate::Routes`].
+pub(crate) const NO_LINK: u32 = u32::MAX;
+
+/// The network graph: node and link arenas plus forward-star adjacency.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,
-    /// Outgoing links per node, in insertion order.
-    out_adj: Vec<Vec<LinkId>>,
+    /// Per node: its first and last out-link ([`NO_LINK`] for none).
+    pub(crate) first_out: Vec<u32>,
+    last_out: Vec<u32>,
+    /// Per link: the next out-link of its source, in insertion order
+    /// ([`NO_LINK`] after the last).
+    pub(crate) next_out: Vec<u32>,
 }
 
 impl Topology {
@@ -78,15 +88,23 @@ impl Topology {
         Self::default()
     }
 
+    /// An empty topology with room for `nodes` nodes and `links` links.
+    pub fn with_capacity(nodes: usize, links: usize) -> Self {
+        Topology {
+            nodes: Vec::with_capacity(nodes),
+            links: Vec::with_capacity(links),
+            first_out: Vec::with_capacity(nodes),
+            last_out: Vec::with_capacity(nodes),
+            next_out: Vec::with_capacity(links),
+        }
+    }
+
     /// Add a node; returns its id.
-    pub fn add_node(&mut self, kind: NodeKind, name: impl Into<String>) -> NodeId {
+    pub fn add_node(&mut self, kind: NodeKind) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node {
-            id,
-            kind,
-            name: name.into(),
-        });
-        self.out_adj.push(Vec::new());
+        self.nodes.push(Node { id, kind });
+        self.first_out.push(NO_LINK);
+        self.last_out.push(NO_LINK);
         id
     }
 
@@ -123,7 +141,13 @@ impl Topology {
             delay_s,
             queue_cap_bytes,
         });
-        self.out_adj[src.index()].push(id);
+        // Append to `src`'s list, keeping insertion order.
+        self.next_out.push(NO_LINK);
+        match self.last_out[src.index()] {
+            NO_LINK => self.first_out[src.index()] = id.0,
+            last => self.next_out[last as usize] = id.0,
+        }
+        self.last_out[src.index()] = id.0;
         id
     }
 
@@ -143,22 +167,10 @@ impl Topology {
         (ab, ba)
     }
 
-    /// All nodes, indexed by [`NodeId`].
-    #[inline]
-    pub fn nodes(&self) -> &[Node] {
-        &self.nodes
-    }
-
     /// All directed links, indexed by [`LinkId`].
     #[inline]
     pub fn links(&self) -> &[Link] {
         &self.links
-    }
-
-    /// Look up a node.
-    #[inline]
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
     }
 
     /// Look up a link.
@@ -175,9 +187,11 @@ impl Topology {
     }
 
     /// Outgoing links of `n`, in insertion order (deterministic).
-    #[inline]
-    pub fn out_links(&self, n: NodeId) -> &[LinkId] {
-        &self.out_adj[n.index()]
+    pub fn out_links(&self, n: NodeId) -> impl Iterator<Item = LinkId> + '_ {
+        let link = |l: u32| (l != NO_LINK).then_some(LinkId(l));
+        std::iter::successors(link(self.first_out[n.index()]), move |l| {
+            link(self.next_out[l.index()])
+        })
     }
 
     /// Number of nodes.
@@ -197,9 +211,7 @@ impl Topology {
     /// duplex pairs so this always succeeds for built topologies).
     pub fn reverse_of(&self, l: LinkId) -> Option<LinkId> {
         let link = self.link(l);
-        self.out_adj[link.dst.index()]
-            .iter()
-            .copied()
+        self.out_links(link.dst)
             .find(|&cand| self.link(cand).dst == link.src)
     }
 
@@ -208,14 +220,6 @@ impl Topology {
         self.nodes
             .iter()
             .filter(|n| n.kind == NodeKind::Server)
-            .map(|n| n.id)
-    }
-
-    /// Iterator over client node ids.
-    pub fn clients(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes
-            .iter()
-            .filter(|n| n.kind == NodeKind::Client)
             .map(|n| n.id)
     }
 
@@ -235,8 +239,8 @@ mod tests {
 
     fn two_nodes() -> (Topology, NodeId, NodeId) {
         let mut t = Topology::new();
-        let a = t.add_node(NodeKind::Server, "a");
-        let b = t.add_node(NodeKind::Server, "b");
+        let a = t.add_node(NodeKind::Server);
+        let b = t.add_node(NodeKind::Server);
         (t, a, b)
     }
 
@@ -263,11 +267,11 @@ mod tests {
     #[test]
     fn adjacency_tracks_out_links() {
         let (mut t, a, b) = two_nodes();
-        let c = t.add_node(NodeKind::Switch { level: 1 }, "sw");
+        let c = t.add_node(NodeKind::Switch { level: 1 });
         t.add_duplex(a, c, mbps(10.0), 0.0, 1e5);
         t.add_duplex(b, c, mbps(10.0), 0.0, 1e5);
-        assert_eq!(t.out_links(a).len(), 1);
-        assert_eq!(t.out_links(c).len(), 2);
+        assert_eq!(t.out_links(a).count(), 1);
+        assert_eq!(t.out_links(c).count(), 2);
     }
 
     #[test]
@@ -294,12 +298,11 @@ mod tests {
     #[test]
     fn role_iterators() {
         let mut t = Topology::new();
-        t.add_node(NodeKind::Server, "s0");
-        t.add_node(NodeKind::Client, "c0");
-        t.add_node(NodeKind::Switch { level: 2 }, "agg");
-        t.add_node(NodeKind::Server, "s1");
+        t.add_node(NodeKind::Server);
+        t.add_node(NodeKind::Client);
+        t.add_node(NodeKind::Switch { level: 2 });
+        t.add_node(NodeKind::Server);
         assert_eq!(t.servers().count(), 2);
-        assert_eq!(t.clients().count(), 1);
         assert_eq!(t.switches_at(2).count(), 1);
         assert_eq!(t.switches_at(1).count(), 0);
     }

@@ -15,7 +15,7 @@ use scda::transport::{AnyTransport, FlowDriver, Reno, TickSummary};
 #[test]
 fn clos_fabric_routes_all_pairs_and_spreads_flows() {
     let (topo, servers) = clos(4, 2, 2, 2, mbps(100.0), 0.001, 1e6);
-    let mut routes = Routes::new(&topo);
+    let mut routes = Routes::new();
     for a in servers.iter().flatten() {
         for b in servers.iter().flatten() {
             if a != b {
@@ -59,8 +59,8 @@ fn tcp_flows_complete_over_the_clos() {
 fn star_control() -> (Topology, Vec<NodeId>, ControlTree) {
     use scda::simnet::NodeKind;
     let mut topo = Topology::new();
-    let hub = topo.add_node(NodeKind::Switch { level: 1 }, "hub");
-    let gw = topo.add_node(NodeKind::Switch { level: 2 }, "gw");
+    let hub = topo.add_node(NodeKind::Switch { level: 1 });
+    let gw = topo.add_node(NodeKind::Switch { level: 2 });
     let (hub_up, hub_down) = topo.add_duplex(hub, gw, mbps(300.0), 0.001, 1e6);
     let mut servers = Vec::new();
     let mut specs = vec![NodeSpec {
@@ -70,8 +70,8 @@ fn star_control() -> (Topology, Vec<NodeId>, ControlTree) {
         down_link: hub_down,
         up_link: hub_up,
     }];
-    for i in 0..4 {
-        let s = topo.add_node(NodeKind::Server, format!("s{i}"));
+    for _ in 0..4 {
+        let s = topo.add_node(NodeKind::Server);
         let (up, down) = topo.add_duplex(s, hub, mbps(100.0), 0.001, 1e6);
         specs.push(NodeSpec {
             level: 0,

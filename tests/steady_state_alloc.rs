@@ -15,9 +15,10 @@
 
 mod common;
 
+use scda_audit::Audit;
 use scda_experiments::runner::{
-    BestRatePlacement, ControlPolicy, ExplicitRateTransport, PendingStart, RunAccounting,
-    RunResult, ScdaControl, ScdaOptions, SimKernel,
+    BestRatePlacement, ControlPolicy, EnergyOptions, ExplicitRateTransport, PendingStart,
+    RunAccounting, RunResult, ScdaControl, ScdaOptions, SimKernel,
 };
 use scda_experiments::{Scale, Scenario};
 use scda_metrics::{FctStats, ThroughputSeries};
@@ -41,8 +42,13 @@ fn fixture() -> (Scenario, ThreeTierTree) {
 /// first 40 requests admitted at once and made endless: a constant
 /// population that overloads its bottlenecks every round.
 fn loaded_scda() -> (Scenario, ScdaControl, FlowDriver) {
+    loaded_scda_with(&ScdaOptions::default())
+}
+
+/// [`loaded_scda`] under `opts`.
+fn loaded_scda_with(opts: &ScdaOptions) -> (Scenario, ScdaControl, FlowDriver) {
     let (sc, tree) = fixture();
-    let mut scda = ScdaControl::new(&sc, &ScdaOptions::default(), &tree);
+    let mut scda = ScdaControl::new(&sc, opts, &tree);
     let mut driver = FlowDriver::new(Network::new(tree.topo));
     scda.prime(&mut driver);
     for (i, f) in sc.workload.flows.iter().take(40).enumerate() {
@@ -115,6 +121,45 @@ fn flow_driver_ticks_without_completions() {
     assert_eq!(driver.active_count(), 40);
 }
 
+/// What a control policy reports at the end of a run.
+fn finished(ctrl: &mut dyn ControlPolicy) -> RunResult {
+    let mut r = RunResult {
+        system: String::new(),
+        fct: FctStats::new(),
+        throughput: ThroughputSeries::new(1.0),
+        sla_violations: 0,
+        requested: 0,
+        completed: 0,
+        energy_joules: None,
+        dormant_servers: 0,
+        mitigations_applied: 0,
+        replications_completed: 0,
+        control_rounds: 0,
+        changed_dirs_total: 0,
+        profile: None,
+        snapshots: None,
+    };
+    ctrl.finish(&mut r);
+    r
+}
+
+/// 100 warm-up rounds of `loaded_scda_with(opts)`, then 200 counted
+/// ones: `(allocations, violations fired in the window, the policy's
+/// end-of-run report)`.
+fn counted_rounds(opts: &ScdaOptions) -> (u64, usize, RunResult) {
+    let (sc, mut scda, mut driver) = loaded_scda_with(opts);
+    let mut step = 0;
+    for _ in 0..100 {
+        tau(&sc, &mut scda, &mut driver, &mut step);
+    }
+    let before = finished(&mut scda).sla_violations;
+    let n: u64 = (0..200)
+        .map(|_| tau(&sc, &mut scda, &mut driver, &mut step))
+        .sum();
+    let r = finished(&mut scda);
+    (n, r.sla_violations - before, r)
+}
+
 /// The shared SCDA round: each `ScdaControl::round` runs the crate's one
 /// per-τ sequence (`ScdaPlane::round`: offered loads, the tree's round
 /// into a kept violations buffer, the index refresh) before its own
@@ -123,38 +168,55 @@ fn flow_driver_ticks_without_completions() {
 /// holds its round to zero allocations too.
 #[test]
 fn scda_control_rounds_with_violations() {
-    let (sc, mut scda, mut driver) = loaded_scda();
-    let violations = |ctrl: &mut dyn ControlPolicy| {
-        let mut r = RunResult {
-            system: String::new(),
-            fct: FctStats::new(),
-            throughput: ThroughputSeries::new(1.0),
-            sla_violations: 0,
-            requested: 0,
-            completed: 0,
-            energy_joules: None,
-            dormant_servers: 0,
-            mitigations_applied: 0,
-            replications_completed: 0,
-            control_rounds: 0,
-            changed_dirs_total: 0,
-            profile: None,
-            snapshots: None,
-        };
-        ctrl.finish(&mut r);
-        r.sla_violations
-    };
-    let mut step = 0;
-    for _ in 0..100 {
-        tau(&sc, &mut scda, &mut driver, &mut step);
-    }
-    let before = violations(&mut scda);
-    let n: u64 = (0..200)
-        .map(|_| tau(&sc, &mut scda, &mut driver, &mut step))
-        .sum();
-    let fired = violations(&mut scda) - before;
+    let (n, fired, _) = counted_rounds(&ScdaOptions::default());
     assert!(fired > 0, "the window must detect violations");
     assert_eq!(n, 0, "200 rounds ({fired} violations) allocated {n} times");
+}
+
+/// An audited round attributes every violation: it finds the flows on
+/// the violated link, counts them per class and checks recent wakes,
+/// all in buffers the policy keeps, and the audit chains each violation
+/// onto its link's open episode. What is left is the audit log itself:
+/// its violation and episode records are the run's output and grow with
+/// it. The window records about twice what the warm-up did, so each of
+/// those two logs doubles its capacity at most twice in it; one
+/// allocation per violation would add about a thousand.
+#[test]
+fn audited_rounds_with_violations() {
+    const LOG_DOUBLINGS: u64 = 2 * 2;
+    let audit = Audit::enabled();
+    let opts = ScdaOptions {
+        audit: audit.clone(),
+        ..Default::default()
+    };
+    let (n, fired, r) = counted_rounds(&opts);
+    assert!(fired > 0, "the window must detect violations");
+    assert!(
+        fired <= 2 * (r.sla_violations - fired),
+        "the window may at most triple the log: {fired} after {}",
+        r.sla_violations - fired
+    );
+    assert!(
+        n <= LOG_DOUBLINGS,
+        "200 audited rounds ({fired} violations) allocated {n} times"
+    );
+    let report = audit.report().expect("enabled");
+    assert_eq!(report.violations, r.sla_violations as u64);
+}
+
+/// An energy round charges each server its flows' offered rates and
+/// puts idle servers to sleep, from a per-server column the re-window
+/// walk fills.
+#[test]
+fn energy_rounds_with_dormancy() {
+    let opts = ScdaOptions {
+        energy: Some(EnergyOptions::default()),
+        ..Default::default()
+    };
+    assert!(opts.energy.as_ref().is_some_and(|e| e.dormancy));
+    let (n, _, r) = counted_rounds(&opts);
+    assert!(r.energy_joules.is_some_and(|j| j > 0.0));
+    assert_eq!(n, 0, "200 energy rounds allocated {n} times");
 }
 
 #[test]
@@ -203,7 +265,7 @@ fn placement_queries_under_outstanding_discount() {
 fn warm_route_lookups() {
     let (_, tree) = fixture();
     let servers = tree.all_servers();
-    let mut routes = Routes::new(&tree.topo);
+    let mut routes = Routes::new();
     // Both directions between every server and every client.
     let pairs: Vec<(NodeId, NodeId)> = servers
         .iter()
