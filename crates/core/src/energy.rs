@@ -11,7 +11,6 @@
 
 use scda_simnet::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Power state of a server.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -56,7 +55,7 @@ impl Default for PowerModelConfig {
     }
 }
 
-/// Per-server energy account.
+/// One server's energy account, as [`EnergyBook::server`] reports it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServerPower {
     /// Multiplier on power draw modeling rack position / age / background
@@ -68,80 +67,116 @@ pub struct ServerPower {
     pub p_avg: f64,
     /// Accumulated energy, joules.
     pub energy_j: f64,
-    /// Last accounting timestamp.
-    last_update: f64,
 }
 
-/// The fleet-wide power book.
+/// Lookup sentinel: the id is not a registered server.
+const UNKNOWN: u32 = u32::MAX;
+
+/// The fleet-wide power book: one dense column per field, indexed by the
+/// server's ordinal — its rank in ascending `NodeId` order — so every
+/// sweep walks servers in `NodeId` order, and a `NodeId`-indexed table
+/// finds a server's ordinal with one read.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EnergyBook {
     cfg: PowerModelConfig,
-    servers: BTreeMap<NodeId, ServerPower>,
+    /// Server per ordinal, ascending.
+    ids: Vec<NodeId>,
+    /// Ordinal per `NodeId.0`; [`UNKNOWN`] for other nodes.
+    ordinal: Vec<u32>,
+    heterogeneity: Vec<f64>,
+    state: Vec<PowerState>,
+    p_avg: Vec<f64>,
+    energy_j: Vec<f64>,
+    /// Last accounting timestamp.
+    last_update: Vec<f64>,
 }
 
 impl EnergyBook {
     /// Register `servers`, each with a heterogeneity factor produced by
-    /// `hetero(i)` (e.g. a deterministic spread of 0.8..1.3).
+    /// `hetero(i)` (e.g. a deterministic spread of 0.8..1.3). A server
+    /// listed twice keeps its last factor.
     pub fn new(
         cfg: PowerModelConfig,
         servers: impl IntoIterator<Item = NodeId>,
         mut hetero: impl FnMut(usize) -> f64,
     ) -> Self {
-        let servers = servers
+        let mut pairs: Vec<(NodeId, f64)> = servers
             .into_iter()
             .enumerate()
             .map(|(i, id)| {
                 let h = hetero(i);
                 assert!(h > 0.0, "heterogeneity factor must be positive");
-                (
-                    id,
-                    ServerPower {
-                        heterogeneity: h,
-                        state: PowerState::Active,
-                        p_avg: cfg.idle_watts * h,
-                        energy_j: 0.0,
-                        last_update: 0.0,
-                    },
-                )
+                (id, h)
             })
             .collect();
-        EnergyBook { cfg, servers }
+        // Stable: a repeated id's entries stay in listing order, and the
+        // earlier one takes the later one's factor.
+        pairs.sort_by_key(|&(id, _)| id);
+        pairs.dedup_by(|later, earlier| {
+            let same = later.0 == earlier.0;
+            if same {
+                earlier.1 = later.1;
+            }
+            same
+        });
+        let mut ordinal = vec![UNKNOWN; pairs.last().map_or(0, |&(id, _)| id.index() + 1)];
+        for (i, &(id, _)) in pairs.iter().enumerate() {
+            ordinal[id.index()] = i as u32;
+        }
+        let n = pairs.len();
+        EnergyBook {
+            ids: pairs.iter().map(|&(id, _)| id).collect(),
+            ordinal,
+            p_avg: pairs.iter().map(|&(_, h)| cfg.idle_watts * h).collect(),
+            heterogeneity: pairs.into_iter().map(|(_, h)| h).collect(),
+            state: vec![PowerState::Active; n],
+            energy_j: vec![0.0; n],
+            last_update: vec![0.0; n],
+            cfg,
+        }
+    }
+
+    /// The ordinal of `id`, if it is a registered server.
+    fn slot(&self, id: NodeId) -> Option<usize> {
+        let i = *self.ordinal.get(id.index())?;
+        (i != UNKNOWN).then_some(i as usize)
     }
 
     /// Per-server state.
-    pub fn server(&self, id: NodeId) -> Option<&ServerPower> {
-        self.servers.get(&id)
+    pub fn server(&self, id: NodeId) -> Option<ServerPower> {
+        self.slot(id).map(|i| ServerPower {
+            heterogeneity: self.heterogeneity[i],
+            state: self.state[i],
+            p_avg: self.p_avg[i],
+            energy_j: self.energy_j[i],
+        })
     }
 
     /// Whether `id` can serve traffic right now.
     pub fn is_active(&self, id: NodeId) -> bool {
-        matches!(
-            self.servers.get(&id).map(|s| s.state),
-            Some(PowerState::Active)
-        )
+        self.slot(id)
+            .is_some_and(|i| self.state[i] == PowerState::Active)
     }
 
     /// Whether `id` is dormant (napping).
     pub fn is_dormant(&self, id: NodeId) -> bool {
-        matches!(
-            self.servers.get(&id).map(|s| s.state),
-            Some(PowerState::Dormant)
-        )
+        self.slot(id)
+            .is_some_and(|i| self.state[i] == PowerState::Dormant)
     }
 
     /// Put a server into the low-power state (scale-down, §VII-C).
     pub fn scale_down(&mut self, id: NodeId) {
-        if let Some(s) = self.servers.get_mut(&id) {
-            s.state = PowerState::Dormant;
+        if let Some(i) = self.slot(id) {
+            self.state[i] = PowerState::Dormant;
         }
     }
 
     /// Begin waking a dormant server at time `now`; it becomes active after
     /// the configured wake latency. Active servers are unaffected.
     pub fn wake(&mut self, id: NodeId, now: f64) {
-        if let Some(s) = self.servers.get_mut(&id) {
-            if s.state == PowerState::Dormant {
-                s.state = PowerState::Waking {
+        if let Some(i) = self.slot(id) {
+            if self.state[i] == PowerState::Dormant {
+                self.state[i] = PowerState::Waking {
                     until: now + self.cfg.wake_latency,
                 };
             }
@@ -150,37 +185,35 @@ impl EnergyBook {
 
     /// Advance accounting to `now`: finish wake transitions, integrate
     /// energy, and fold the instantaneous power (from `utilization(id)` in
-    /// `[0, 1]`) into the running average `P(t)`.
+    /// `[0, 1]`) into the running average `P(t)`. Servers are visited in
+    /// ascending `NodeId` order.
     pub fn tick(&mut self, now: f64, mut utilization: impl FnMut(NodeId) -> f64) {
-        for (&id, s) in self.servers.iter_mut() {
-            if let PowerState::Waking { until } = s.state {
+        let w = self.cfg.ewma_weight;
+        for (i, &id) in self.ids.iter().enumerate() {
+            let state = &mut self.state[i];
+            if let PowerState::Waking { until } = *state {
                 if now >= until {
-                    s.state = PowerState::Active;
+                    *state = PowerState::Active;
                 }
             }
+            let h = self.heterogeneity[i];
             let u = utilization(id).clamp(0.0, 1.0);
-            let p_inst = match s.state {
-                PowerState::Dormant => self.cfg.dormant_watts * s.heterogeneity,
+            let p_inst = match *state {
+                PowerState::Dormant => self.cfg.dormant_watts * h,
                 // Waking servers burn active-idle power without serving.
-                PowerState::Waking { .. } => self.cfg.idle_watts * s.heterogeneity,
-                PowerState::Active => {
-                    (self.cfg.idle_watts + self.cfg.load_watts * u) * s.heterogeneity
-                }
+                PowerState::Waking { .. } => self.cfg.idle_watts * h,
+                PowerState::Active => (self.cfg.idle_watts + self.cfg.load_watts * u) * h,
             };
-            let dt = (now - s.last_update).max(0.0);
-            s.energy_j += p_inst * dt;
-            s.last_update = now;
-            let w = self.cfg.ewma_weight;
-            s.p_avg = (1.0 - w) * s.p_avg + w * p_inst;
+            let dt = (now - self.last_update[i]).max(0.0);
+            self.energy_j[i] += p_inst * dt;
+            self.last_update[i] = now;
+            self.p_avg[i] = (1.0 - w) * self.p_avg[i] + w * p_inst;
         }
     }
 
     /// The smoothed power `P(t)` used by the `R̂/P` selection metric.
     pub fn power(&self, id: NodeId) -> f64 {
-        self.servers
-            .get(&id)
-            .map(|s| s.p_avg)
-            .unwrap_or(f64::INFINITY)
+        self.slot(id).map_or(f64::INFINITY, |i| self.p_avg[i])
     }
 
     /// The temperature reading a sensor would report over a control
@@ -190,17 +223,18 @@ impl EnergyBook {
         self.power(id) * tau
     }
 
-    /// Total fleet energy so far, joules.
+    /// Total fleet energy so far, joules, summed in ascending `NodeId`
+    /// order.
     pub fn total_energy(&self) -> f64 {
-        self.servers.values().map(|s| s.energy_j).sum()
+        self.energy_j.iter().sum()
     }
 
     /// Number of dormant servers (the scale-down win the §VII-C mechanism
     /// is after).
     pub fn dormant_count(&self) -> usize {
-        self.servers
-            .values()
-            .filter(|s| s.state == PowerState::Dormant)
+        self.state
+            .iter()
+            .filter(|&&s| s == PowerState::Dormant)
             .count()
     }
 }

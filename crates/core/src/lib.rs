@@ -71,4 +71,7 @@ pub use reservation::ReservationBook;
 pub use resources::{ResourceBook, ResourceProfile, ServerResources};
 pub use selection::{NodeSet, Selector, SelectorConfig};
 pub use sla::{Mitigation, SlaMonitor, SlaPolicy, SlaViolation};
-pub use tree::{ControlTree, CtrlId, Direction, NodeSpec, RateCaps, ServerMetrics, Telemetry};
+pub use tree::{
+    ControlTree, CtrlId, Direction, NodeSpec, RateCaps, RoundWork, ServerMetrics, Telemetry,
+    DELTA_REL_EPS,
+};

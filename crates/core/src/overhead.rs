@@ -63,11 +63,11 @@ pub fn full_reporting(shape: &TreeShape) -> RoundOverhead {
 /// Overhead of **Δ-reporting**: only nodes whose values changed beyond the
 /// reporting threshold send upward, and only changed levels propagate
 /// downward. `changed` is the count of changed node-directions this round
-/// (e.g. from [`ControlTree::changed_nodes`]); each changed node pair
+/// (e.g. from [`ControlTree::changed_dirs`]); each changed node pair
 /// costs one upward message, and the downward fan-out scales by the
 /// changed fraction.
 ///
-/// [`ControlTree::changed_nodes`]: crate::tree::ControlTree::changed_nodes
+/// [`ControlTree::changed_dirs`]: crate::tree::ControlTree::changed_dirs
 pub fn delta_reporting(shape: &TreeShape, changed_dirs: usize) -> RoundOverhead {
     let nodes = shape.rms + shape.ras;
     // Two directions per node; a node reports if either direction changed.

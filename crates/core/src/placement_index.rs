@@ -4,10 +4,11 @@
 //! O(servers) scan over the round's `ServerMetrics`. That is fine per
 //! control round, but the experiment kernel asks per *admission*. This
 //! module keeps a persistent index over the per-server path rates —
-//! refreshed incrementally from the control tree's metric deltas once
-//! per observed round — and answers the same staged argmax queries in
-//! O(groups on the path + a few racks), bit-identically to a freshly
-//! built `Selector` over the same metrics.
+//! refreshed once per round by difference, from the leaves the control
+//! tree's round moved ([`PlacementIndex::refresh_moved`]) — and answers
+//! the same staged argmax queries in O(groups on the path + a few
+//! racks), bit-identically to a freshly built `Selector` over the same
+//! metrics.
 //!
 //! # One tree, shaped like the RA tree
 //!
@@ -91,7 +92,7 @@ use scda_simnet::NodeId;
 use crate::content::ContentClass;
 use crate::energy::EnergyBook;
 use crate::selection::{NodeSet, Rank, SelectorConfig};
-use crate::tree::{ServerMetrics, MAX_LEVELS};
+use crate::tree::{set_positions, ControlTree, ServerMetrics, MAX_LEVELS};
 
 /// A per-query score adjustment applied to the raw per-server path
 /// rates, e.g. the runner's outstanding-load congestion discount.
@@ -370,9 +371,15 @@ impl GroupSpan {
 struct Level {
     tag: u8,
     child: Vec<u32>,
+    /// The group of the level above each group sits in (empty on the
+    /// top level).
+    parent: Vec<u32>,
     spans: Vec<GroupSpan>,
-    /// Rewritten by the refresh in progress.
+    /// Queued for recomputation by the refresh in progress.
     dirty: Vec<bool>,
+    /// The queued groups; capacity for every group, so a refresh never
+    /// allocates.
+    queue: Vec<u32>,
 }
 
 impl Level {
@@ -404,6 +411,11 @@ pub struct PlacementIndex {
     shape: Option<IndexShape>,
     /// Bottom level first.
     levels: Vec<Level>,
+    /// The bottom-level group of each leaf.
+    leaf_group: Vec<u32>,
+    /// The tree epoch the mirror was last brought to by
+    /// [`PlacementIndex::refresh_moved`]; `None` after a slice refresh.
+    synced: Option<u64>,
     refreshes: u64,
     entries_updated: u64,
     queries: Cell<u64>,
@@ -486,53 +498,112 @@ impl PlacementIndex {
     }
 
     /// Absorb a round's metrics. Entries that are bit-identical to the
-    /// mirror are skipped; a changed entry dirties its bottom group, and
-    /// dirty spans are recomputed bottom-up. Returns the number of
+    /// mirror are skipped; a changed entry queues its bottom group, and
+    /// queued spans are recomputed bottom-up. Returns the number of
     /// entries rewritten. A length change (topology change) rebuilds
-    /// from scratch.
+    /// from scratch. The full form of [`PlacementIndex::refresh_moved`]:
+    /// it offers every leaf.
     pub fn refresh(&mut self, metrics: &[ServerMetrics]) -> usize {
+        self.synced = None;
+        self.absorb(metrics.len(), |i| metrics[i], None)
+    }
+
+    /// Absorb `tree`'s last round by difference: only the leaves the
+    /// round moved are read ([`ControlTree::metrics_at`]), rewritten if
+    /// their bits changed, and re-bubbled. Call it after every round of `tree`: the mirror
+    /// then equals a [`PlacementIndex::refresh`] over
+    /// [`ControlTree::server_metrics_into`] bit for bit, because every
+    /// leaf a round leaves unflagged kept its bits. When the index did
+    /// not absorb the round before (its first call, a skipped round, a
+    /// slice refresh in between) it reads every leaf. Returns the number
+    /// of entries rewritten.
+    pub fn refresh_moved(&mut self, tree: &ControlTree) -> usize {
+        let moved = tree.moved_rms();
+        let in_step =
+            self.synced.is_some_and(|e| e + 1 == tree.epoch()) && moved.len() == self.metrics.len();
+        self.synced = Some(tree.epoch());
+        self.absorb(
+            moved.len(),
+            |i| tree.metrics_at(i),
+            in_step.then_some(moved),
+        )
+    }
+
+    /// The one refresh: size the index to `n` leaves, rewrite the leaves
+    /// whose `only` mask is nonzero (every leaf without it) and whose
+    /// `leaf(i)` changed bits, and recompute the groups above them.
+    fn absorb(
+        &mut self,
+        n: usize,
+        leaf: impl Fn(usize) -> ServerMetrics,
+        only: Option<&[u64]>,
+    ) -> usize {
         self.refreshes += 1;
-        let rebuilt = metrics.len() != self.metrics.len();
-        if rebuilt {
-            self.reshape(metrics.len());
+        let changed = if n != self.metrics.len() {
+            self.reshape(n);
             self.metrics.clear();
-            self.metrics.extend_from_slice(metrics);
-        }
-        let mut changed = if rebuilt { metrics.len() } else { 0 };
-        for l in 0..self.levels.len() {
-            let (lower, upper) = self.levels.split_at_mut(l);
-            let level = &mut upper[0];
-            for g in 0..level.spans.len() {
-                let kids = level.children(g);
-                let dirty = match lower.last() {
-                    None => {
-                        let mut dirty = rebuilt;
-                        for i in kids.clone() {
-                            if !metrics_bits_eq(&self.metrics[i], &metrics[i]) {
-                                self.metrics[i] = metrics[i];
-                                dirty = true;
-                                changed += 1;
-                            }
-                        }
-                        if dirty {
-                            level.spans[g] =
-                                GroupSpan::over(self.metrics[kids].iter().map(GroupSpan::of_leaf));
-                        }
-                        dirty
-                    }
-                    Some(below) => {
-                        let dirty = below.dirty[kids.clone()].contains(&true);
-                        if dirty {
-                            level.spans[g] = GroupSpan::over(below.spans[kids].iter().copied());
-                        }
-                        dirty
-                    }
-                };
-                level.dirty[g] = dirty;
+            self.metrics.extend((0..n).map(&leaf));
+            if let Some(bottom) = self.levels.first_mut() {
+                bottom.dirty.fill(true);
+                bottom.queue.extend(0..bottom.spans.len() as u32);
             }
-        }
+            n
+        } else {
+            match only {
+                Some(flags) => set_positions(flags)
+                    .map(|i| self.write_leaf(i, leaf(i)))
+                    .sum(),
+                None => (0..n).map(|i| self.write_leaf(i, leaf(i))).sum(),
+            }
+        };
+        self.bubble();
         self.entries_updated += changed as u64;
         changed
+    }
+
+    /// Rewrite leaf `i` if `m` differs from the mirror in any bit, and
+    /// queue its bottom group. Returns 1 if it did.
+    fn write_leaf(&mut self, i: usize, m: ServerMetrics) -> usize {
+        if metrics_bits_eq(&self.metrics[i], &m) {
+            return 0;
+        }
+        self.metrics[i] = m;
+        let bottom = &mut self.levels[0];
+        let g = self.leaf_group[i] as usize;
+        if !bottom.dirty[g] {
+            bottom.dirty[g] = true;
+            bottom.queue.push(g as u32);
+        }
+        1
+    }
+
+    /// Recompute every queued group's span, bottom level first, queuing
+    /// the group above each.
+    fn bubble(&mut self) {
+        let metrics = &self.metrics;
+        for l in 0..self.levels.len() {
+            let (lower, upper) = self.levels.split_at_mut(l);
+            let (level, above) = upper
+                .split_first_mut()
+                .expect("invariant: l indexes a level");
+            for q in 0..level.queue.len() {
+                let g = level.queue[q] as usize;
+                level.dirty[g] = false;
+                let kids = level.children(g);
+                level.spans[g] = match lower.last() {
+                    None => GroupSpan::over(metrics[kids].iter().map(GroupSpan::of_leaf)),
+                    Some(below) => GroupSpan::over(below.spans[kids].iter().copied()),
+                };
+                if let Some(up) = above.first_mut() {
+                    let p = level.parent[g] as usize;
+                    if !up.dirty[p] {
+                        up.dirty[p] = true;
+                        up.queue.push(p as u32);
+                    }
+                }
+            }
+            level.queue.clear();
+        }
     }
 
     /// Lay the level skeleton out for `n` leaves (spans are filled by
@@ -568,9 +639,27 @@ impl PlacementIndex {
             self.levels.push(Level {
                 tag: *tag,
                 child,
+                parent: Vec::new(),
                 spans: vec![GroupSpan::default(); groups],
                 dirty: vec![false; groups],
+                queue: Vec::with_capacity(groups),
             });
+        }
+        // Invert the child ranges: each leaf's and each group's parent.
+        self.leaf_group = vec![0; n];
+        for l in 0..self.levels.len() {
+            let (lower, upper) = self.levels.split_at_mut(l);
+            let level = &upper[0];
+            let below = match lower.last_mut() {
+                Some(below) => {
+                    below.parent = vec![0; below.spans.len()];
+                    &mut below.parent
+                }
+                None => &mut self.leaf_group,
+            };
+            for g in 0..level.spans.len() {
+                below[level.children(g)].fill(g as u32);
+            }
         }
     }
 
@@ -763,6 +852,28 @@ impl PlacementIndex {
             }
             self.descend(height - 1, level.children(g), ceiling, best, eval, bound);
         }
+    }
+}
+
+#[cfg(test)]
+impl PlacementIndex {
+    /// Every group span's fields as bits, bottom level first — what the
+    /// control tree's twin test compares.
+    pub(crate) fn span_bits(&self) -> Vec<u64> {
+        let mut out = Vec::new();
+        for level in &self.levels {
+            for s in &level.spans {
+                for h in 0..MAX_LEVELS {
+                    out.extend(
+                        [s.down_max[h], s.down_second[h], s.up_max[h], s.up_second[h]]
+                            .map(f64::to_bits),
+                    );
+                }
+                out.extend([s.path_down_max.to_bits(), s.path_up_max.to_bits()]);
+                out.push(u64::from(s.finite));
+            }
+        }
+        out
     }
 }
 

@@ -9,8 +9,8 @@
 //!    arrival rate `Λ`) and updates its allocator state — eqs. 2-5;
 //! 2. an **upward pass** (figure 2, left) folds the best per-subtree rates
 //!    `R̂` toward the root: an RM's `R̂⁰ = min(R⁰, R_other)`; an RA's
-//!    `R̂ʰ = min(max_children R̂ʰ⁻¹, Rʰ)`, remembering *which* block server
-//!    achieves the best — this is what the NNS queries to place writes;
+//!    `R̂ʰ = min(max_children R̂ʰ⁻¹, Rʰ)`. *Which* block server achieves
+//!    the best is walked down on demand ([`ControlTree::best_server_at`]);
 //! 3. a **downward pass** (figure 2, right) gives every RM the cumulative
 //!    bottleneck rate `Ř` up to *each* level of the tree, which prices
 //!    reads, replication between racks, and the per-τ window updates of
@@ -33,7 +33,8 @@
 //! (`r_check[h · n_rms + rm_pos]`), so the downward pass writes each
 //! level contiguously; and the server→RM lookup is a dense `NodeId`-
 //! indexed table instead of a `BTreeMap`. A round is one serial sweep
-//! over those columns; the crate spawns no threads.
+//! over those columns; the crate spawns no threads. Pass 0 sweeps every
+//! node; passes 1 and 2 revisit only what moved (DESIGN.md §10).
 
 use scda_simnet::builders::ThreeTierTree;
 use scda_simnet::units::{Bytes, BytesPerSec};
@@ -106,56 +107,70 @@ pub struct NodeSpec {
 /// Column sentinel for "no parent" / "not an RM" / "unknown server".
 const NONE: u32 = u32::MAX;
 
+/// Relative move past which an allocation counts as changed — the §IV
+/// Δ-report threshold behind [`ControlTree::changed_dirs`].
+pub const DELTA_REL_EPS: f64 = 0.05;
+
+/// Work the difference-driven rounds did since the tree was built, as
+/// plain counts: the host-independent measure of a round's cost. A
+/// dense round re-folds every RA and re-descends every RM position at
+/// every chain level `1..=h_max`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RoundWork {
+    /// RAs whose `R̂` pass 1 re-folded.
+    pub refolds: u64,
+    /// `(RM position, chain level ≥ 1)` pairs whose `Ř` pass 2
+    /// re-evaluated.
+    pub redescents: u64,
+}
+
 /// One direction's per-node state, stored as parallel columns indexed by
 /// [`CtrlId`]. `r_alloc` is the allocator's `R(t−τ)` iteration state
 /// (what [`crate::rate_metric::LinkAllocator`] keeps as `r_prev`);
 /// `r_own` is this round's published own-link allocation, which starts
 /// at 0 until the first round runs — the two only coincide after a round.
+/// `moved` is each node's [`Moved`] mask of `r_own` over the last round,
+/// the exact XOR of its old and new bits.
 struct DirColumns {
     link: Vec<LinkId>,
     cap: Vec<f64>,
     r_alloc: Vec<f64>,
     r_own: Vec<f64>,
-    r_prev_round: Vec<f64>,
     r_hat: Vec<f64>,
-    best_bs: Vec<Option<NodeId>>,
+    moved: Vec<Moved>,
 }
 
 impl DirColumns {
-    fn with_capacity(n: usize) -> Self {
+    /// Columns for `n` nodes, all zero until [`DirColumns::set_node`].
+    fn with_len(n: usize) -> Self {
         DirColumns {
-            link: Vec::with_capacity(n),
-            cap: Vec::with_capacity(n),
-            r_alloc: Vec::with_capacity(n),
-            r_own: Vec::with_capacity(n),
-            r_prev_round: Vec::with_capacity(n),
-            r_hat: Vec::with_capacity(n),
-            best_bs: Vec::with_capacity(n),
+            link: vec![LinkId(0); n],
+            cap: vec![0.0; n],
+            r_alloc: vec![0.0; n],
+            r_own: vec![0.0; n],
+            r_hat: vec![0.0; n],
+            moved: vec![0; n],
         }
     }
 
-    /// Append one node's state, mirroring `LinkAllocator::new`: the
+    /// Set node `i`'s link, mirroring `LinkAllocator::new`: the
     /// iteration starts optimistically at `R(0) = α·C`.
-    fn push_node(&mut self, link: LinkId, capacity: f64, params: &Params) {
+    fn set_node(&mut self, i: usize, link: LinkId, capacity: f64, params: &Params) {
         assert!(capacity > 0.0, "capacity must be positive");
-        self.link.push(link);
-        self.cap.push(capacity);
-        self.r_alloc.push(params.alpha * capacity);
-        self.r_own.push(0.0);
-        self.r_prev_round.push(0.0);
-        self.r_hat.push(0.0);
-        self.best_bs.push(None);
+        self.link[i] = link;
+        self.cap[i] = capacity;
+        self.r_alloc[i] = params.alpha * capacity;
     }
 
     /// Pass-0 numeric sweep: one eq. 2/5 allocator step for *every* node
     /// at once, reading the telemetry gathered in `scratch` and filling
     /// `scratch.cap_term`/`scratch.load` for the violation sweep behind
-    /// it. Each element runs the exact floating-point op sequence of
-    /// [`crate::rate_metric::update_rate`] (the `capacity_term` is
-    /// computed once and shared
-    /// with the violation check — same formula, same operands), so the
-    /// results are bit-identical to the scalar per-node form. Hoisting
-    /// the metric-kind branch out of the loop and keeping the bodies
+    /// it, and `moved` beside `r_own`. Each element runs the exact
+    /// floating-point op sequence of [`crate::rate_metric::update_rate`]
+    /// (the `capacity_term` is computed once and shared with the
+    /// violation check — same formula, same operands), so the results
+    /// are bit-identical to the scalar per-node form. Hoisting the
+    /// metric-kind branch out of the loop and keeping the bodies
     /// branch-free is what lets the compiler vectorize the divisions —
     /// the round's dominant cost at paper scale and beyond.
     fn update_all(
@@ -169,7 +184,7 @@ impl DirColumns {
         let cap = &self.cap[..n];
         let r_alloc = &mut self.r_alloc[..n];
         let r_own = &mut self.r_own[..n];
-        let r_prev_round = &mut self.r_prev_round[..n];
+        let moved = &mut self.moved[..n];
         let queue = &scratch.queue[..n];
         let flow = &scratch.flow[..n];
         let arrival = &scratch.arrival[..n];
@@ -183,7 +198,7 @@ impl DirColumns {
                         .get();
                     cap_term[i] = ct;
                     load[i] = flow[i].max(arrival[i]);
-                    r_prev_round[i] = r_own[i];
+                    let prev = r_own[i];
                     // N̂ = S / R(t−τ); an idle link offers the whole term.
                     let n_eff = (flow[i] / r_alloc[i]).max(1.0);
                     let floor = params.min_rate.min(cap[i]);
@@ -194,6 +209,7 @@ impl DirColumns {
                     let r = (ct / n_eff).max(floor).min(cap[i]);
                     r_alloc[i] = r;
                     r_own[i] = r;
+                    moved[i] = r.to_bits() ^ prev.to_bits();
                 }
             }
             MetricKind::Simplified => {
@@ -203,7 +219,7 @@ impl DirColumns {
                         .get();
                     cap_term[i] = ct;
                     load[i] = flow[i].max(arrival[i]);
-                    r_prev_round[i] = r_own[i];
+                    let prev = r_own[i];
                     let r = if arrival[i] <= 0.0 {
                         ct
                     } else {
@@ -213,6 +229,7 @@ impl DirColumns {
                     let r = r.max(floor).min(cap[i]);
                     r_alloc[i] = r;
                     r_own[i] = r;
+                    moved[i] = r.to_bits() ^ prev.to_bits();
                 }
             }
         }
@@ -225,6 +242,20 @@ impl DirColumns {
                 util[i] = if cap[i] > 0.0 { load[i] / cap[i] } else { 0.0 };
             }
         }
+    }
+
+    /// The last round's §IV Δ-reports: allocations that moved by more
+    /// than [`DELTA_REL_EPS`] relative. Only a marked node can count (an
+    /// unmoved allocation moved by 0), and its previous rate is its
+    /// current one XOR its mask, bit for bit.
+    fn delta_reports(&self) -> usize {
+        set_positions(&self.moved)
+            .filter(|&i| {
+                let r = self.r_own[i];
+                let prev = f64::from_bits(r.to_bits() ^ self.moved[i]);
+                (r - prev).abs() > DELTA_REL_EPS * prev.max(1.0)
+            })
+            .count()
     }
 }
 
@@ -263,6 +294,109 @@ impl DirScratch {
     }
 }
 
+/// A move mask: the XOR of a value's bits before and after a round, OR-ed
+/// over everything it stands for — nonzero iff something moved bitwise.
+/// A mask rather than a `bool`, because the sweeps that write one are
+/// vectorized `f64` loops, and 64-bit lanes store without repacking.
+type Moved = u64;
+
+/// Masks scanned per block when looking for nonzero ones.
+const MASK_BLOCK: usize = 16;
+
+/// The positions of the nonzero masks in `masks`, ascending; zero blocks
+/// of [`MASK_BLOCK`] are skipped with one test each.
+pub(crate) fn set_positions(masks: &[Moved]) -> impl Iterator<Item = usize> + '_ {
+    masks
+        .chunks(MASK_BLOCK)
+        .enumerate()
+        .filter(|(_, block)| block.iter().fold(0, |acc, &m| acc | m) != 0)
+        .flat_map(|(b, block)| {
+            block
+                .iter()
+                .enumerate()
+                .filter(|&(_, &m)| m != 0)
+                .map(move |(i, _)| b * MASK_BLOCK + i)
+        })
+}
+
+/// One ancestor run of pass 2 at one level: the run's slice of the
+/// level below (`prev_*`) and of the level being written (`cur_*`), and
+/// its RM positions' masks.
+struct RunCols<'a> {
+    prev_d: &'a [f64],
+    cur_d: &'a mut [f64],
+    prev_u: &'a [f64],
+    cur_u: &'a mut [f64],
+    pos_moved: &'a mut [Moved],
+    rm_moved: &'a mut [Moved],
+}
+
+impl RunCols<'_> {
+    /// Re-evaluate every position as `step(prev)` in one branch-free
+    /// sweep, OR-ing each position's [`Moved`] mask into `rm_moved`. With
+    /// `frontier` — the next level will re-evaluate only what moved
+    /// here — it also writes `pos_moved` and returns whether any
+    /// position moved; otherwise it returns `false`.
+    fn sweep(
+        &mut self,
+        frontier: bool,
+        step_d: impl Fn(f64) -> f64,
+        step_u: impl Fn(f64) -> f64,
+    ) -> bool {
+        let n = self.cur_d.len();
+        let (prev_d, cur_d) = (&self.prev_d[..n], &mut self.cur_d[..n]);
+        let (prev_u, cur_u) = (&self.prev_u[..n], &mut self.cur_u[..n]);
+        let (pos_moved, rm_moved) = (&mut self.pos_moved[..n], &mut self.rm_moved[..n]);
+        if !frontier {
+            for i in 0..n {
+                let rd = step_d(prev_d[i]);
+                let ru = step_u(prev_u[i]);
+                rm_moved[i] |=
+                    (rd.to_bits() ^ cur_d[i].to_bits()) | (ru.to_bits() ^ cur_u[i].to_bits());
+                cur_d[i] = rd;
+                cur_u[i] = ru;
+            }
+            return false;
+        }
+        let mut any = 0;
+        for i in 0..n {
+            let rd = step_d(prev_d[i]);
+            let ru = step_u(prev_u[i]);
+            let m = (rd.to_bits() ^ cur_d[i].to_bits()) | (ru.to_bits() ^ cur_u[i].to_bits());
+            cur_d[i] = rd;
+            cur_u[i] = ru;
+            pos_moved[i] = m;
+            rm_moved[i] |= m;
+            any |= m;
+        }
+        any != 0
+    }
+
+    /// Re-evaluate `min(prev, own)` only where `pos_moved` is nonzero:
+    /// where the level below moved. Returns whether any position moved,
+    /// and how many were visited.
+    fn sweep_moved(&mut self, own_d: f64, own_u: f64) -> (bool, u64) {
+        let mut any = 0;
+        let mut visited = 0u64;
+        for i in 0..self.cur_d.len() {
+            if self.pos_moved[i] == 0 {
+                continue;
+            }
+            visited += 1;
+            let rd = self.prev_d[i].min(own_d);
+            let ru = self.prev_u[i].min(own_u);
+            let m =
+                (rd.to_bits() ^ self.cur_d[i].to_bits()) | (ru.to_bits() ^ self.cur_u[i].to_bits());
+            self.cur_d[i] = rd;
+            self.cur_u[i] = ru;
+            self.pos_moved[i] = m;
+            self.rm_moved[i] |= m;
+            any |= m;
+        }
+        (any != 0, visited)
+    }
+}
+
 /// The assembled RM/RA tree. All per-node state lives in index-keyed
 /// columns — see the module docs for the layout.
 pub struct ControlTree {
@@ -270,9 +404,16 @@ pub struct ControlTree {
     metric: MetricKind,
     /// Tree level per node: 0 for RMs, 1..=h_max for RAs.
     levels: Vec<u8>,
+    /// Parent per node; the root's entry is `len()`, a spare slot in
+    /// the `refold`/`redescend` flag columns, so a node marks its parent
+    /// without a branch.
+    parent: Vec<u32>,
     /// CSR offsets into `child_list`, length `len() + 1`.
     child_start: Vec<u32>,
-    /// Flat child lists, grouped per node in construction order.
+    /// Flat child lists, grouped per node in construction order. Only
+    /// children with an RM beneath them are listed: the others have no
+    /// block server to offer, so neither the fold nor the argmax walk
+    /// may pick them.
     child_list: Vec<u32>,
     /// Monitored block server per node (RMs only).
     servers: Vec<Option<NodeId>>,
@@ -308,6 +449,21 @@ pub struct ControlTree {
     r_check_up: Vec<f64>,
     /// Dense server → RM-node lookup indexed by `NodeId.0`.
     rm_of_server: Vec<u32>,
+    /// Pass-1 flags by node (plus the root's spare slot): a child's `R̂`
+    /// moved this round, so the node must re-fold.
+    refold: Vec<bool>,
+    /// Pass-2 flags by node (plus the spare slot): some RM position
+    /// beneath the node moved its `Ř` at the chain level below it.
+    redescend: Vec<bool>,
+    /// Per RM position: the [`Moved`] mask of `Ř` at the chain level
+    /// pass 2 is on.
+    pos_moved: Vec<Moved>,
+    /// Per RM position: the round's [`Moved`] mask over the RM's `R̂` and
+    /// all its `Ř` — the leaves a mirror of [`ControlTree::metrics_at`]
+    /// must rewrite.
+    rm_moved: Vec<Moved>,
+    /// Cumulative pass-1/2 work.
+    work: RoundWork,
     root: CtrlId,
     /// Bottom-up evaluation order: stable level sort, so each level's
     /// slice is in construction order.
@@ -378,8 +534,14 @@ impl ControlTree {
         let mut levels = Vec::with_capacity(n);
         let mut parents: Vec<u32> = Vec::with_capacity(n);
         let mut servers = Vec::with_capacity(n);
-        let mut down = DirColumns::with_capacity(n);
-        let mut up = DirColumns::with_capacity(n);
+        // The columns the tree keeps come first, before the build's
+        // scratch: freeing that scratch then leaves no long-lived column
+        // above it on the heap.
+        let mut down = DirColumns::with_len(n);
+        let mut up = DirColumns::with_len(n);
+        let n_rms = specs.iter().filter(|s| s.level == 0).count();
+        let (refold, redescend) = (vec![false; n + 1], vec![false; n + 1]);
+        let (pos_moved, rm_moved) = (vec![0; n_rms], vec![0; n_rms]);
         let mut root = None;
         let mut hmax = 0u8;
         let mut max_server = None::<u32>;
@@ -407,17 +569,29 @@ impl ControlTree {
             levels.push(s.level);
             parents.push(s.parent.map_or(NONE, |p| p as u32));
             servers.push(s.server);
-            down.push_node(s.down_link, capacity_of(s.down_link), &params);
-            up.push_node(s.up_link, capacity_of(s.up_link), &params);
+            down.set_node(i, s.down_link, capacity_of(s.down_link), &params);
+            up.set_node(i, s.up_link, capacity_of(s.up_link), &params);
         }
         let root =
             root.expect("invariant: spec[0] cannot name an earlier parent, so a root exists");
 
+        // Which nodes have an RM beneath them (every RM does): walk up
+        // from each RM until a marked node.
+        let mut has_rm = vec![false; n];
+        for (i, &l) in levels.iter().enumerate() {
+            let mut cur = i as u32;
+            while l == 0 && cur != NONE && !has_rm[cur as usize] {
+                has_rm[cur as usize] = true;
+                cur = parents[cur as usize];
+            }
+        }
+
         // Children as one flat CSR array (construction order per parent,
-        // like the old per-node `Vec<CtrlId>` push order).
+        // like the old per-node `Vec<CtrlId>` push order), keeping only
+        // the children with an RM beneath.
         let mut child_count = vec![0u32; n];
-        for &p in &parents {
-            if p != NONE {
+        for (i, &p) in parents.iter().enumerate() {
+            if p != NONE && has_rm[i] {
                 child_count[p as usize] += 1;
             }
         }
@@ -431,7 +605,7 @@ impl ControlTree {
         let mut cursor = child_start[..n].to_vec();
         let mut child_list = vec![0u32; acc as usize];
         for (i, &p) in parents.iter().enumerate() {
-            if p != NONE {
+            if p != NONE && has_rm[i] {
                 let slot = &mut cursor[p as usize];
                 child_list[*slot as usize] = i as u32;
                 *slot += 1;
@@ -498,12 +672,10 @@ impl ControlTree {
             anc_run_offsets[h] = anc_runs.len() as u32;
         }
 
-        // An RM's best block server is itself, forever — pin it now so
-        // the upward pass only refreshes the rate columns.
-        for &rm in &order[..nr] {
-            if let Some(s) = servers[rm.0] {
-                down.best_bs[rm.0] = Some(s);
-                up.best_bs[rm.0] = Some(s);
+        // The root's parent is the flag columns' spare slot.
+        for p in &mut parents {
+            if *p == NONE {
+                *p = n as u32;
             }
         }
 
@@ -511,6 +683,7 @@ impl ControlTree {
             params,
             metric,
             levels,
+            parent: parents,
             child_start,
             child_list,
             servers,
@@ -526,6 +699,11 @@ impl ControlTree {
             r_check_down: vec![0.0; (hmax as usize + 1) * nr],
             r_check_up: vec![0.0; (hmax as usize + 1) * nr],
             rm_of_server,
+            refold,
+            redescend,
+            pos_moved,
+            rm_moved,
+            work: RoundWork::default(),
             root,
             order,
             level_offsets,
@@ -700,6 +878,12 @@ impl ControlTree {
     /// violations. A buffer kept across rounds keeps its capacity, so a
     /// round allocates only when it detects more violations than any
     /// round before it.
+    ///
+    /// Pass 0 runs over every node; passes 1 and 2 re-evaluate only what
+    /// moved below or at each node. A node they skip has bit-identical
+    /// inputs to last round's, and each pass is a pure function of its
+    /// inputs, so the skipped values are the ones a full pass would
+    /// write.
     pub fn control_round_into(
         &mut self,
         now: f64,
@@ -719,14 +903,34 @@ impl ControlTree {
             self.obs
                 .emit(scda_obs::TraceEvent::CtrlRoundBegin { now, round });
         }
-        // Pass 0, three column sweeps: (a) gather telemetry in the
-        // canonical order (ascending id, down before up — a stateful
-        // telemetry source sees the same call sequence as ever); (b) the
-        // vectorizable eq. 2/5 update over each direction's columns
-        // (plus the per-link utilization column on observed trees);
-        // (c) violation detection, re-reading the shared cap_term/load
-        // scratch so both agree with the update. The round-end metrics
-        // flush reads the same scratch columns.
+        let work_before = self.work;
+        // The first round has no previous state to differ from: every
+        // value counts as moved.
+        let all: Moved = if round == 0 { Moved::MAX } else { 0 };
+        self.sense(now, telemetry, violations, observing);
+        self.fold_up(all, telemetry);
+        self.descend(all);
+        if let Some(t0) = t0 {
+            self.observe_round(now, round, violations, work_before, t0.elapsed());
+        }
+    }
+
+    /// Pass 0, three column sweeps over every node: (a) gather telemetry
+    /// in the canonical order (ascending id, down before up — a stateful
+    /// telemetry source sees the same call sequence as ever); (b) the
+    /// vectorizable eq. 2/5 update over each direction's columns, which
+    /// also marks how each node's `r_own` moved (plus the per-link
+    /// utilization column on observed trees); (c) violation detection,
+    /// re-reading the shared cap_term/load scratch so both agree with
+    /// the update. The round-end metrics flush reads the same scratch
+    /// columns.
+    fn sense(
+        &mut self,
+        now: f64,
+        telemetry: &mut impl Telemetry,
+        violations: &mut Vec<SlaViolation>,
+        observing: bool,
+    ) {
         let n = self.levels.len();
         for id in 0..n {
             let sample = telemetry.sample(self.down.link[id]);
@@ -758,34 +962,101 @@ impl ControlTree {
                 }
             }
         }
+    }
 
-        // Pass 1 (upward, figure 2 left): R̂ and bests, level by level
-        // (the stable level sort guarantees children come first).
-        for &rm in &self.order[..self.level_offsets[1]] {
-            let id = rm.0;
+    /// Pass 1 (upward, figure 2 left), by difference. Every RM's
+    /// `R̂⁰ = min(R⁰, R_other)` is re-read — its caps can move while its
+    /// link does not — and is also level 0 of pass 2's `Ř`, so this loop
+    /// seeds pass 2's masks too. An RA re-folds only when its own rate
+    /// moved in pass 0 or a child's `R̂` moved below it; the stable
+    /// level sort puts children first, so their flags are final by
+    /// then. Moves are bitwise: a move by one ulp re-folds.
+    fn fold_up(&mut self, all: Moved, telemetry: &mut impl Telemetry) {
+        let nr = self.n_rms();
+        for pos in 0..nr {
+            let id = self.order[pos].0;
             let server =
                 self.servers[id].expect("invariant: RMs (level 0) are constructed with a server");
             let caps = telemetry.rate_caps(server);
-            // best_bs is pinned to `server` at construction — only the
-            // rate columns move round to round.
             let rd = self.down.r_own[id].min(caps.recv);
             let ru = self.up.r_own[id].min(caps.send);
+            self.pos_moved[pos] = all
+                | (rd.to_bits() ^ self.down.r_hat[id].to_bits())
+                | (ru.to_bits() ^ self.up.r_hat[id].to_bits());
             self.down.r_hat[id] = rd;
             self.up.r_hat[id] = ru;
+            self.r_check_down[pos] = rd;
+            self.r_check_up[pos] = ru;
         }
-        for i in self.level_offsets[1]..self.order.len() {
-            self.fold_children(self.order[i].0);
+        self.rm_moved.copy_from_slice(&self.pos_moved);
+        // An RM's parent is its chain's level-1 ancestor: flag it once
+        // per level-1 run that moved.
+        self.refold.fill(false);
+        self.redescend.fill(false);
+        let level1 = self.anc_run_offsets.get(1).map_or(0, |&o| o as usize);
+        for &(start, end, anc) in &self.anc_runs[..level1] {
+            let moved = self.pos_moved[start as usize..end as usize]
+                .iter()
+                .fold(0, |acc, &m| acc | m);
+            if anc != NONE && moved != 0 {
+                self.refold[anc as usize] = true;
+                self.redescend[anc as usize] = true;
+            }
         }
+        for i in nr..self.order.len() {
+            let id = self.order[i].0;
+            if self.refold[id] | ((all | self.down.moved[id] | self.up.moved[id]) != 0) {
+                self.work.refolds += 1;
+                let moved = self.fold_children(id);
+                self.refold[self.parent[id] as usize] |= moved;
+            }
+        }
+    }
 
-        // Pass 2 (downward, figure 2 right): every RM's cumulative Ř per
-        // level, filled level-major — level h is one contiguous slice,
-        // computed from level h−1 and the h-th ancestor's own rate.
-        let nr = self.n_rms();
-        for pos in 0..nr {
-            let rm = self.order[pos].0;
-            self.r_check_down[pos] = self.down.r_hat[rm];
-            self.r_check_up[pos] = self.up.r_hat[rm];
+    /// Fold one RA's children (already evaluated) into its own columns:
+    /// `R̂ʰ = min(best child R̂, Rʰ)`. The strictly-greater comparison
+    /// keeps the *first* best child in construction order, the one
+    /// [`ControlTree::best_server_at`] walks to. Returns whether either
+    /// direction's `R̂` moved bitwise.
+    fn fold_children(&mut self, id: usize) -> bool {
+        let kids =
+            &self.child_list[self.child_start[id] as usize..self.child_start[id + 1] as usize];
+        let (mut rd, mut ru) = (self.down.r_own[id], self.up.r_own[id]);
+        if let Some((&first, rest)) = kids.split_first() {
+            let (mut best_d, mut best_u) = (
+                self.down.r_hat[first as usize],
+                self.up.r_hat[first as usize],
+            );
+            for &c in rest {
+                let (vd, vu) = (self.down.r_hat[c as usize], self.up.r_hat[c as usize]);
+                if vd > best_d {
+                    best_d = vd;
+                }
+                if vu > best_u {
+                    best_u = vu;
+                }
+            }
+            rd = best_d.min(rd);
+            ru = best_u.min(ru);
         }
+        let moved = (rd.to_bits() != self.down.r_hat[id].to_bits())
+            | (ru.to_bits() != self.up.r_hat[id].to_bits());
+        self.down.r_hat[id] = rd;
+        self.up.r_hat[id] = ru;
+        moved
+    }
+
+    /// Pass 2 (downward, figure 2 right), by difference: every RM's
+    /// cumulative `Ř` per level, level-major — level `h` is computed from
+    /// level `h − 1` and the `h`-th ancestor's own rate, one ancestor run
+    /// at a time. A run whose ancestor's `r_own` moved is swept whole
+    /// with slice-vs-scalar `min`s the compiler vectorizes; a run whose
+    /// ancestor stood still re-evaluates only the positions whose
+    /// level-`h − 1` `Ř` moved (`pos_moved`), and a run with neither is
+    /// skipped. What moved is OR-ed into `rm_moved`, and a run that
+    /// moved flags its ancestor's parent for the next level.
+    fn descend(&mut self, all: Moved) {
+        let nr = self.n_rms();
         for h in 1..=self.hmax as usize {
             let (done_d, rest_d) = self.r_check_down.split_at_mut(h * nr);
             let prev_d = &done_d[(h - 1) * nr..];
@@ -797,58 +1068,43 @@ impl ControlTree {
                 [self.anc_run_offsets[h - 1] as usize..self.anc_run_offsets[h] as usize];
             for &(start, end, anc) in runs {
                 let (s, e) = (start as usize, end as usize);
+                let mut run = RunCols {
+                    prev_d: &prev_d[s..e],
+                    cur_d: &mut cur_d[s..e],
+                    prev_u: &prev_u[s..e],
+                    cur_u: &mut cur_u[s..e],
+                    pos_moved: &mut self.pos_moved[s..e],
+                    rm_moved: &mut self.rm_moved[s..e],
+                };
                 if anc == NONE {
                     // Chains ended below h: padding, guarded by rm_depth
-                    // everywhere it could be read.
-                    cur_d[s..e].copy_from_slice(&prev_d[s..e]);
-                    cur_u[s..e].copy_from_slice(&prev_u[s..e]);
+                    // everywhere it could be read, copied through. The
+                    // level above copies again, so it needs no frontier.
+                    self.work.redescents += (e - s) as u64;
+                    run.sweep(false, |x| x, |x| x);
+                    continue;
+                }
+                let a = anc as usize;
+                let (own_d, own_u) = (self.down.r_own[a], self.up.r_own[a]);
+                let moved = if (all | self.down.moved[a] | self.up.moved[a]) != 0 {
+                    self.work.redescents += (e - s) as u64;
+                    // The next level reads this one's masks only if its
+                    // ancestor — this one's parent — stood still.
+                    let p = self.parent[a] as usize;
+                    let frontier = h < self.hmax as usize
+                        && p < self.levels.len()
+                        && (all | self.down.moved[p] | self.up.moved[p]) == 0;
+                    run.sweep(frontier, |x| x.min(own_d), |x| x.min(own_u))
+                } else if self.redescend[a] {
+                    let (moved, visited) = run.sweep_moved(own_d, own_u);
+                    self.work.redescents += visited;
+                    moved
                 } else {
-                    // One shared ancestor for the whole run: a pair of
-                    // slice-vs-scalar min sweeps the compiler vectorizes.
-                    let own_d = self.down.r_own[anc as usize];
-                    let own_u = self.up.r_own[anc as usize];
-                    for pos in s..e {
-                        cur_d[pos] = prev_d[pos].min(own_d);
-                    }
-                    for pos in s..e {
-                        cur_u[pos] = prev_u[pos].min(own_u);
-                    }
-                }
+                    false
+                };
+                self.redescend[self.parent[a] as usize] |= moved;
             }
         }
-
-        if let Some(t0) = t0 {
-            self.observe_round(now, round, violations, t0.elapsed());
-        }
-    }
-
-    /// Fold one RA's children (already evaluated) into its own columns:
-    /// `R̂ʰ = min(best child R̂, Rʰ)` with the achieving block server. The
-    /// strictly-greater comparisons keep the *first* child in
-    /// construction order on ties.
-    fn fold_children(&mut self, id: usize) {
-        let mut best_down: Option<(f64, NodeId)> = None;
-        let mut best_up: Option<(f64, NodeId)> = None;
-        let start = self.child_start[id] as usize;
-        let end = self.child_start[id + 1] as usize;
-        for &c in &self.child_list[start..end] {
-            let c = c as usize;
-            if let Some(bs) = self.down.best_bs[c] {
-                if best_down.is_none_or(|(v, _)| self.down.r_hat[c] > v) {
-                    best_down = Some((self.down.r_hat[c], bs));
-                }
-            }
-            if let Some(bs) = self.up.best_bs[c] {
-                if best_up.is_none_or(|(v, _)| self.up.r_hat[c] > v) {
-                    best_up = Some((self.up.r_hat[c], bs));
-                }
-            }
-        }
-        let (own_down, own_up) = (self.down.r_own[id], self.up.r_own[id]);
-        self.down.r_hat[id] = best_down.map_or(own_down, |(v, _)| v.min(own_down));
-        self.down.best_bs[id] = best_down.map(|(_, bs)| bs);
-        self.up.r_hat[id] = best_up.map_or(own_up, |(v, _)| v.min(own_up));
-        self.up.best_bs[id] = best_up.map(|(_, bs)| bs);
     }
 
     /// Flush one observed round into the trace ring and metrics registry:
@@ -860,10 +1116,11 @@ impl ControlTree {
         now: f64,
         round: u64,
         violations: &[SlaViolation],
+        work_before: RoundWork,
         elapsed: std::time::Duration,
     ) {
         use scda_obs::TraceEvent;
-        let changed_dirs = self.changed_nodes(0.05) as u32;
+        let changed_dirs = self.changed_dirs() as u32;
         let duration_us = 1e6 * elapsed.as_secs_f64();
         let nr = self.n_rms();
         self.obs.with_core(|c| {
@@ -921,6 +1178,14 @@ impl ControlTree {
                 .counter_add(scda_obs::metric::CTRL_VIOLATIONS, violations.len() as u64);
             c.metrics
                 .counter_add(scda_obs::metric::CTRL_CHANGED_DIRS, changed_dirs as u64);
+            c.metrics.counter_add(
+                scda_obs::metric::CTRL_REFOLDS,
+                self.work.refolds - work_before.refolds,
+            );
+            c.metrics.counter_add(
+                scda_obs::metric::CTRL_REDESCENTS,
+                self.work.redescents - work_before.redescents,
+            );
             c.metrics
                 .observe(scda_obs::metric::CTRL_ROUND_DURATION_US, duration_us);
             for id in 0..self.levels.len() {
@@ -954,34 +1219,64 @@ impl ControlTree {
     /// The best block server *under a specific RA* — §VI: "If the NNS
     /// wants to select a server at a specific rack, it asks the RA at
     /// level 1 of the corresponding rack for the best server in that
-    /// rack."
+    /// rack." Returned with the RA's `R̂`. The server is found on demand
+    /// by re-walking the fold's choice: from `ra`, step to the first
+    /// child with the strictly greatest `R̂` until an RM — the server
+    /// the fold would have carried up. `None` for an RA with no RM
+    /// beneath it, and for any RA before the first round.
     pub fn best_server_at(&self, ra: CtrlId, dir: Direction) -> Option<(NodeId, f64)> {
-        let cols = match dir {
-            Direction::Down => &self.down,
-            Direction::Up => &self.up,
+        let r_hat = match dir {
+            Direction::Down => &self.down.r_hat,
+            Direction::Up => &self.up.r_hat,
         };
-        cols.best_bs[ra.0].map(|bs| (bs, cols.r_hat[ra.0]))
+        let mut node = ra.0;
+        loop {
+            if let Some(server) = self.servers[node] {
+                return Some((server, r_hat[ra.0]));
+            }
+            if self.round == 0 {
+                return None;
+            }
+            let mut best: Option<(f64, u32)> = None;
+            for &c in &self.child_list
+                [self.child_start[node] as usize..self.child_start[node + 1] as usize]
+            {
+                let v = r_hat[c as usize];
+                if best.is_none_or(|(b, _)| v > b) {
+                    best = Some((v, c));
+                }
+            }
+            node = best?.1 as usize;
+        }
     }
 
-    /// Number of nodes whose own-link allocation moved by more than
-    /// `rel_eps` (relative) in the last round — the paper's Δ-reporting
-    /// optimization sends updates only for these ("it can send the
-    /// difference ... if there is a change in the rate values").
-    pub fn changed_nodes(&self, rel_eps: f64) -> usize {
-        let changed =
-            |prev: f64, cur: f64| usize::from((cur - prev).abs() > rel_eps * prev.max(1.0));
-        (0..self.levels.len())
-            .map(|i| {
-                changed(self.down.r_prev_round[i], self.down.r_own[i])
-                    + changed(self.up.r_prev_round[i], self.up.r_own[i])
-            })
-            .sum()
+    /// Number of `(node, direction)` allocations that moved by more than
+    /// [`DELTA_REL_EPS`] (relative) in the last round — the paper's
+    /// Δ-reporting optimization sends updates only for these ("it can
+    /// send the difference ... if there is a change in the rate
+    /// values"). Counted over the nodes pass 0 marked as moved.
+    pub fn changed_dirs(&self) -> usize {
+        self.down.delta_reports() + self.up.delta_reports()
     }
 
-    /// The best block server in the whole cloud by direction — what the NNS
-    /// gets when it asks the level-`h_max` RA (global write placement).
-    pub fn best_server_global(&self, dir: Direction) -> Option<(NodeId, f64)> {
-        self.best_server_at(self.root, dir)
+    /// The per-RM-position [`Moved`] masks of the last round: nonzero
+    /// where it moved the RM's `R̂` or any of its `Ř`, i.e. where
+    /// [`ControlTree::metrics_at`] may differ from the round before. A
+    /// mirror that absorbs these after every round stays bit-identical
+    /// to a full [`ControlTree::server_metrics_into`] read-out.
+    pub(crate) fn moved_rms(&self) -> &[Moved] {
+        &self.rm_moved
+    }
+
+    /// The pass-1/2 work done since the tree was built.
+    pub fn round_work(&self) -> RoundWork {
+        self.work
+    }
+
+    /// The root RA (the level-`h_max` node the NNS asks for global write
+    /// placement).
+    pub fn root(&self) -> CtrlId {
+        self.root
     }
 
     /// How the tree groups its servers, for a
@@ -1021,47 +1316,64 @@ impl ControlTree {
         let nr = self.n_rms();
         out.reserve(nr);
         for (pos, &rm) in self.rms().iter().enumerate() {
-            let id = rm.0;
-            let r0_down = self.down.r_hat[id];
-            let r0_up = self.up.r_hat[id];
-            // Before the first round the Ř columns are unfilled — every
-            // level falls back to R̂⁰, like the old empty per-RM vectors.
-            let depth = if self.round > 0 {
-                self.rm_depth[pos] as usize
-            } else {
-                0
-            };
-            let mut down_levels = [r0_down; MAX_LEVELS];
-            let mut up_levels = [r0_up; MAX_LEVELS];
-            let mut last_d = r0_down;
-            let mut last_u = r0_up;
-            for (h, (slot_d, slot_u)) in down_levels.iter_mut().zip(&mut up_levels).enumerate() {
-                if h < depth {
-                    last_d = self.r_check_down[h * nr + pos];
-                    last_u = self.r_check_up[h * nr + pos];
-                }
-                *slot_d = last_d;
-                *slot_u = last_u;
+            out.push(self.metrics_of(pos, rm.0, nr));
+        }
+    }
+
+    /// The metrics of the RM at position `pos` (construction order, the
+    /// order of [`ControlTree::server_metrics_into`] and of the placement
+    /// index's leaves).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is not below the number of RMs.
+    pub fn metrics_at(&self, pos: usize) -> ServerMetrics {
+        self.metrics_of(pos, self.rms()[pos].0, self.n_rms())
+    }
+
+    /// [`ControlTree::metrics_at`] for the RM `id` at position `pos` of
+    /// `nr`.
+    #[inline(always)]
+    fn metrics_of(&self, pos: usize, id: usize, nr: usize) -> ServerMetrics {
+        let r0_down = self.down.r_hat[id];
+        let r0_up = self.up.r_hat[id];
+        // Before the first round the Ř columns are unfilled — every
+        // level falls back to R̂⁰, like the old empty per-RM vectors.
+        let depth = if self.round > 0 {
+            self.rm_depth[pos] as usize
+        } else {
+            0
+        };
+        let mut down_levels = [r0_down; MAX_LEVELS];
+        let mut up_levels = [r0_up; MAX_LEVELS];
+        let mut last_d = r0_down;
+        let mut last_u = r0_up;
+        for (h, (slot_d, slot_u)) in down_levels.iter_mut().zip(&mut up_levels).enumerate() {
+            if h < depth {
+                last_d = self.r_check_down[h * nr + pos];
+                last_u = self.r_check_up[h * nr + pos];
             }
-            let (path_down, path_up) = if depth > 0 {
-                (
-                    self.r_check_down[(depth - 1) * nr + pos],
-                    self.r_check_up[(depth - 1) * nr + pos],
-                )
-            } else {
-                (r0_down, r0_up)
-            };
-            out.push(ServerMetrics {
-                server: self.servers[id]
-                    .expect("invariant: RMs (level 0) are constructed with a server"),
-                r0_down,
-                r0_up,
-                path_down,
-                path_up,
-                down_levels,
-                up_levels,
-                n_levels: (self.hmax + 1).min(MAX_LEVELS as u8),
-            });
+            *slot_d = last_d;
+            *slot_u = last_u;
+        }
+        let (path_down, path_up) = if depth > 0 {
+            (
+                self.r_check_down[(depth - 1) * nr + pos],
+                self.r_check_up[(depth - 1) * nr + pos],
+            )
+        } else {
+            (r0_down, r0_up)
+        };
+        ServerMetrics {
+            server: self.servers[id]
+                .expect("invariant: RMs (level 0) are constructed with a server"),
+            r0_down,
+            r0_up,
+            path_down,
+            path_up,
+            down_levels,
+            up_levels,
+            n_levels: (self.hmax + 1).min(MAX_LEVELS as u8),
         }
     }
 
@@ -1130,12 +1442,12 @@ impl ControlTree {
     /// "offloaded to an external server ... for data mining").
     pub fn snapshot(&self, now: f64) -> crate::diagnostics::TreeSnapshot {
         use crate::diagnostics::{DirSnapshot, NodeSnapshot, TreeSnapshot};
-        let dir_snap = |cols: &DirColumns, i: usize| DirSnapshot {
+        let dir_snap = |cols: &DirColumns, i: usize, dir: Direction| DirSnapshot {
             link: cols.link[i],
             capacity: cols.cap[i],
             rate: cols.r_alloc[i],
             r_hat: cols.r_hat[i],
-            best_bs: cols.best_bs[i],
+            best_bs: self.best_server_at(CtrlId(i), dir).map(|(s, _)| s),
         };
         TreeSnapshot {
             time: now,
@@ -1143,8 +1455,8 @@ impl ControlTree {
                 .map(|i| NodeSnapshot {
                     level: self.levels[i],
                     server: self.servers[i],
-                    down: dir_snap(&self.down, i),
-                    up: dir_snap(&self.up, i),
+                    down: dir_snap(&self.down, i, Direction::Down),
+                    up: dir_snap(&self.up, i, Direction::Up),
                 })
                 .collect(),
         }
@@ -1174,6 +1486,7 @@ impl ControlTree {
 mod tests {
     use super::*;
     use crate::{ContentClass, NoDiscount, NodeSet, PlaceQuery, PlacementIndex, SelectorConfig};
+    use proptest::prelude::*;
     use scda_simnet::builders::ThreeTierConfig;
     use scda_simnet::units::mbps;
 
@@ -1283,7 +1596,7 @@ mod tests {
         for _ in 0..5 {
             ct.control_round(0.0, &mut tel);
         }
-        let (bs, rate) = ct.best_server_global(Direction::Down).unwrap();
+        let (bs, rate) = ct.best_server_at(ct.root(), Direction::Down).unwrap();
         assert_eq!(bs, favored, "the only unloaded downlink must win");
         assert!(rate > 0.0);
     }
@@ -1318,7 +1631,7 @@ mod tests {
         assert_eq!(m.r0_up, 1000.0);
         assert_eq!(m.r0_down, 500.0);
         // And the best global server is NOT the disk-limited one.
-        let (bs, _) = ct.best_server_global(Direction::Down).unwrap();
+        let (bs, _) = ct.best_server_at(ct.root(), Direction::Down).unwrap();
         assert_ne!(bs, slow);
     }
 
@@ -1565,7 +1878,7 @@ mod tests {
         let (_tree, mut ct) = small_tree();
         ct.control_round(0.0, &mut Idle);
         ct.control_round(0.0, &mut Idle);
-        assert_eq!(ct.changed_nodes(0.05), 0, "steady idle state: no deltas");
+        assert_eq!(ct.changed_dirs(), 0, "steady idle state: no deltas");
         struct Slam;
         impl Telemetry for Slam {
             fn sample(&mut self, _l: LinkId) -> LinkSample {
@@ -1579,10 +1892,7 @@ mod tests {
             }
         }
         ct.control_round(0.0, &mut Slam);
-        assert!(
-            ct.changed_nodes(0.05) > 0,
-            "a load slam must move allocations"
-        );
+        assert!(ct.changed_dirs() > 0, "a load slam must move allocations");
     }
 
     #[test]
@@ -1653,8 +1963,8 @@ mod tests {
                 }
             }
             assert_eq!(
-                plain.best_server_global(Direction::Down),
-                observed.best_server_global(Direction::Down)
+                plain.best_server_at(plain.root(), Direction::Down),
+                observed.best_server_at(observed.root(), Direction::Down)
             );
         }
         struct Mixed;
@@ -1721,6 +2031,311 @@ mod tests {
             ct.index_shape(),
             IndexShape::new(3, vec![(1, vec![0, 2, 3]), (2, vec![0, 2, 3])])
         );
+    }
+
+    /// A hand-built tree that exercises every irregular case of the
+    /// passes: RMs of one rack that are not adjacent (two ancestor runs),
+    /// an RM hanging off the root (its chain ends below `h_max`), an RM
+    /// under a level-2 RA (a level gap), and RAs with no RM beneath.
+    fn irregular_tree(metric: MetricKind) -> ControlTree {
+        let node = |level, parent, server: Option<u32>, link: u32| NodeSpec {
+            level,
+            parent,
+            server: server.map(NodeId),
+            down_link: LinkId(link),
+            up_link: LinkId(link + 1),
+        };
+        let specs = [
+            node(3, None, None, 0),
+            node(2, Some(0), None, 2),
+            node(1, Some(1), None, 4),
+            node(0, Some(2), Some(0), 6),
+            node(1, Some(1), None, 8),
+            node(0, Some(4), Some(1), 10),
+            node(0, Some(2), Some(2), 12),
+            node(0, Some(0), Some(3), 14),
+            node(1, Some(0), None, 16),
+            node(2, Some(0), None, 18),
+            node(1, Some(9), None, 20),
+            node(0, Some(1), Some(4), 22),
+        ];
+        ControlTree::new(Params::default(), metric, &specs, |l| {
+            1.0e6 * f64::from(1 + l.0 % 5)
+        })
+    }
+
+    /// Scripted telemetry: one sample per link id, caps per server id.
+    struct Script {
+        samples: Vec<LinkSample>,
+        caps: Vec<RateCaps>,
+    }
+
+    impl Telemetry for Script {
+        fn sample(&mut self, l: LinkId) -> LinkSample {
+            self.samples[l.index()]
+        }
+        fn rate_caps(&mut self, s: NodeId) -> RateCaps {
+            self.caps[s.index()]
+        }
+    }
+
+    /// SplitMix64 step: the script's value stream.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    impl Script {
+        /// Re-draw a share of the samples and caps from small lattices,
+        /// so values both move and repeat bit for bit between rounds.
+        fn churn(&mut self, seed: u64, share: u64) {
+            const RATES: [f64; 5] = [0.0, 2.5e5, 1.0e6, 4.0e6, 1.6e7];
+            const QUEUES: [f64; 4] = [0.0, 1.0e4, 2.0e5, 3.0e6];
+            const CAPS: [f64; 4] = [f64::INFINITY, f64::INFINITY, 5.0e5, 3.0e6];
+            let mut st = seed;
+            for s in &mut self.samples {
+                if mix(&mut st) % 100 < share {
+                    s.queue_bytes = QUEUES[(mix(&mut st) % 4) as usize];
+                    s.flow_rate_sum = RATES[(mix(&mut st) % 5) as usize];
+                    s.arrival_rate = RATES[(mix(&mut st) % 5) as usize];
+                }
+            }
+            for c in &mut self.caps {
+                if mix(&mut st) % 100 < share / 2 {
+                    c.send = CAPS[(mix(&mut st) % 4) as usize];
+                    c.recv = CAPS[(mix(&mut st) % 4) as usize];
+                }
+            }
+        }
+    }
+
+    /// The dense reference: today's passes 1–2 written out whole — every
+    /// RA folded over every child with its best block server carried up,
+    /// every RM position re-descended at every level — over the state
+    /// pass 0 left. Returns the per-node `(down, up)` best servers.
+    fn dense_passes(ct: &mut ControlTree, tel: &mut impl Telemetry) -> Vec<[Option<NodeId>; 2]> {
+        let n = ct.len();
+        let nr = ct.n_rms();
+        let mut children = vec![Vec::new(); n];
+        for (i, &p) in ct.parent.iter().enumerate() {
+            if (p as usize) < n {
+                children[p as usize].push(i);
+            }
+        }
+        let mut best: Vec<[Option<NodeId>; 2]> = vec![[None, None]; n];
+        for pos in 0..nr {
+            let id = ct.order[pos].0;
+            let server = ct.servers[id].unwrap();
+            let caps = tel.rate_caps(server);
+            ct.down.r_hat[id] = ct.down.r_own[id].min(caps.recv);
+            ct.up.r_hat[id] = ct.up.r_own[id].min(caps.send);
+            best[id] = [Some(server); 2];
+        }
+        for i in nr..ct.order.len() {
+            let id = ct.order[i].0;
+            for (d, cols) in [&mut ct.down, &mut ct.up].into_iter().enumerate() {
+                let mut top: Option<(f64, NodeId)> = None;
+                for &c in &children[id] {
+                    if let Some(bs) = best[c][d] {
+                        if top.is_none_or(|(v, _)| cols.r_hat[c] > v) {
+                            top = Some((cols.r_hat[c], bs));
+                        }
+                    }
+                }
+                let own = cols.r_own[id];
+                cols.r_hat[id] = top.map_or(own, |(v, _)| v.min(own));
+                best[id][d] = top.map(|(_, bs)| bs);
+            }
+        }
+        for pos in 0..nr {
+            let rm = ct.order[pos].0;
+            ct.r_check_down[pos] = ct.down.r_hat[rm];
+            ct.r_check_up[pos] = ct.up.r_hat[rm];
+        }
+        for h in 1..=ct.hmax as usize {
+            let runs = ct.anc_runs
+                [ct.anc_run_offsets[h - 1] as usize..ct.anc_run_offsets[h] as usize]
+                .to_vec();
+            for (start, end, anc) in runs {
+                for pos in start as usize..end as usize {
+                    let (below, at) = ((h - 1) * nr + pos, h * nr + pos);
+                    if anc == NONE {
+                        ct.r_check_down[at] = ct.r_check_down[below];
+                        ct.r_check_up[at] = ct.r_check_up[below];
+                    } else {
+                        ct.r_check_down[at] =
+                            ct.r_check_down[below].min(ct.down.r_own[anc as usize]);
+                        ct.r_check_up[at] = ct.r_check_up[below].min(ct.up.r_own[anc as usize]);
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn metric_bits(m: &ServerMetrics) -> Vec<u64> {
+        let mut v = vec![
+            u64::from(m.server.0),
+            u64::from(m.n_levels),
+            m.r0_down.to_bits(),
+            m.r0_up.to_bits(),
+            m.path_down.to_bits(),
+            m.path_up.to_bits(),
+        ];
+        v.extend(
+            m.down_levels
+                .iter()
+                .chain(&m.up_levels)
+                .map(|x| x.to_bits()),
+        );
+        v
+    }
+
+    /// Drive `diff` (the tree as built) and a twin through the same
+    /// scripted rounds; after every round the twin redoes passes 1–2
+    /// densely, and every column, both `Ř` matrices, the violations,
+    /// the Δ-report count, the argmax walk and a by-difference index
+    /// must equal the dense side's in bits.
+    fn check_twin(
+        build: impl Fn() -> ControlTree,
+        links: usize,
+        servers: usize,
+        rounds: &[(u64, u64, (usize, usize, f64))],
+    ) {
+        let (mut diff, mut dense) = (build(), build());
+        let mut script = Script {
+            samples: vec![LinkSample::default(); links],
+            caps: vec![RateCaps::default(); servers],
+        };
+        let mut idx_diff = PlacementIndex::with_shape(diff.index_shape());
+        let mut idx_dense = PlacementIndex::with_shape(dense.index_shape());
+        let (mut v_diff, mut v_dense) = (Vec::new(), Vec::new());
+        let mut metrics = Vec::new();
+        for (k, &(seed, share, (resize, node, factor))) in rounds.iter().enumerate() {
+            // share 0 is an idle stretch: the previous round's inputs.
+            script.churn(seed, share);
+            if resize == 0 {
+                let node = node % diff.len();
+                let link = diff.down.link[node];
+                let cap = diff.down.cap[node] * factor;
+                prop_assert!(diff.set_link_capacity(link, cap));
+                prop_assert!(dense.set_link_capacity(link, cap));
+            }
+            let now = k as f64;
+            diff.control_round_into(now, &mut script, &mut v_diff);
+            let prev_own = [dense.down.r_own.clone(), dense.up.r_own.clone()];
+            dense.round += 1;
+            v_dense.clear();
+            dense.sense(now, &mut script, &mut v_dense, false);
+            let best = dense_passes(&mut dense, &mut script);
+
+            for (a, b) in [(&diff.down, &dense.down), (&diff.up, &dense.up)] {
+                prop_assert_eq!(&a.link, &b.link);
+                prop_assert_eq!(bits(&a.cap), bits(&b.cap));
+                prop_assert_eq!(bits(&a.r_alloc), bits(&b.r_alloc));
+                prop_assert_eq!(bits(&a.r_own), bits(&b.r_own));
+                prop_assert_eq!(bits(&a.r_hat), bits(&b.r_hat), "round {}", k);
+                prop_assert_eq!(&a.moved, &b.moved);
+            }
+            prop_assert_eq!(
+                bits(&diff.r_check_down),
+                bits(&dense.r_check_down),
+                "round {}",
+                k
+            );
+            prop_assert_eq!(
+                bits(&diff.r_check_up),
+                bits(&dense.r_check_up),
+                "round {}",
+                k
+            );
+            prop_assert_eq!(format!("{v_diff:?}"), format!("{v_dense:?}"));
+            let changed = |prev: &[f64], cur: &[f64]| {
+                prev.iter()
+                    .zip(cur)
+                    .filter(|&(&p, &c)| (c - p).abs() > DELTA_REL_EPS * p.max(1.0))
+                    .count()
+            };
+            prop_assert_eq!(
+                diff.changed_dirs(),
+                changed(&prev_own[0], &dense.down.r_own) + changed(&prev_own[1], &dense.up.r_own)
+            );
+            for (i, b) in best.iter().enumerate() {
+                for (d, dir) in [Direction::Down, Direction::Up].into_iter().enumerate() {
+                    prop_assert_eq!(diff.best_server_at(CtrlId(i), dir).map(|(s, _)| s), b[d]);
+                }
+            }
+            idx_diff.refresh_moved(&diff);
+            dense.server_metrics_into(&mut metrics);
+            idx_dense.refresh(&metrics);
+            prop_assert_eq!(
+                idx_diff
+                    .metrics()
+                    .iter()
+                    .map(metric_bits)
+                    .collect::<Vec<_>>(),
+                idx_dense
+                    .metrics()
+                    .iter()
+                    .map(metric_bits)
+                    .collect::<Vec<_>>()
+            );
+            prop_assert_eq!(idx_diff.span_bits(), idx_dense.span_bits());
+        }
+    }
+
+    /// Rounds as `(seed, share of inputs re-drawn in %, (resize unless
+    /// nonzero, node, capacity factor))`.
+    fn round_plan() -> impl Strategy<Value = Vec<(u64, u64, (usize, usize, f64))>> {
+        proptest::collection::vec(
+            (
+                0u64..u64::MAX,
+                prop_oneof![Just(0u64), Just(2), Just(20), Just(100)],
+                (0usize..7, 0usize..10_000, prop_oneof![Just(0.5), Just(2.0)]),
+            ),
+            1..12,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn difference_round_equals_dense_round(
+            plan in round_plan(),
+            simplified in 0u8..2,
+        ) {
+            let metric = if simplified == 1 { MetricKind::Simplified } else { MetricKind::Full };
+            let (fig2, _) = small_tree();
+            check_twin(
+                || ControlTree::from_three_tier(&fig2, Params::default(), metric),
+                fig2.topo.link_count(),
+                fig2.topo.node_count(),
+                &plan,
+            );
+            let quick = ThreeTierConfig {
+                racks: 8,
+                servers_per_rack: 5,
+                racks_per_agg: 4,
+                clients: 8,
+                ..Default::default()
+            }
+            .build();
+            check_twin(
+                || ControlTree::from_three_tier(&quick, Params::default(), metric),
+                quick.topo.link_count(),
+                quick.topo.node_count(),
+                &plan,
+            );
+            check_twin(|| irregular_tree(metric), 24, 5, &plan);
+        }
     }
 
     #[test]

@@ -430,13 +430,13 @@ impl ControlPolicy for ContentControl<'_> {
         };
         let rate = self.rate(&purpose).unwrap_or(self.plane.params.min_rate);
         self.purposes.insert(id, purpose);
-        let rtt = driver
-            .net_mut()
-            .base_rtt_between(src, dst)
-            .expect("connected");
+        let net = driver.net_mut();
+        let path = net.route(src, dst).expect("connected");
+        let rtt = net.path_rtt(path);
         Admission {
             src,
             dst,
+            path,
             server,
             client_idx: ci,
             start: now + setup,

@@ -18,7 +18,7 @@
 use scda_audit::{AuditClass, ShedCause};
 use scda_metrics::{FctStats, FlowRecord, ThroughputSeries};
 use scda_obs::{metric, TraceEvent};
-use scda_simnet::{FlowId, FlowTable, Network, NodeId, Scheduler};
+use scda_simnet::{FlowId, FlowTable, Network, NodeId, PathId, Scheduler};
 use scda_transport::{AnyTransport, FlowDriver, TickSummary};
 use scda_workloads::{FlowDirection, FlowKind};
 
@@ -45,6 +45,8 @@ pub struct PendingStart {
     pub src: NodeId,
     /// Receiver.
     pub dst: NodeId,
+    /// The routed path admission resolved for `src → dst`.
+    pub path: PathId,
     /// Content size in bytes.
     pub size: f64,
     /// Request arrival time (FCT is measured from here).
@@ -200,6 +202,7 @@ impl SimKernel {
                     id,
                     src: adm.src,
                     dst: adm.dst,
+                    path: adm.path,
                     size: adm.size,
                     arrival: f.arrival,
                     server: adm.server,
@@ -228,8 +231,24 @@ impl SimKernel {
                     if !p.internal {
                         self.arrivals.insert(p.id, (p.arrival, p.size));
                     }
-                    self.driver
-                        .start_flow(p.id, p.src, p.dst, p.size, p.transport, now);
+                    // Open on the path admission resolved, unless a
+                    // fabric change (reserve bandwidth, a failed link)
+                    // has replaced the routes since: then route afresh.
+                    if self.driver.net().holds_path(p.path) {
+                        assert!(p.src != p.dst, "flow endpoints must differ");
+                        self.driver.start_flow_on(
+                            p.id,
+                            p.src,
+                            p.dst,
+                            p.path,
+                            p.size,
+                            p.transport,
+                            now,
+                        );
+                    } else {
+                        self.driver
+                            .start_flow(p.id, p.src, p.dst, p.size, p.transport, now);
+                    }
                 }
             }
             batch.clear();
@@ -267,6 +286,7 @@ impl SimKernel {
                         id,
                         src: sp.src,
                         dst: sp.dst,
+                        path: sp.path,
                         size: sp.size,
                         arrival: sp.arrival,
                         server: sp.server,

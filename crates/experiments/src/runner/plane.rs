@@ -5,7 +5,8 @@
 //! [`PlacementIndex`] shaped like it, the Table I parameters, the
 //! figure-3/5 setup costs and the block servers and clients. Its
 //! [`ScdaPlane::round`] is the one per-τ measurement sequence — offered
-//! loads, link telemetry, the tree's round, the index refresh — that
+//! loads, link telemetry, the tree's round, the index refresh by
+//! difference — that
 //! [`super::ScdaControl`] (the headline runs) and the content lifecycle
 //! both call. What each policy does with a round (mitigation and energy
 //! for the one, the NNS and its block stores for the other) and how it
@@ -13,8 +14,9 @@
 
 use scda_core::{
     ControlTree, LinkSample, MetricKind, Params, PlacementIndex, ProtocolCosts, RateCaps,
-    ResourceBook, ServerMetrics, SlaViolation, Telemetry,
+    ResourceBook, SlaViolation, Telemetry,
 };
+use scda_obs::{metric, Obs};
 use scda_simnet::builders::ThreeTierTree;
 use scda_simnet::{LinkId, NodeId};
 use scda_transport::{AnyTransport, FlowDriver, ScdaWindow};
@@ -62,14 +64,14 @@ pub(crate) struct ScdaPlane {
     /// The round's offered rate per link (the S sums of eq. 4/6 —
     /// weights are already baked into each flow's installed rate).
     pub(crate) link_loads: Vec<f64>,
-    /// Scratch the round's metrics are read into on their way to the
-    /// index (reused: no per-round allocation at the 16k-server scale).
-    metrics: Vec<ServerMetrics>,
     /// The last round's SLA violations, refilled in place every round.
     pub(crate) violations: Vec<SlaViolation>,
     /// Over the tree's raw per-server path rates, refreshed once per
     /// round; every placement is a query on it.
     pub(crate) pindex: PlacementIndex,
+    /// Where the index's rewrite counts go (the tree holds its own
+    /// handle).
+    obs: Obs,
 }
 
 impl ScdaPlane {
@@ -98,9 +100,15 @@ impl ScdaPlane {
             servers: tree.all_servers(),
             clients: tree.clients.clone(),
             link_loads: vec![0.0; tree.topo.link_count()],
-            metrics: Vec::new(),
             violations: Vec::new(),
+            obs: Obs::disabled(),
         }
+    }
+
+    /// Observe the plane: the tree's rounds and the index's refreshes.
+    pub(crate) fn set_obs(&mut self, obs: Obs) {
+        self.ct.set_obs(obs.clone());
+        self.obs = obs;
     }
 
     /// A round before any flow exists, so the first arrivals see
@@ -111,7 +119,7 @@ impl ScdaPlane {
 
     /// One per-τ round at `now`: sample every tree link under the
     /// current offered loads, run the tree's round into
-    /// [`ScdaPlane::violations`] and absorb the fresh advertisements
+    /// [`ScdaPlane::violations`] and absorb the advertisements it moved
     /// into the index. Server metrics only move inside the tree's round,
     /// so the index stays bit-identical to a fresh snapshot until the
     /// next one (capacity changes touch columns the snapshot does not
@@ -132,8 +140,9 @@ impl ScdaPlane {
         };
         self.ct
             .control_round_into(now, &mut tel, &mut self.violations);
-        self.ct.server_metrics_into(&mut self.metrics);
-        self.pindex.refresh(&self.metrics);
+        let rewritten = self.pindex.refresh_moved(&self.ct);
+        self.obs
+            .counter_add(metric::INDEX_LEAVES_REWRITTEN, rewritten as u64);
     }
 
     /// The §VIII-B internal write of `size` bytes from `primary` to
@@ -154,13 +163,13 @@ impl ScdaPlane {
             .transfer_rate(primary, replica)
             .unwrap_or(min)
             .max(min);
-        let base_rtt = driver
-            .net_mut()
-            .base_rtt_between(primary, replica)
-            .expect("servers are connected");
+        let net = driver.net_mut();
+        let path = net.route(primary, replica).expect("servers are connected");
+        let base_rtt = net.path_rtt(path);
         SpawnSpec {
             src: primary,
             dst: replica,
+            path,
             server: primary,
             size,
             arrival: finish,
@@ -174,6 +183,7 @@ impl ScdaPlane {
 mod tests {
     use super::*;
     use crate::{Scale, Scenario};
+    use scda_core::ServerMetrics;
     use scda_simnet::Network;
 
     /// The index mirrors the tree bit for bit after a round: it holds

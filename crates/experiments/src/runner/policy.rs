@@ -23,7 +23,7 @@ use scda_audit::Audit;
 use scda_core::{ContentClass, NodeSet, PlaceQuery, PlacementIndex};
 use scda_metrics::{FctStats, FlowRecord, ThroughputSeries};
 use scda_obs::Obs;
-use scda_simnet::{FlowId, NodeId};
+use scda_simnet::{FlowId, NodeId, PathId};
 use scda_transport::{AnyTransport, CompletedFlow, FlowDriver, Reno, RenoConfig, ScdaWindow};
 use scda_workloads::{FlowDirection, FlowSpec};
 
@@ -147,6 +147,9 @@ pub struct Admission {
     pub src: NodeId,
     /// Receiver.
     pub dst: NodeId,
+    /// The routed `src → dst` path admission resolved
+    /// ([`scda_simnet::Network::route`]); the flow opens on it.
+    pub path: PathId,
     /// The block server whose rates price the flow.
     pub server: NodeId,
     /// Requesting client index, as the policy resolved it (SCDA folds it
@@ -168,6 +171,8 @@ pub struct SpawnSpec {
     pub src: NodeId,
     /// Receiver (the replica target).
     pub dst: NodeId,
+    /// The routed `src → dst` path; the transfer opens on it.
+    pub path: PathId,
     /// The server whose rates price the transfer (the sender).
     pub server: NodeId,
     /// Bytes to replicate.

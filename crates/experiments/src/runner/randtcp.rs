@@ -67,14 +67,15 @@ impl ControlPolicy for RandTcpControl {
             FlowDirection::Write => (client, server),
             FlowDirection::Read => (server, client),
         };
-        let one_way = driver
-            .net_mut()
-            .base_rtt_between(src, dst)
-            .expect("client and server are connected")
-            / 2.0;
+        let net = driver.net_mut();
+        let path = net
+            .route(src, dst)
+            .expect("client and server are connected");
+        let one_way = net.path_rtt(path) / 2.0;
         Admission {
             src,
             dst,
+            path,
             server,
             client_idx: f.client,
             start: f.arrival + ProtocolCosts::tcp_handshake(one_way),

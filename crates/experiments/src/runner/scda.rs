@@ -275,7 +275,7 @@ impl ScdaControl {
              trunk levels from the per-server level cache: the tree must \
              fit its MAX_LEVELS"
         );
-        plane.ct.set_obs(opts.obs.clone());
+        plane.set_obs(opts.obs.clone());
         let client_links = tree.client_links.clone();
         let client_alloc: Vec<(LinkAllocator, LinkAllocator)> = client_links
             .iter()
@@ -460,10 +460,11 @@ impl ControlPolicy for ScdaControl {
                 Direction::Up,
             ),
         };
-        let base_rtt = driver
-            .net_mut()
-            .base_rtt_between(src, dst)
+        let net = driver.net_mut();
+        let path = net
+            .route(src, dst)
             .expect("client and server are connected");
+        let base_rtt = net.path_rtt(path);
         let tree_rate = self
             .plane
             .ct
@@ -491,6 +492,7 @@ impl ControlPolicy for ScdaControl {
         Admission {
             src,
             dst,
+            path,
             server,
             client_idx: ci,
             start: f.arrival + setup + wake_delay,
@@ -536,7 +538,7 @@ impl ControlPolicy for ScdaControl {
         self.plane.round(now, driver, self.resources.as_ref());
         self.sla_violations += self.plane.violations.len();
         self.control_rounds += 1;
-        self.changed_dirs_total += self.plane.ct.changed_nodes(0.05);
+        self.changed_dirs_total += self.plane.ct.changed_dirs();
         // Client-side RM updates over the same loads: the WAN links the
         // tree does not cover.
         let params = &self.plane.params;

@@ -87,6 +87,13 @@ pub mod metric {
     pub const CTRL_VIOLATIONS: &str = "ctrl.violations";
     /// Counter: (node, direction) allocations changed per round.
     pub const CTRL_CHANGED_DIRS: &str = "ctrl.changed_dirs";
+    /// Counter: RAs the control tree's upward pass re-folded.
+    pub const CTRL_REFOLDS: &str = "ctrl.refolds";
+    /// Counter: (RM position, level) `Ř` entries the downward pass
+    /// re-evaluated.
+    pub const CTRL_REDESCENTS: &str = "ctrl.redescents";
+    /// Counter: placement-index leaves rewritten by refreshes.
+    pub const INDEX_LEAVES_REWRITTEN: &str = "index.leaves_rewritten";
     /// Histogram: control-round duration, microseconds.
     pub const CTRL_ROUND_DURATION_US: &str = "ctrl.round_duration_us";
     /// Histogram: per-link queue backlog at round time, bytes.

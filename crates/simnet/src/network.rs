@@ -215,7 +215,7 @@ impl Network {
     /// Internal: replace the routing cache with an empty one for the
     /// current topology (used by the `faults` module).
     pub(crate) fn rebuild_routes(&mut self) {
-        self.routes = Routes::new();
+        self.routes = self.routes.succeed();
     }
 
     /// Internal: re-derive the cached link columns from the topology
@@ -451,6 +451,20 @@ impl Network {
     #[inline]
     pub fn flow_count(&self) -> usize {
         self.index.len()
+    }
+
+    /// Handle to the routed path from `src` to `dst` (interned on first
+    /// use), or `None` if unreachable. Admission resolves a flow's path
+    /// once with it, prices the handshake with [`Network::path_rtt`] and
+    /// opens the flow on the same handle while [`Network::holds_path`].
+    pub fn route(&mut self, src: NodeId, dst: NodeId) -> Option<PathId> {
+        self.routes.path_handle(&self.topo, src, dst)
+    }
+
+    /// Whether `pid` still resolves: no fabric change has invalidated the
+    /// routing cache since it was issued.
+    pub fn holds_path(&self, pid: PathId) -> bool {
+        self.routes.holds(pid)
     }
 
     /// Propagation-only RTT between two nodes over the routed path (used

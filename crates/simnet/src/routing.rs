@@ -52,14 +52,19 @@ const UNREACHABLE: u32 = u32::MAX;
 /// Handle to an interned path in a [`Routes`] cache. Cheap to copy and
 /// compare; resolves through [`Routes::path_of`] / [`Routes::rtt_of`].
 /// Valid only for the `Routes` value that issued it — route
-/// invalidation replaces the cache wholesale and with it every id.
+/// invalidation replaces the cache wholesale and with it every id. An
+/// id carries the generation of the cache that issued it, so
+/// [`Routes::holds`] can tell a stale one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct PathId(u32);
+pub struct PathId {
+    slot: u32,
+    generation: u32,
+}
 
 impl PathId {
     /// The arena slot, for diagnostics.
     pub fn index(self) -> usize {
-        self.0 as usize
+        self.slot as usize
     }
 }
 
@@ -67,6 +72,8 @@ impl PathId {
 /// cached shortest-path trees, plus the interned-path arena.
 #[derive(Debug, Clone, Default)]
 pub struct Routes {
+    /// How many caches this one replaced (see [`Routes::succeed`]).
+    generation: u32,
     /// Whether the topology is a tree of duplex cables; `None` until the
     /// first interning miss checks it.
     tree: Option<bool>,
@@ -118,7 +125,7 @@ impl Routes {
     pub fn path_handle(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<PathId> {
         let key = (src.0, dst.0);
         if let Some(&slot) = self.interned.get(&key) {
-            return (slot != UNREACHABLE).then_some(PathId(slot));
+            return (slot != UNREACHABLE).then_some(self.id(slot));
         }
         let start = self.path_links.len();
         if self.is_tree(topo) {
@@ -137,7 +144,7 @@ impl Routes {
         self.path_end.push(self.path_links.len() as u32);
         self.path_rtt.push(2.0 * fwd);
         self.interned.insert(key, slot);
-        Some(PathId(slot))
+        Some(self.id(slot))
     }
 
     /// The links of an interned path, first link leaving the source.
@@ -160,7 +167,7 @@ impl Routes {
     /// link-consistent; `topo` prices its RTT.
     pub fn intern_explicit(&mut self, topo: &Topology, path: &[LinkId]) -> PathId {
         if let Some(&slot) = self.explicit.get(path) {
-            return PathId(slot);
+            return self.id(slot);
         }
         let fwd: f64 = path.iter().map(|&l| topo.link(l).delay_s).sum();
         let slot = self.path_rtt.len() as u32;
@@ -168,7 +175,30 @@ impl Routes {
         self.path_end.push(self.path_links.len() as u32);
         self.path_rtt.push(2.0 * fwd);
         self.explicit.insert(path.into(), slot);
-        PathId(slot)
+        self.id(slot)
+    }
+
+    /// This cache's handle to arena slot `slot`.
+    fn id(&self, slot: u32) -> PathId {
+        PathId {
+            slot,
+            generation: self.generation,
+        }
+    }
+
+    /// An empty cache that replaces this one: handles this one issued
+    /// are not [`Routes::holds`] of it.
+    pub fn succeed(&self) -> Routes {
+        Routes {
+            generation: self.generation.wrapping_add(1),
+            ..Routes::default()
+        }
+    }
+
+    /// Whether `id` was issued by this cache (and not by one it
+    /// replaced), i.e. still resolves here.
+    pub fn holds(&self, id: PathId) -> bool {
+        id.generation == self.generation
     }
 
     /// Whether `topo` is a tree of duplex cables, checked on the first

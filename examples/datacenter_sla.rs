@@ -111,7 +111,7 @@ fn main() {
         obs.time_phase(phase::CONTROL, || ct.control_round(10.0, &mut Load(0.0)));
     }
     let (bs, rate) = ct
-        .best_server_global(Direction::Down)
+        .best_server_at(ct.root(), Direction::Down)
         .expect("tree has servers");
     println!(
         "idle again: best write target {bs} at {:.1}% of X",

@@ -153,7 +153,7 @@ fn custom_tree_reports_best_server_on_star() {
         ct.control_round(0.0, &mut Loads(loads.clone()));
     }
     let (best, _) = ct
-        .best_server_global(Direction::Down)
+        .best_server_at(ct.root(), Direction::Down)
         .expect("servers exist");
     assert_eq!(best, servers[2]);
 }

@@ -75,7 +75,7 @@ proptest! {
             }
         }
         // A best server always exists and is a real server.
-        let (bs, rate) = ct.best_server_global(Direction::Down).expect("non-empty tree");
+        let (bs, rate) = ct.best_server_at(ct.root(), Direction::Down).expect("non-empty tree");
         prop_assert!(tree.all_servers().contains(&bs));
         prop_assert!(rate >= 0.0);
     }

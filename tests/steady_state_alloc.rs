@@ -69,6 +69,7 @@ fn loaded_scda_with(opts: &ScdaOptions) -> (Scenario, ScdaControl, FlowDriver) {
             id,
             src: adm.src,
             dst: adm.dst,
+            path: adm.path,
             size: f.size_bytes,
             arrival: f.arrival,
             server: adm.server,
