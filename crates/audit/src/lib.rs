@@ -120,7 +120,7 @@ pub enum FlowOutcome {
 
 /// One flow's compact lifecycle record.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FlowSpan {
+struct FlowSpan {
     /// Flow id (the simnet `FlowId`).
     pub flow: u64,
     /// Traffic class.
@@ -252,7 +252,7 @@ struct EpisodeRecord {
 
 /// A recorded dormant-server wakeup (§VII-C energy management).
 #[derive(Debug, Clone, PartialEq)]
-pub struct WakeupRecord {
+struct WakeupRecord {
     /// Wake decision time, seconds.
     pub time: f64,
     /// The woken server's node id.

@@ -107,14 +107,6 @@ impl AccessStats {
         }
     }
 
-    /// Drop events older than `now - window` (both in seconds of
-    /// virtual time).
-    pub fn expire(&mut self, now: f64, window: f64) {
-        let cutoff = now - window;
-        self.writes.retain(|&t| t >= cutoff);
-        self.reads.retain(|&t| t >= cutoff);
-    }
-
     /// Writes/s over the window ending at `now`.
     pub fn write_rate(&self, now: f64, window: f64) -> f64 {
         let cutoff = now - window;
@@ -231,15 +223,6 @@ mod tests {
         }
         // Window of 10 s at t = 100 covers reads at 90..99 → 1 read/s.
         assert!((s.read_rate(100.0, 10.0) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn expire_drops_old_events() {
-        let mut s = AccessStats::new();
-        s.record_write(0.0);
-        s.record_write(50.0);
-        s.expire(60.0, 20.0);
-        assert_eq!(s.popularity(), 1);
     }
 
     #[test]

@@ -53,35 +53,6 @@ impl TreeSnapshot {
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("snapshot serialization cannot fail")
     }
-
-    /// Parse a previously exported snapshot.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
-
-    /// Total advertised downlink capacity across RMs — a quick
-    /// cluster-health indicator.
-    pub fn total_server_down_rate(&self) -> f64 {
-        self.nodes
-            .iter()
-            .filter(|n| n.level == 0)
-            .map(|n| n.down.rate)
-            .sum()
-    }
-
-    /// Links whose allocation collapsed below `frac` of capacity —
-    /// congestion / failure suspects for off-line analysis.
-    pub fn collapsed_links(&self, frac: f64) -> Vec<LinkId> {
-        let mut out = Vec::new();
-        for n in &self.nodes {
-            for d in [&n.down, &n.up] {
-                if d.rate < frac * d.capacity {
-                    out.push(d.link);
-                }
-            }
-        }
-        out
-    }
 }
 
 /// A periodic stream of [`TreeSnapshot`]s — the §I diagnostics offload as
@@ -144,25 +115,6 @@ impl SnapshotStream {
         }
         out
     }
-
-    /// Parse a previously exported series (blank lines are skipped). The
-    /// result reports `every = 1` — cadence is not carried on the wire;
-    /// the snapshots' own `time` fields are.
-    pub fn from_jsonl(s: &str) -> Result<Self, serde_json::Error> {
-        let mut snapshots = Vec::new();
-        for line in s.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            snapshots.push(TreeSnapshot::from_json(line)?);
-        }
-        let offered = snapshots.len() as u64;
-        Ok(SnapshotStream {
-            every: 1,
-            offered,
-            snapshots,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -216,7 +168,7 @@ mod tests {
     #[test]
     fn json_round_trip() {
         let s = snap();
-        let back = TreeSnapshot::from_json(&s.to_json()).unwrap();
+        let back: TreeSnapshot = serde_json::from_str(&s.to_json()).unwrap();
         assert_eq!(back.time, 3.5);
         assert_eq!(back.nodes.len(), 2);
         assert_eq!(back.nodes[0].down.rate, 90.0);
@@ -253,19 +205,13 @@ mod tests {
         });
         let wire = stream.to_jsonl();
         assert_eq!(wire.lines().count(), 2);
-        let back = SnapshotStream::from_jsonl(&wire).unwrap();
-        assert_eq!(back.snapshots().len(), 2);
-        assert_eq!(back.snapshots()[0].time, 3.5);
-        assert_eq!(back.snapshots()[1].time, 4.0);
-        assert_eq!(back.snapshots()[0].nodes[0].down.rate, 90.0);
-    }
-
-    #[test]
-    fn health_indicators() {
-        let s = snap();
-        assert_eq!(s.total_server_down_rate(), 90.0);
-        let collapsed = s.collapsed_links(0.5);
-        assert_eq!(collapsed, vec![LinkId(0)], "the 5% uplink is a suspect");
-        assert!(s.collapsed_links(0.01).is_empty());
+        let back: Vec<TreeSnapshot> = wire
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        assert_eq!(back.len(), 2);
+        assert_eq!(back[0].time, 3.5);
+        assert_eq!(back[1].time, 4.0);
+        assert_eq!(back[0].nodes[0].down.rate, 90.0);
     }
 }

@@ -55,20 +55,6 @@ impl Default for PowerModelConfig {
     }
 }
 
-/// One server's energy account, as [`EnergyBook::server`] reports it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ServerPower {
-    /// Multiplier on power draw modeling rack position / age / background
-    /// load heterogeneity (1.0 = nominal; hotter servers are > 1).
-    pub heterogeneity: f64,
-    /// Current power state.
-    pub state: PowerState,
-    /// Smoothed power estimate `P(t)`, watts.
-    pub p_avg: f64,
-    /// Accumulated energy, joules.
-    pub energy_j: f64,
-}
-
 /// Lookup sentinel: the id is not a registered server.
 const UNKNOWN: u32 = u32::MAX;
 
@@ -140,16 +126,6 @@ impl EnergyBook {
     fn slot(&self, id: NodeId) -> Option<usize> {
         let i = *self.ordinal.get(id.index())?;
         (i != UNKNOWN).then_some(i as usize)
-    }
-
-    /// Per-server state.
-    pub fn server(&self, id: NodeId) -> Option<ServerPower> {
-        self.slot(id).map(|i| ServerPower {
-            heterogeneity: self.heterogeneity[i],
-            state: self.state[i],
-            p_avg: self.p_avg[i],
-            energy_j: self.energy_j[i],
-        })
     }
 
     /// Whether `id` can serve traffic right now.
@@ -276,8 +252,8 @@ mod tests {
         let mut b = book(2);
         b.scale_down(NodeId(0));
         b.tick(100.0, |_| 0.0);
-        let dormant = b.server(NodeId(0)).unwrap().energy_j;
-        let active = b.server(NodeId(1)).unwrap().energy_j;
+        let dormant = b.energy_j[b.slot(NodeId(0)).unwrap()];
+        let active = b.energy_j[b.slot(NodeId(1)).unwrap()];
         assert!(
             dormant < active / 5.0,
             "dormant {dormant} vs active {active}"

@@ -10,19 +10,17 @@
 //! * [`priority`] — prioritized allocation and adaptive weights (eq. 6,
 //!   §IV-A), including SJF- and EDF-style policies;
 //! * [`openflow`] — the OpenFlow packet-count SJF approximation (§IV-B);
-//! * [`reservation`] — explicit minimum-rate reservations with admission
-//!   control (§IV-C);
 //! * [`tree`] — the RM/RA control tree with the figure-2 max/min upward
 //!   and downward propagation (§VI), SLA detection hooks, and the
 //!   per-level `Ř` rates that price reads, replication and on-going-flow
 //!   window updates (§VIII-D);
-//! * [`selection`] — server selection per content class, dormant-server
-//!   scale-down, and power-aware `R̂/P` ranking (§VII), as the reference
-//!   O(n) scan;
+//! * [`selection`] — the knobs of server selection per content class,
+//!   dormant-server scale-down and power-aware `R̂/P` ranking (§VII);
 //! * [`placement_index`] — the incremental index every placement goes
 //!   through: one search tree shaped like the RA tree, answering the
-//!   §VII queries bit-identically to a fresh [`Selector`] from a few
-//!   racks' worth of leaves;
+//!   §VII queries from a few racks' worth of leaves;
+//! * [`testing`] — the O(n) [`testing::Selector`] scan the index is
+//!   pinned against, bit for bit;
 //! * [`content`] — the content model: HWHR/HWLR/LWHR/LWLR classes and
 //!   access-frequency learning (§II-B);
 //! * [`energy`] — the synthetic server power/temperature model and
@@ -48,10 +46,10 @@ pub mod params;
 pub mod placement_index;
 pub mod priority;
 pub mod rate_metric;
-pub mod reservation;
 pub mod resources;
 pub mod selection;
 pub mod sla;
+pub mod testing;
 pub mod tree;
 
 pub use content::{AccessStats, ClassifierConfig, ContentClass, ContentId};
@@ -67,11 +65,9 @@ pub use placement_index::{
 };
 pub use priority::PriorityPolicy;
 pub use rate_metric::{LinkAllocator, LinkSample, MetricKind};
-pub use reservation::ReservationBook;
 pub use resources::{ResourceBook, ResourceProfile, ServerResources};
-pub use selection::{NodeSet, Selector, SelectorConfig};
-pub use sla::{Mitigation, SlaMonitor, SlaPolicy, SlaViolation};
+pub use selection::{NodeSet, SelectorConfig};
+pub use sla::{Mitigation, SlaMonitor, SlaViolation};
 pub use tree::{
-    ControlTree, CtrlId, Direction, NodeSpec, RateCaps, RoundWork, ServerMetrics, Telemetry,
-    DELTA_REL_EPS,
+    ControlTree, CtrlId, Direction, NodeSpec, RateCaps, ServerMetrics, Telemetry, DELTA_REL_EPS,
 };

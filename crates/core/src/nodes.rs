@@ -23,7 +23,7 @@ use crate::content::{AccessStats, ContentClass, ContentId};
 /// FNV-1a, the stable hash used for FES → NNS routing (deterministic across
 /// runs and platforms, unlike `std`'s `DefaultHasher`).
 #[inline]
-pub fn fnv1a(x: u64) -> u64 {
+fn fnv1a(x: u64) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for b in x.to_le_bytes() {
         h ^= b as u64;
@@ -37,11 +37,11 @@ pub fn fnv1a(x: u64) -> u64 {
 /// # Examples
 ///
 /// ```
-/// use scda_core::Fes;
+/// use scda_core::{ContentId, Fes};
 /// let fes = Fes::new(4);
-/// let nns = fes.route_client(12345);
+/// let nns = fes.route_content(ContentId(12345));
 /// assert!(nns < 4);
-/// assert_eq!(nns, fes.route_client(12345), "stable routing");
+/// assert_eq!(nns, fes.route_content(ContentId(12345)), "stable routing");
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Fes {
@@ -57,13 +57,6 @@ impl Fes {
     pub fn new(n_nns: usize) -> Self {
         assert!(n_nns > 0, "need at least one NNS");
         Fes { n_nns }
-    }
-
-    /// The NNS responsible for a client id — `hash(UCL ID) mod N_NNS`,
-    /// exactly the paper's step 2 of figure 3.
-    #[inline]
-    pub fn route_client(&self, ucl_id: u64) -> usize {
-        (fnv1a(ucl_id) % self.n_nns as u64) as usize
     }
 
     /// The NNS responsible for a content id (step 1 of figure 4).
@@ -206,19 +199,6 @@ impl NameService {
     pub fn load_distribution(&self) -> Vec<usize> {
         self.nns.iter().map(NameNode::len).collect()
     }
-
-    /// Lookup as §III-A describes when the FES function lives *on* the
-    /// NNS: "a UCL can connect to any of the NNSs. If the hashing function
-    /// maps the UCL request to the receiving NNS, the NNS serves the
-    /// request. Otherwise the NNS hashes the request and forwards it."
-    /// Returns the metadata plus the number of NNS-to-NNS forwarding hops
-    /// (0 when the first contact owned the metadata).
-    pub fn lookup_via(&self, first_contact: usize, id: ContentId) -> (usize, Option<&ContentMeta>) {
-        assert!(first_contact < self.nns.len(), "no such NNS");
-        let owner = self.fes.route_content(id);
-        let hops = usize::from(owner != first_contact);
-        (hops, self.nns[owner].lookup(id))
-    }
 }
 
 /// A block server's local storage state.
@@ -259,21 +239,9 @@ impl BlockServer {
         true
     }
 
-    /// Drop `content` of `size` bytes (no-op if absent).
-    pub fn evict(&mut self, content: ContentId, size: f64) {
-        if self.stored.remove(&content) {
-            self.disk_used = (self.disk_used - size).max(0.0);
-        }
-    }
-
     /// Whether this BS holds `content`.
     pub fn has(&self, content: ContentId) -> bool {
         self.stored.contains(&content)
-    }
-
-    /// Bytes still free.
-    pub fn free_space(&self) -> f64 {
-        self.disk_capacity - self.disk_used
     }
 
     /// Number of stored objects.
@@ -336,8 +304,8 @@ mod tests {
     #[test]
     fn fes_routes_consistently() {
         let fes = Fes::new(4);
-        let a = fes.route_client(123);
-        assert_eq!(a, fes.route_client(123));
+        let a = fes.route_content(ContentId(123));
+        assert_eq!(a, fes.route_content(ContentId(123)));
         assert!(a < 4);
     }
 
@@ -382,29 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_via_forwards_at_most_once() {
-        let mut ns = NameService::new(4);
-        ns.register(ContentMeta {
-            id: ContentId(5),
-            size_bytes: 1.0,
-            class: ContentClass::Passive,
-            primary: NodeId(2),
-            replicas: vec![],
-            stats: AccessStats::new(),
-        });
-        let owner = ns.fes().route_content(ContentId(5));
-        let (hops_direct, hit) = ns.lookup_via(owner, ContentId(5));
-        assert_eq!(hops_direct, 0);
-        assert!(hit.is_some());
-        let other = (owner + 1) % 4;
-        let (hops_fwd, hit) = ns.lookup_via(other, ContentId(5));
-        assert_eq!(hops_fwd, 1, "one forward to the owning NNS");
-        assert!(hit.is_some());
-        let (_, miss) = ns.lookup_via(other, ContentId(6));
-        assert!(miss.is_none());
-    }
-
-    #[test]
     #[should_panic(expected = "twice")]
     fn double_registration_panics() {
         let mut n = NameNode::new();
@@ -426,11 +371,9 @@ mod tests {
         assert!(bs.store(ContentId(1), 60.0));
         assert!(!bs.store(ContentId(2), 60.0), "over capacity");
         assert!(bs.store(ContentId(2), 40.0));
-        assert_eq!(bs.free_space(), 0.0);
+        assert!(!bs.store(ContentId(3), 1.0), "disk full");
         assert_eq!(bs.object_count(), 2);
-        bs.evict(ContentId(1), 60.0);
-        assert_eq!(bs.free_space(), 60.0);
-        assert!(!bs.has(ContentId(1)));
+        assert!(!bs.has(ContentId(3)));
     }
 
     #[test]
@@ -438,7 +381,7 @@ mod tests {
         let mut bs = BlockServer::new(NodeId(1), 100.0);
         assert!(bs.store(ContentId(1), 60.0));
         assert!(bs.store(ContentId(1), 60.0));
-        assert_eq!(bs.free_space(), 40.0, "no double charge");
+        assert!(bs.store(ContentId(2), 40.0), "no double charge");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Incremental placement index — the admission fast path (§VII at scale).
 //!
-//! [`crate::selection::Selector`] answers one placement query with a full
+//! [`crate::testing::Selector`] answers one placement query with a full
 //! O(servers) scan over the round's `ServerMetrics`. That is fine per
 //! control round, but the experiment kernel asks per *admission*. This
 //! module keeps a persistent index over the per-server path rates —
@@ -184,7 +184,7 @@ impl RateDiscount for NoDiscount {
     }
 }
 
-/// Borrowed query context: the same knobs a [`crate::Selector`] is
+/// Borrowed query context: the same knobs a [`crate::testing::Selector`] is
 /// built from, plus the discount applied at leaves.
 pub struct PlaceQuery<'a, D: RateDiscount> {
     /// Energy book for dormancy / usability filters (§VII-C).
@@ -209,7 +209,7 @@ impl<'a, D: RateDiscount> PlaceQuery<'a, D> {
 }
 
 /// The §VII reservation rule on the *adjusted* uplink, mirroring
-/// [`crate::Selector`]'s `is_reserved_for_passive` (so NaN ranks as
+/// [`crate::testing::Selector`]'s `is_reserved_for_passive` (so NaN ranks as
 /// not-reserved in both paths).
 fn reserved_for_passive(au: f64, r_scale: f64) -> bool {
     au >= r_scale
@@ -416,8 +416,6 @@ pub struct PlacementIndex {
     /// The tree epoch the mirror was last brought to by
     /// [`PlacementIndex::refresh_moved`]; `None` after a slice refresh.
     synced: Option<u64>,
-    refreshes: u64,
-    entries_updated: u64,
     queries: Cell<u64>,
     bounds: Cell<u64>,
     pruned: Cell<u64>,
@@ -476,12 +474,6 @@ impl PlacementIndex {
         self.metrics.is_empty()
     }
 
-    /// Refreshes performed and total entries rewritten across them —
-    /// the incremental-maintenance telemetry surfaced by perf runs.
-    pub fn refresh_stats(&self) -> (u64, u64) {
-        (self.refreshes, self.entries_updated)
-    }
-
     /// Query work since the index was built.
     pub fn query_stats(&self) -> QueryStats {
         QueryStats {
@@ -538,7 +530,6 @@ impl PlacementIndex {
         leaf: impl Fn(usize) -> ServerMetrics,
         only: Option<&[u64]>,
     ) -> usize {
-        self.refreshes += 1;
         let changed = if n != self.metrics.len() {
             self.reshape(n);
             self.metrics.clear();
@@ -557,7 +548,6 @@ impl PlacementIndex {
             }
         };
         self.bubble();
-        self.entries_updated += changed as u64;
         changed
     }
 
@@ -664,7 +654,7 @@ impl PlacementIndex {
     }
 
     /// Stage-1 write placement (§VII): bit-identical to
-    /// [`crate::Selector::write_target`] over the discounted
+    /// [`crate::testing::Selector::write_target`] over the discounted
     /// metrics.
     pub fn write_target<D: RateDiscount>(
         &self,
@@ -692,7 +682,7 @@ impl PlacementIndex {
     }
 
     /// Stage-2 replica placement (§VII-B/C): bit-identical to
-    /// [`crate::Selector::replica_target`] over the discounted
+    /// [`crate::testing::Selector::replica_target`] over the discounted
     /// metrics.
     pub fn replica_target<D: RateDiscount>(
         &self,
@@ -727,7 +717,7 @@ impl PlacementIndex {
     }
 
     /// Best read source among `replicas` (§VIII-C step 3):
-    /// bit-identical to [`crate::Selector::read_source`].
+    /// bit-identical to [`crate::testing::Selector::read_source`].
     pub fn read_source<D: RateDiscount>(
         &self,
         replicas: &NodeSet,
@@ -890,7 +880,7 @@ fn max_total(a: f64, b: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::selection::Selector;
+    use crate::testing::Selector;
     use crate::tree::MAX_LEVELS;
 
     fn m(id: u32, down: f64, up: f64) -> ServerMetrics {

@@ -94,11 +94,6 @@ pub fn weight_for_target(r_desired: f64, r_current: f64) -> f64 {
     }
 }
 
-/// Eq. 6: the priority-weighted flow-rate sum `S = Σ ℘_j R_j`.
-pub fn weighted_rate_sum(flows: &[(f64, f64)]) -> f64 {
-    flows.iter().map(|&(weight, rate)| weight * rate).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,12 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_sum_eq6() {
-        let s = weighted_rate_sum(&[(1.0, 100.0), (2.0, 50.0), (0.5, 200.0)]);
-        assert!((s - 300.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn weighted_fixed_point_doubles_share() {
         // Two flows, weights 2 and 1, on a 900-capacity link driven through
         // the allocator: the weighted fixed point gives the heavy flow
@@ -180,17 +169,10 @@ mod tests {
             ..Default::default()
         };
         let mut a = LinkAllocator::new(900.0, MetricKind::Full, &p);
-        let (mut r_heavy, mut r_light);
         for _ in 0..200 {
             let adv = a.rate();
-            r_heavy = 2.0 * adv; // weight-2 flow sends at twice the advert
-            r_light = adv;
-            let s = weighted_rate_sum(&[(2.0, r_heavy / 2.0), (1.0, r_light)]);
-            // NOTE: each flow's *rate* entering eq. 6 is its actual rate;
-            // the heavy flow's actual rate is 2·adv with ℘ = 2 counted on
-            // adv... The distributed realization: the heavy source takes
-            // ℘ = 2 of the per-unit advertisement, so S = 2·adv + 1·adv.
-            let _ = s;
+            // The heavy source takes ℘ = 2 of the per-unit advertisement,
+            // so S = 2·adv + 1·adv.
             a.update(
                 &LinkSample {
                     flow_rate_sum: 3.0 * adv,

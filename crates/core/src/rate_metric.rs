@@ -100,14 +100,6 @@ impl LinkAllocator {
         self.capacity
     }
 
-    /// Reconfigure the link's capacity (reserve-bandwidth mitigation,
-    /// §IV-A: "the data center can maintain reserve, backup or recovery
-    /// links"). The iteration state carries over.
-    pub fn set_capacity(&mut self, capacity_bytes_per_s: f64) {
-        assert!(capacity_bytes_per_s > 0.0, "capacity must stay positive");
-        self.capacity = capacity_bytes_per_s;
-    }
-
     /// The current allocation `R(t)` (result of the last [`update`]).
     ///
     /// [`update`]: LinkAllocator::update
@@ -164,14 +156,6 @@ pub fn update_rate(
     r.clamp(floor, capacity)
 }
 
-/// Eq. 4: a flow's rate is the minimum of its end-to-end link allocation
-/// and the sender/receiver other-resource (CPU, disk, application) caps.
-/// All three arguments — and the result — are rates in bytes/s.
-#[inline]
-pub fn flow_rate(r_send_other: f64, r_e2e: f64, r_recv_other: f64) -> f64 {
-    r_send_other.min(r_e2e).min(r_recv_other)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,7 +173,7 @@ mod tests {
     fn capacity_below_min_rate_does_not_panic() {
         let p = Params::default();
         let mut a = LinkAllocator::new(1e6, MetricKind::Full, &p);
-        a.set_capacity(1.0); // failed port
+        a.capacity = 1.0; // failed port
         let r = a.update(
             &LinkSample {
                 flow_rate_sum: 1e9,
@@ -329,13 +313,6 @@ mod tests {
             a.update(&LinkSample::default(), &p);
         }
         assert!(a.rate() <= 1000.0);
-    }
-
-    #[test]
-    fn flow_rate_is_three_way_min() {
-        assert_eq!(flow_rate(5.0, 9.0, 7.0), 5.0);
-        assert_eq!(flow_rate(9.0, 5.0, 7.0), 5.0);
-        assert_eq!(flow_rate(9.0, 7.0, 5.0), 5.0);
     }
 
     #[test]

@@ -108,11 +108,6 @@ impl ResourceBook {
         }
     }
 
-    /// The server's resource state.
-    pub fn server(&self, id: NodeId) -> Option<&ServerResources> {
-        self.servers.get(&id)
-    }
-
     /// Track a flow opening against a server's disk.
     pub fn open_flow(&mut self, id: NodeId, write: bool) {
         if let Some(s) = self.servers.get_mut(&id) {
@@ -191,7 +186,7 @@ mod tests {
     fn close_flow_saturates_at_zero() {
         let mut book = ResourceBook::new([NodeId(1)], |_| ResourceProfile::default());
         book.close_flow(NodeId(1), false);
-        assert_eq!(book.server(NodeId(1)).unwrap().active_reads, 0);
+        assert_eq!(book.servers[&NodeId(1)].active_reads, 0);
     }
 
     #[test]

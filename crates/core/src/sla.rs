@@ -65,61 +65,40 @@ pub enum Mitigation {
     Escalate,
 }
 
-/// Mitigation policy configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SlaPolicy {
-    /// Reserve capacity available per link for [`Mitigation::AddBandwidth`]
-    /// as a fraction of the shortfall that can be covered at once.
-    pub reserve_headroom: f64,
-    /// Violations of the same link within this window count as one episode.
-    pub episode_window: f64,
-    /// Episodes on a link before escalating to the administrator.
-    pub escalate_after: usize,
-}
-
-impl Default for SlaPolicy {
-    fn default() -> Self {
-        SlaPolicy {
-            reserve_headroom: 0.25,
-            episode_window: 1.0,
-            escalate_after: 3,
-        }
-    }
-}
+/// Reserve capacity [`Mitigation::AddBandwidth`] enables beyond the
+/// shortfall, as a fraction of it.
+const RESERVE_HEADROOM: f64 = 0.25;
+/// Violations of the same link within this many seconds count as one
+/// episode.
+const EPISODE_WINDOW: f64 = 1.0;
+/// Episodes on a link before escalating to the administrator.
+const ESCALATE_AFTER: usize = 3;
 
 /// Tracks violation episodes and decides mitigations.
 #[derive(Debug, Default)]
 pub struct SlaMonitor {
-    policy: SlaPolicy,
     /// Per-link episode log: (link, last episode time, episode count).
     episodes: Vec<(LinkId, f64, usize)>,
-    /// All raw violations observed (for reporting).
-    log: Vec<SlaViolation>,
 }
 
 impl SlaMonitor {
-    /// A monitor with the given policy.
-    pub fn new(policy: SlaPolicy) -> Self {
-        SlaMonitor {
-            policy,
-            episodes: Vec::new(),
-            log: Vec::new(),
-        }
+    /// A monitor that has seen no violation.
+    pub fn new() -> Self {
+        SlaMonitor::default()
     }
 
     /// Ingest one violation; returns the chosen mitigation.
     ///
-    /// Episodes escalate: the first few on a link get reserve bandwidth,
-    /// then content reassignment, then administrator escalation — matching
-    /// the paper's ladder (automatic resolution first, "automatically add
-    /// more resources" last).
+    /// Episodes escalate: the first on a link gets reserve bandwidth,
+    /// later ones content reassignment, and the `ESCALATE_AFTER`-th
+    /// administrator escalation — matching the paper's ladder (automatic
+    /// resolution first, "automatically add more resources" last).
     pub fn ingest(&mut self, v: SlaViolation) -> Mitigation {
-        self.log.push(v);
         let link = v.site.link;
         let entry = self.episodes.iter_mut().find(|(l, ..)| *l == link);
         let count = match entry {
             Some((_, last, count)) => {
-                if v.time - *last > self.policy.episode_window {
+                if v.time - *last > EPISODE_WINDOW {
                     *count += 1;
                 }
                 *last = v.time;
@@ -130,25 +109,15 @@ impl SlaMonitor {
                 1
             }
         };
-        if count >= self.policy.escalate_after {
+        if count >= ESCALATE_AFTER {
             Mitigation::Escalate
         } else if count > 1 {
             Mitigation::ReassignServer
         } else {
             Mitigation::AddBandwidth {
-                extra: v.shortfall() * (1.0 + self.policy.reserve_headroom),
+                extra: v.shortfall() * (1.0 + RESERVE_HEADROOM),
             }
         }
-    }
-
-    /// All violations seen so far.
-    pub fn log(&self) -> &[SlaViolation] {
-        &self.log
-    }
-
-    /// Number of distinct violated links.
-    pub fn violated_links(&self) -> usize {
-        self.episodes.len()
     }
 }
 
@@ -178,48 +147,47 @@ mod tests {
 
     #[test]
     fn first_episode_adds_bandwidth() {
-        let mut m = SlaMonitor::new(SlaPolicy::default());
+        let mut m = SlaMonitor::new();
         match m.ingest(violation(0.0, 0, 150.0, 100.0)) {
-            Mitigation::AddBandwidth { extra } => assert!((extra - 62.5).abs() < 1e-9),
+            Mitigation::AddBandwidth { extra } => {
+                assert!((extra - 50.0 * (1.0 + RESERVE_HEADROOM)).abs() < 1e-9)
+            }
             other => panic!("expected AddBandwidth, got {other:?}"),
         }
     }
 
     #[test]
     fn repeat_episodes_escalate() {
-        let mut m = SlaMonitor::new(SlaPolicy {
-            escalate_after: 3,
-            ..Default::default()
-        });
+        let mut m = SlaMonitor::new();
+        let gap = 5.0 * EPISODE_WINDOW;
         m.ingest(violation(0.0, 0, 150.0, 100.0));
-        let second = m.ingest(violation(5.0, 0, 150.0, 100.0));
-        assert_eq!(second, Mitigation::ReassignServer);
-        let third = m.ingest(violation(10.0, 0, 150.0, 100.0));
-        assert_eq!(third, Mitigation::Escalate);
+        for k in 1..ESCALATE_AFTER - 1 {
+            let later = m.ingest(violation(k as f64 * gap, 0, 150.0, 100.0));
+            assert_eq!(later, Mitigation::ReassignServer);
+        }
+        let last = ESCALATE_AFTER - 1;
+        let escalated = m.ingest(violation(last as f64 * gap, 0, 150.0, 100.0));
+        assert_eq!(escalated, Mitigation::Escalate);
     }
 
     #[test]
     fn violations_within_window_are_one_episode() {
-        let mut m = SlaMonitor::new(SlaPolicy {
-            episode_window: 1.0,
-            ..Default::default()
-        });
+        let mut m = SlaMonitor::new();
         m.ingest(violation(0.0, 0, 150.0, 100.0));
-        // 0.5 s later: same episode, still first-line mitigation.
-        match m.ingest(violation(0.5, 0, 150.0, 100.0)) {
+        // Half a window later: same episode, still first-line mitigation.
+        match m.ingest(violation(0.5 * EPISODE_WINDOW, 0, 150.0, 100.0)) {
             Mitigation::AddBandwidth { .. } => {}
             other => panic!("same episode should not escalate: {other:?}"),
         }
-        assert_eq!(m.log().len(), 2);
-        assert_eq!(m.violated_links(), 1);
+        assert_eq!(m.episodes.len(), 1);
     }
 
     #[test]
     fn links_tracked_independently() {
-        let mut m = SlaMonitor::new(SlaPolicy::default());
+        let mut m = SlaMonitor::new();
         m.ingest(violation(0.0, 0, 150.0, 100.0));
-        let other_link = m.ingest(violation(5.0, 1, 150.0, 100.0));
+        let other_link = m.ingest(violation(5.0 * EPISODE_WINDOW, 1, 150.0, 100.0));
         assert!(matches!(other_link, Mitigation::AddBandwidth { .. }));
-        assert_eq!(m.violated_links(), 2);
+        assert_eq!(m.episodes.len(), 2);
     }
 }

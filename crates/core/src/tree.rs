@@ -112,16 +112,17 @@ const NONE: u32 = u32::MAX;
 pub const DELTA_REL_EPS: f64 = 0.05;
 
 /// Work the difference-driven rounds did since the tree was built, as
-/// plain counts: the host-independent measure of a round's cost. A
+/// plain counts: the host-independent measure of a round's cost, which
+/// an observed round reports as `ctrl.refolds` / `ctrl.redescents`. A
 /// dense round re-folds every RA and re-descends every RM position at
 /// every chain level `1..=h_max`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RoundWork {
+#[derive(Debug, Clone, Copy, Default)]
+struct RoundWork {
     /// RAs whose `R̂` pass 1 re-folded.
-    pub refolds: u64,
+    refolds: u64,
     /// `(RM position, chain level ≥ 1)` pairs whose `Ř` pass 2
     /// re-evaluated.
-    pub redescents: u64,
+    redescents: u64,
 }
 
 /// One direction's per-node state, stored as parallel columns indexed by
@@ -803,7 +804,7 @@ impl ControlTree {
     }
 
     /// The RM responsible for `server`.
-    pub fn rm_of(&self, server: NodeId) -> Option<CtrlId> {
+    fn rm_of(&self, server: NodeId) -> Option<CtrlId> {
         let idx = *self.rm_of_server.get(server.0 as usize)?;
         (idx != NONE).then_some(CtrlId(idx as usize))
     }
@@ -1199,23 +1200,6 @@ impl ControlTree {
         });
     }
 
-    /// The RAs at a given tree level in construction order (level 1 =
-    /// one per rack in the three-tier tree), without allocating a `Vec`
-    /// per query (the NNS asks for rack-level RAs on hot selection
-    /// paths).
-    pub fn ras_at_iter(&self, level: u8) -> impl Iterator<Item = CtrlId> + '_ {
-        assert!(level >= 1, "level 0 holds RMs, not RAs");
-        let (lo, hi) = if level <= self.hmax {
-            (
-                self.level_offsets[level as usize],
-                self.level_offsets[level as usize + 1],
-            )
-        } else {
-            (0, 0)
-        };
-        self.order[lo..hi].iter().copied()
-    }
-
     /// The best block server *under a specific RA* — §VI: "If the NNS
     /// wants to select a server at a specific rack, it asks the RA at
     /// level 1 of the corresponding rack for the best server in that
@@ -1266,11 +1250,6 @@ impl ControlTree {
     /// to a full [`ControlTree::server_metrics_into`] read-out.
     pub(crate) fn moved_rms(&self) -> &[Moved] {
         &self.rm_moved
-    }
-
-    /// The pass-1/2 work done since the tree was built.
-    pub fn round_work(&self) -> RoundWork {
-        self.work
     }
 
     /// The root RA (the level-`h_max` node the NNS asks for global write
@@ -1408,7 +1387,7 @@ impl ControlTree {
     /// (§VIII-D: "the lowest level parent both the sender and receiver
     /// share"). Returns `h_max` for servers under different top-level
     /// branches, 1 for same-rack pairs, 0 (no network) for `a == b`.
-    pub fn shared_level(&self, a: NodeId, b: NodeId) -> Option<u8> {
+    fn shared_level(&self, a: NodeId, b: NodeId) -> Option<u8> {
         if a == b {
             return Some(0);
         }
@@ -1799,7 +1778,8 @@ mod tests {
         // rack*.
         let (tree, mut ct) = small_tree();
         ct.control_round(0.0, &mut Idle);
-        let racks: Vec<CtrlId> = ct.ras_at_iter(1).collect();
+        let level = |h: usize| &ct.order[ct.level_offsets[h]..ct.level_offsets[h + 1]];
+        let racks = level(1);
         assert_eq!(racks.len(), 4, "one level-1 RA per rack");
         for (r, &ra) in racks.iter().enumerate() {
             let (bs, rate) = ct
@@ -1808,9 +1788,8 @@ mod tests {
             assert!(tree.servers[r].contains(&bs), "rack {r} returned {bs}");
             assert!(rate > 0.0);
         }
-        assert_eq!(ct.ras_at_iter(2).count(), 2);
-        assert_eq!(ct.ras_at_iter(3).count(), 1);
-        assert_eq!(ct.ras_at_iter(7).count(), 0, "levels past hmax are empty");
+        assert_eq!(level(2).len(), 2);
+        assert_eq!(level(3).len(), 1);
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //! prune bound that is monotone only in ℝ loses the argmax.
 
 use proptest::prelude::*;
+use scda_core::testing::Selector;
 use scda_core::tree::MAX_LEVELS;
 use scda_core::{
     discounted_share, share_bound, ContentClass, EnergyBook, GroupSpan, IndexShape, NoDiscount,
-    NodeSet, PlaceQuery, PlacementIndex, PowerModelConfig, RateDiscount, Selector, SelectorConfig,
+    NodeSet, PlaceQuery, PlacementIndex, PowerModelConfig, RateDiscount, SelectorConfig,
     ServerMetrics,
 };
 use scda_simnet::NodeId;

@@ -12,7 +12,7 @@
 //! behavior change in the PR description. If you did not intend to
 //! change behavior, the diff in these numbers is a bug.
 
-use scda_core::{PriorityPolicy, ResourceProfile, SlaPolicy};
+use scda_core::{PriorityPolicy, ResourceProfile};
 use scda_experiments::runner::{
     run_randtcp, run_scda, DataTransport, EnergyOptions, ReservationPlan, ScdaOptions,
     SelectionPolicy,
@@ -69,7 +69,7 @@ fn main() {
             gamma: 0.7,
         }),
         energy: Some(EnergyOptions::default()),
-        mitigation: Some(SlaPolicy::default()),
+        mitigation: true,
         replicate_writes: true,
         reservations: Some(ReservationPlan {
             every: 2,

@@ -12,7 +12,10 @@
 //! * [`nns_scaling_study`] — metadata load balance vs NNS count (§III).
 
 use scda_core::nodes::{ContentMeta, NameService};
-use scda_core::{AccessStats, ContentClass, ContentId, MetricKind, PriorityPolicy, SelectorConfig};
+use scda_core::{
+    AccessStats, ContentClass, ContentId, ControlTree, MetricKind, Params, PriorityPolicy,
+    SelectorConfig,
+};
 use scda_simnet::NodeId;
 use serde::Serialize;
 
@@ -214,9 +217,15 @@ pub struct OverheadRow {
 /// actually change in a real run, then price full vs Δ reporting.
 pub fn overhead_study(sc: &Scenario) -> OverheadRow {
     let r = run_scda(sc, &ScdaOptions::default());
-    let rms = sc.topo.racks * sc.topo.servers_per_rack;
-    let ras = sc.topo.racks + sc.topo.racks.div_ceil(sc.topo.racks_per_agg) + 1;
-    let shape = TreeShape { rms, ras, hmax: 3 };
+    let tree = sc.topo.build();
+    let ct = ControlTree::from_three_tier(&tree, Params::default(), MetricKind::Full);
+    let rms = tree.all_servers().len();
+    let ras = ct.len() - rms;
+    let shape = TreeShape {
+        rms,
+        ras,
+        hmax: ct.hmax(),
+    };
     let dirs = 2 * (rms + ras);
     let mean_changed = if r.control_rounds > 0 {
         r.changed_dirs_total as f64 / r.control_rounds as f64

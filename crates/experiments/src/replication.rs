@@ -29,12 +29,12 @@ pub struct SeedSummary {
 
 impl SeedSummary {
     /// Fractional FCT reduction (0.5 = "50% lower").
-    pub fn fct_reduction(&self) -> f64 {
+    fn fct_reduction(&self) -> f64 {
         1.0 - self.scda_mean_fct / self.randtcp_mean_fct
     }
 
     /// Fractional throughput gain (0.5 = "50% higher").
-    pub fn throughput_gain(&self) -> f64 {
+    fn throughput_gain(&self) -> f64 {
         self.scda_throughput / self.randtcp_throughput - 1.0
     }
 }

@@ -234,21 +234,17 @@ impl SimKernel {
                     // Open on the path admission resolved, unless a
                     // fabric change (reserve bandwidth, a failed link)
                     // has replaced the routes since: then route afresh.
-                    if self.driver.net().holds_path(p.path) {
-                        assert!(p.src != p.dst, "flow endpoints must differ");
-                        self.driver.start_flow_on(
-                            p.id,
-                            p.src,
-                            p.dst,
-                            p.path,
-                            p.size,
-                            p.transport,
-                            now,
-                        );
+                    assert!(p.src != p.dst, "flow endpoints must differ");
+                    let path = if self.driver.net().holds_path(p.path) {
+                        p.path
                     } else {
                         self.driver
-                            .start_flow(p.id, p.src, p.dst, p.size, p.transport, now);
-                    }
+                            .net_mut()
+                            .route(p.src, p.dst)
+                            .unwrap_or_else(|| panic!("no route {} -> {}", p.src, p.dst))
+                    };
+                    self.driver
+                        .start_flow_on(p.id, p.src, p.dst, path, p.size, p.transport, now);
                 }
             }
             batch.clear();

@@ -27,7 +27,7 @@
 
 use scda_core::{
     MetricKind, OpenFlowSjf, Params, PowerModelConfig, PriorityPolicy, ResourceProfile,
-    SelectorConfig, SlaPolicy, SnapshotStream,
+    SelectorConfig, SnapshotStream,
 };
 use scda_metrics::{FctStats, ThroughputSeries};
 use scda_obs::{Obs, ProfileReport};
@@ -89,9 +89,6 @@ pub struct ReservationPlan {
 pub struct EnergyOptions {
     /// The synthetic power model.
     pub model: PowerModelConfig,
-    /// Heterogeneity spread: server `i` draws `1 + spread·f(i)` with
-    /// `f(i)` a deterministic value in `[-0.5, 0.5]` (rack position, age).
-    pub hetero_spread: f64,
     /// Scale idle servers down to the dormant state (and wake them on
     /// demand, charging the wake latency to connection setup).
     pub dormancy: bool,
@@ -101,7 +98,6 @@ impl Default for EnergyOptions {
     fn default() -> Self {
         EnergyOptions {
             model: PowerModelConfig::default(),
-            hetero_spread: 0.4,
             dormancy: true,
         }
     }
@@ -167,12 +163,9 @@ pub struct ScdaOptions {
     /// with weights derived from bytes already sent.
     pub openflow_sjf: Option<OpenFlowSjf>,
     /// Apply the SLA mitigation ladder in-band: violated links receive
-    /// reserve bandwidth (bounded by `mitigation_reserve_factor`), then
+    /// reserve bandwidth (up to +50 % of their original capacity), then
     /// content reassignment kicks in via the normal selection path.
-    pub mitigation: Option<SlaPolicy>,
-    /// Cap on how far mitigation may grow a link beyond its original
-    /// capacity (1.5 = up to +50% reserve capacity).
-    pub mitigation_reserve_factor: f64,
+    pub mitigation: bool,
     /// Replicate every completed external write to a second block server
     /// (the internal write of §VIII-B / figure 4).
     pub replicate_writes: bool,
@@ -207,8 +200,7 @@ impl Default for ScdaOptions {
             transport_kind: DataTransport::ExplicitRate,
             energy: None,
             openflow_sjf: None,
-            mitigation: None,
-            mitigation_reserve_factor: 1.5,
+            mitigation: false,
             replicate_writes: false,
             reservations: None,
             resource_profiles: None,
@@ -283,7 +275,7 @@ mod tests {
     use super::*;
     use crate::scenario::Scale;
     use scda_obs::phase;
-    use scda_simnet::{FlowId, NodeId};
+    use scda_simnet::{FlowId, LinkId, NodeId};
     use scda_transport::{CompletedFlow, FlowDriver};
     use scda_workloads::FlowSpec;
 
@@ -456,6 +448,97 @@ mod tests {
     }
 
     #[test]
+    fn a_stale_admitted_path_opens_on_the_fresh_route() {
+        // A policy that changes a link's capacity in `on_open` replaces
+        // the routes under every pending start, so each flow's admitted
+        // `PathId` is stale when it opens. The kernel must route afresh:
+        // every flow runs on a src -> dst path, and the run is the plain
+        // one (a capacity set to its own value moves no rate).
+        struct Reroutes {
+            inner: RandTcpControl,
+            poked: LinkId,
+            opened: usize,
+            seen: std::collections::BTreeSet<FlowId>,
+        }
+        impl ControlPolicy for Reroutes {
+            fn system(&self) -> &'static str {
+                self.inner.system()
+            }
+            fn cadence(&self) -> Option<f64> {
+                // Smaller than any step, so a round follows every batch
+                // of opens before the tick can complete a flow.
+                Some(1e-9)
+            }
+            fn admit(
+                &mut self,
+                f: &FlowSpec,
+                id: FlowId,
+                now: f64,
+                driver: &mut FlowDriver,
+                placement: &mut dyn Placement,
+                transport: &mut dyn TransportPolicy,
+            ) -> Admission {
+                self.inner.admit(f, id, now, driver, placement, transport)
+            }
+            fn on_open(&mut self, p: &PendingStart, driver: &mut FlowDriver) {
+                let cap = driver.net().topo().link(self.poked).capacity_bps;
+                driver.net_mut().set_link_capacity(self.poked, cap);
+                assert!(!driver.net().holds_path(p.path), "the path went stale");
+                self.opened += 1;
+            }
+            fn round(&mut self, _now: f64, driver: &mut FlowDriver) {
+                let net = driver.net();
+                for (id, slot) in net.flow_slots() {
+                    let (src, dst) = net.endpoints_of_slot(slot);
+                    let path = net.path_of_slot(slot);
+                    let topo = net.topo();
+                    assert_eq!(topo.link(path[0]).src, src, "{id} starts at its sender");
+                    assert_eq!(
+                        topo.link(path[path.len() - 1]).dst,
+                        dst,
+                        "{id} ends at its receiver"
+                    );
+                    for hop in path.windows(2) {
+                        assert_eq!(topo.link(hop[0]).dst, topo.link(hop[1]).src);
+                    }
+                    self.seen.insert(id);
+                }
+            }
+        }
+
+        let sc = tiny_video(false);
+        let run = |ctrl: &mut dyn ControlPolicy, topo| {
+            let mut acct = RunAccounting::new(sc.throughput_interval, Obs::disabled());
+            SimKernel::new(Network::new(topo)).run(
+                &sc,
+                ctrl,
+                &mut RandomPlacement::new(1),
+                &mut TcpTransport::default(),
+                &mut acct,
+            )
+        };
+        let tree = sc.topo.build();
+        let plain = run(&mut RandTcpControl::new(&tree), tree.topo);
+        let tree = sc.topo.build();
+        let mut ctrl = Reroutes {
+            inner: RandTcpControl::new(&tree),
+            poked: tree.server_links[0][0].0,
+            opened: 0,
+            seen: Default::default(),
+        };
+        let r = run(&mut ctrl, tree.topo);
+
+        assert!(ctrl.opened > 0);
+        assert_eq!(
+            ctrl.seen.len(),
+            ctrl.opened,
+            "every opened flow was checked"
+        );
+        assert_eq!(r.completed, plain.completed);
+        assert_eq!(r.fct.mean_fct(), plain.fct.mean_fct());
+    }
+
+    #[test]
     fn observed_run_matches_unobserved_and_reports_everything() {
         let sc = tiny_video(false);
         let plain = run_scda(&sc, &ScdaOptions::default());
@@ -493,8 +576,7 @@ mod tests {
             stream.snapshots().len(),
             observed.control_rounds.div_ceil(2)
         );
-        let back = SnapshotStream::from_jsonl(&stream.to_jsonl()).unwrap();
-        assert_eq!(back.snapshots().len(), stream.snapshots().len());
+        assert_eq!(stream.to_jsonl().lines().count(), stream.snapshots().len());
 
         // Metrics: lifecycle counters line up with the run result.
         let reg = obs.metrics_snapshot().expect("enabled handle has metrics");

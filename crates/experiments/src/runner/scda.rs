@@ -35,6 +35,15 @@ use super::policy::{
 use super::{class_of, RunResult, ScdaOptions};
 use crate::scenario::Scenario;
 
+/// Cap on how far mitigation may grow a link beyond its original
+/// capacity (1.5 = up to +50 % reserve capacity).
+const MITIGATION_RESERVE_FACTOR: f64 = 1.5;
+
+/// Energy heterogeneity spread: server `i` draws power factor
+/// `1 + spread·f(i)` with `f(i)` a deterministic value in `[-0.5, 0.5]`
+/// (rack position, age).
+const HETERO_SPREAD: f64 = 0.4;
+
 /// What a flow is, for rate refresh, energy attribution and completion
 /// bookkeeping.
 enum CtlKind {
@@ -299,9 +308,8 @@ impl ScdaControl {
             })
         });
         let energy = opts.energy.as_ref().map(|e| {
-            let spread = e.hetero_spread;
             EnergyBook::new(e.model.clone(), servers.iter().copied(), |i| {
-                1.0 + spread * (((i * 7919) % 101) as f64 / 100.0 - 0.5)
+                1.0 + HETERO_SPREAD * (((i * 7919) % 101) as f64 / 100.0 - 0.5)
             })
         });
         let server_load = if energy.is_some() {
@@ -329,7 +337,7 @@ impl ScdaControl {
             boosted: BTreeMap::new(),
             energy,
             server_link_bytes: x,
-            sla_monitor: opts.mitigation.clone().map(SlaMonitor::new),
+            sla_monitor: opts.mitigation.then(SlaMonitor::new),
             snap_stream: opts.snapshot_every.map(SnapshotStream::new),
             sla_violations: 0,
             mitigations_applied: 0,
@@ -643,8 +651,7 @@ impl ControlPolicy for ScdaControl {
                         let link = v.site.link;
                         let cur = driver.net().topo().link(link).capacity_bps;
                         let orig = *self.boosted.entry(link).or_insert(cur);
-                        let new =
-                            (cur + extra * 8.0).min(orig * self.opts.mitigation_reserve_factor);
+                        let new = (cur + extra * 8.0).min(orig * MITIGATION_RESERVE_FACTOR);
                         if new > cur {
                             driver.net_mut().set_link_capacity(link, new);
                             self.plane.ct.set_link_capacity(link, new / 8.0);

@@ -14,7 +14,8 @@
 //! reference scan it is specified by.
 
 use scda_audit::Audit;
-use scda_core::{NodeSet, RateDiscount, Selector, SelectorConfig, ServerMetrics, SlaPolicy};
+use scda_core::testing::Selector;
+use scda_core::{NodeSet, RateDiscount, SelectorConfig, ServerMetrics};
 use scda_experiments::runner::{
     run_randtcp, run_scda, run_scda_with, BestRatePlacement, EnergyOptions, ExplicitRateTransport,
     Placement, PlacementCtx, RunResult, ScdaOptions,
@@ -127,7 +128,7 @@ fn audited_mitigating_run_matches_unaudited() {
     // spans, attributed violations, episodes closed by added bandwidth.
     let sc = Scenario::video(Scale::Quick, true, 1);
     let opts = ScdaOptions {
-        mitigation: Some(SlaPolicy::default()),
+        mitigation: true,
         ..Default::default()
     };
     assert!(!opts.audit.is_enabled(), "the default handle is disabled");

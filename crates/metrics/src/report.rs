@@ -26,7 +26,7 @@ impl Series {
     }
 
     /// Mean of the y values (`None` when empty).
-    pub fn mean_y(&self) -> Option<f64> {
+    fn mean_y(&self) -> Option<f64> {
         if self.points.is_empty() {
             return None;
         }
@@ -34,7 +34,7 @@ impl Series {
     }
 
     /// Linear interpolation of y at `x` (clamped to the series' range).
-    pub fn y_at(&self, x: f64) -> Option<f64> {
+    fn y_at(&self, x: f64) -> Option<f64> {
         let pts = &self.points;
         if pts.is_empty() {
             return None;
@@ -128,32 +128,6 @@ impl FigureReport {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("figure serialization cannot fail")
     }
-
-    /// A self-contained gnuplot script (data inlined via heredocs) that
-    /// renders this figure the way the paper's plots look: RandTCP and
-    /// SCDA as two lines over the shared x axis.
-    pub fn to_gnuplot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "set title \"Figure {}: {}\"", self.figure, self.title);
-        let _ = writeln!(out, "set xlabel \"{}\"", self.x_label);
-        let _ = writeln!(out, "set ylabel \"{}\"", self.y_label);
-        let _ = writeln!(out, "set key top left");
-        let _ = writeln!(out, "set grid");
-        let _ = writeln!(
-            out,
-            "plot $randtcp with linespoints title \"{}\", $scda with linespoints title \"{}\"",
-            self.randtcp.name, self.scda.name
-        );
-        for (tag, series) in [("$randtcp", &self.randtcp), ("$scda", &self.scda)] {
-            let _ = writeln!(out, "{tag} << EOD");
-            for &(x, y) in &series.points {
-                let _ = writeln!(out, "{x} {y}");
-            }
-            let _ = writeln!(out, "EOD");
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -199,18 +173,6 @@ mod tests {
         let t = fig().to_table();
         assert!(t.contains("Figure 9"));
         assert!(t.lines().count() >= 4, "{t}");
-    }
-
-    #[test]
-    fn gnuplot_contains_both_series_and_labels() {
-        let g = fig().to_gnuplot();
-        assert!(g.contains("Figure 9"));
-        assert!(g.contains("$randtcp << EOD"));
-        assert!(g.contains("$scda << EOD"));
-        assert!(g.contains("set xlabel \"size\""));
-        // Data rows present.
-        assert!(g.contains("1 1"));
-        assert!(g.contains("2 4"));
     }
 
     #[test]

@@ -152,13 +152,8 @@ impl Obs {
 
     /// A live handle with the default trace capacity.
     pub fn enabled() -> Self {
-        Obs::with_trace_capacity(DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// A live handle whose trace ring holds at most `capacity` events.
-    pub fn with_trace_capacity(capacity: usize) -> Self {
         let core = ObsCore {
-            tracer: Tracer::new(capacity),
+            tracer: Tracer::new(DEFAULT_TRACE_CAPACITY),
             ..Default::default()
         };
         Obs {

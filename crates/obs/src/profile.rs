@@ -18,7 +18,7 @@ pub struct PhaseStat {
 
 impl PhaseStat {
     /// Mean cost per call in microseconds (0 when never called).
-    pub fn mean_us(&self) -> f64 {
+    fn mean_us(&self) -> f64 {
         if self.calls == 0 {
             0.0
         } else {

@@ -200,7 +200,7 @@ impl TraceEvent {
     }
 
     /// Append the event as one JSON object (no trailing newline).
-    pub fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut String) {
         out.push('{');
         let mut first = true;
         sep(out, &mut first);

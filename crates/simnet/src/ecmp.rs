@@ -69,39 +69,6 @@ impl EcmpRoutes {
         self.preds[src.index()] = Some(preds);
     }
 
-    /// Number of distinct equal-cost paths from `src` to `dst` (product of
-    /// branching along the DAG, computed exactly; 0 if unreachable).
-    pub fn path_count(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> u64 {
-        if src == dst {
-            return 1;
-        }
-        self.ensure(topo, src);
-        let preds = self.preds[src.index()].as_ref().expect("computed");
-        // Memoized DFS over the DAG.
-        fn count(
-            preds: &[Vec<LinkId>],
-            topo: &Topology,
-            src: NodeId,
-            node: NodeId,
-            memo: &mut [Option<u64>],
-        ) -> u64 {
-            if node == src {
-                return 1;
-            }
-            if let Some(c) = memo[node.index()] {
-                return c;
-            }
-            let c = preds[node.index()]
-                .iter()
-                .map(|&l| count(preds, topo, src, topo.link(l).src, memo))
-                .sum();
-            memo[node.index()] = Some(c);
-            c
-        }
-        let mut memo = vec![None; topo.node_count()];
-        count(preds, topo, src, dst, &mut memo)
-    }
-
     /// The ECMP path for `flow`: walk the shortest-path DAG from `dst`
     /// back to `src`, picking among equal-cost predecessors by a hash of
     /// (flow, hop) — the switch-local five-tuple hash. Returns links in
@@ -220,7 +187,9 @@ mod tests {
         }
         .build();
         let mut ecmp = EcmpRoutes::new(&tree.topo);
-        let c = ecmp.path_count(&tree.topo, tree.servers[0][0], tree.servers[1][1]);
+        let c = ecmp
+            .all_paths(&tree.topo, tree.servers[0][0], tree.servers[1][1], 64)
+            .len();
         assert_eq!(c, 1, "a tree has exactly one shortest path");
     }
 
@@ -228,7 +197,9 @@ mod tests {
     fn clos_has_multiple_equal_cost_paths() {
         let (topo, servers) = clos(2, 1, 4, 2, mbps(100.0), 0.001, 1e6);
         let mut ecmp = EcmpRoutes::new(&topo);
-        let c = ecmp.path_count(&topo, servers[0][0], servers[1][0]);
+        let c = ecmp
+            .all_paths(&topo, servers[0][0], servers[1][0], 64)
+            .len();
         assert_eq!(c, 4, "one path per aggregation switch");
     }
 
@@ -237,7 +208,7 @@ mod tests {
         // k = 4: (k/2)^2 = 4 cores, each giving one cross-pod path.
         let (topo, pods) = fat_tree(4, mbps(100.0), 0.001, 1e6);
         let mut ecmp = EcmpRoutes::new(&topo);
-        let c = ecmp.path_count(&topo, pods[0][0], pods[1][0]);
+        let c = ecmp.all_paths(&topo, pods[0][0], pods[1][0], 64).len();
         assert_eq!(c, 4);
     }
 
@@ -280,7 +251,7 @@ mod tests {
         let b = topo.add_node(crate::topology::NodeKind::Server);
         let mut ecmp = EcmpRoutes::new(&topo);
         assert_eq!(ecmp.path(&topo, a, b, FlowId(1)), None);
-        assert_eq!(ecmp.path_count(&topo, a, b), 0);
+        assert!(ecmp.all_paths(&topo, a, b, 64).is_empty());
         assert_eq!(ecmp.path(&topo, a, a, FlowId(1)), Some(vec![]));
     }
 

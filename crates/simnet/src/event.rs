@@ -150,7 +150,7 @@ impl<E> Scheduler<E> {
     }
 
     /// Timestamp of the next pending event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(e)| e.time)
     }
 

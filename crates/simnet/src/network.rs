@@ -110,7 +110,7 @@ fn queued_rtt(base_rtt: f64, path: &[LinkId], qd: &[f64]) -> f64 {
 /// The fluid network: topology + routes + link queues + active flows.
 pub struct Network {
     topo: Topology,
-    routes: Routes,
+    pub(crate) routes: Routes,
     links: Vec<LinkState>,
 
     // ---- cached per-link columns (refreshed via the faults funnel) ----
@@ -245,12 +245,6 @@ impl Network {
     #[inline]
     pub fn topo(&self) -> &Topology {
         &self.topo
-    }
-
-    /// Mutable access to the routing cache (e.g. to pre-warm paths).
-    #[inline]
-    pub fn routes_mut(&mut self) -> &mut Routes {
-        &mut self.routes
     }
 
     /// Register a flow from `src` to `dst` under the caller-chosen id.

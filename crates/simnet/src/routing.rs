@@ -112,11 +112,6 @@ impl Routes {
         Self::default()
     }
 
-    /// Number of distinct interned paths.
-    pub fn interned_count(&self) -> usize {
-        self.path_rtt.len()
-    }
-
     /// Handle to the shortest path from `src` to `dst`, or `None` if
     /// unreachable. First call per pair climbs the tree (or, on a
     /// general graph, walks the cached predecessor row, running Dijkstra
@@ -431,7 +426,7 @@ mod tests {
         let mut r = Routes::new();
         assert_eq!(r.path_handle(&t, a, b), None);
         assert_eq!(r.path_handle(&t, a, b), None, "negative result is cached");
-        assert_eq!(r.interned_count(), 0, "no path is interned for it");
+        assert_eq!(r.path_rtt.len(), 0, "no path is interned for it");
     }
 
     #[test]
@@ -479,10 +474,10 @@ mod tests {
         let id1 = r.path_handle(&t, a, b).unwrap();
         let id2 = r.path_handle(&t, a, b).unwrap();
         assert_eq!(id1, id2, "same pair shares one arena slot");
-        assert_eq!(r.interned_count(), 1);
+        assert_eq!(r.path_rtt.len(), 1);
         let back = r.path_handle(&t, b, a).unwrap();
         assert_ne!(back, id1, "reverse direction is its own path");
-        assert_eq!(r.interned_count(), 2);
+        assert_eq!(r.path_rtt.len(), 2);
     }
 
     #[test]
@@ -601,7 +596,7 @@ mod tests {
             rtt > 2.0 * FAILED_DELAY_S,
             "rtt {rtt} skips the failed link"
         );
-        assert_eq!(net.routes_mut().tree, Some(true));
+        assert_eq!(net.routes.tree, Some(true));
         assert_tree_mode(net.topo());
     }
 

@@ -78,28 +78,10 @@ impl ScdaWindow {
         self.rate_up
     }
 
-    /// Receiver-side allocated rate, bytes/s.
-    #[inline]
-    pub fn rate_down(&self) -> f64 {
-        self.rate_down
-    }
-
     /// Current cwnd in bytes.
     #[inline]
     pub fn cwnd(&self) -> f64 {
         self.cwnd
-    }
-
-    /// Current receive window in bytes.
-    #[inline]
-    pub fn rcvw(&self) -> f64 {
-        self.rcvw
-    }
-
-    /// The effective send window, `min(cwnd, rcvw)`.
-    #[inline]
-    pub fn send_window(&self) -> f64 {
-        self.cwnd.min(self.rcvw)
     }
 
     fn refresh_windows(&mut self) {
@@ -111,7 +93,8 @@ impl ScdaWindow {
 impl Transport for ScdaWindow {
     fn offered_rate(&self, rtt: f64) -> f64 {
         debug_assert!(rtt > 0.0);
-        self.send_window() / rtt
+        // The effective send window is `min(cwnd, rcvw)`.
+        self.cwnd.min(self.rcvw) / rtt
     }
 
     fn on_tick(
@@ -137,8 +120,8 @@ mod tests {
     fn windows_are_rate_times_rtt() {
         let w = ScdaWindow::new(1_000.0, 500.0, 0.1);
         assert!((w.cwnd() - 100.0).abs() < 1e-9);
-        assert!((w.rcvw() - 50.0).abs() < 1e-9);
-        assert!((w.send_window() - 50.0).abs() < 1e-9);
+        assert!((w.rcvw - 50.0).abs() < 1e-9);
+        assert!((w.cwnd.min(w.rcvw) - 50.0).abs() < 1e-9);
     }
 
     #[test]
@@ -153,7 +136,7 @@ mod tests {
         let mut w = ScdaWindow::new(1_000.0, 1_000.0, 0.1);
         w.set_rates(2_000.0, 3_000.0);
         assert!((w.cwnd() - 200.0).abs() < 1e-9);
-        assert!((w.rcvw() - 300.0).abs() < 1e-9);
+        assert!((w.rcvw - 300.0).abs() < 1e-9);
         assert!((w.offered_rate(0.1) - 2_000.0).abs() < 1e-9);
     }
 

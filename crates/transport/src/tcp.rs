@@ -88,18 +88,6 @@ impl Reno {
     pub fn cwnd(&self) -> f64 {
         self.cwnd
     }
-
-    /// Current slow-start threshold in bytes.
-    #[inline]
-    pub fn ssthresh(&self) -> f64 {
-        self.ssthresh
-    }
-
-    /// Whether the connection is in slow start.
-    #[inline]
-    pub fn in_slow_start(&self) -> bool {
-        self.cwnd < self.ssthresh
-    }
 }
 
 impl Default for Reno {
@@ -157,7 +145,7 @@ mod tests {
     #[test]
     fn starts_in_slow_start_with_two_mss() {
         let t = Reno::default();
-        assert!(t.in_slow_start());
+        assert!(t.cwnd < t.ssthresh, "in slow start");
         assert!((t.cwnd() - 2.0 * MSS).abs() < 1e-9);
     }
 
@@ -207,8 +195,8 @@ mod tests {
         });
         t.on_tick(1.0, 0.0, 64.0 * MSS, 0.95, 0.2);
         assert!((t.cwnd() - MSS).abs() < 1e-9);
-        assert!(t.in_slow_start());
-        assert!((t.ssthresh() - 32.0 * MSS).abs() < 1e-9);
+        assert!(t.cwnd < t.ssthresh, "in slow start");
+        assert!((t.ssthresh - 32.0 * MSS).abs() < 1e-9);
     }
 
     #[test]

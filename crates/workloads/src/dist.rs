@@ -83,7 +83,7 @@ impl PoissonProcess {
     }
 
     /// Next inter-arrival gap in seconds.
-    pub fn next_gap<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    fn next_gap<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         self.exp.sample(rng)
     }
 

@@ -12,8 +12,7 @@
 //!
 //! [`dist`] holds the underlying samplers (bounded Pareto by mean, Poisson
 //! process, log-normal by median, empirical CDFs); [`spec`] the common
-//! [`Workload`]/[`FlowSpec`] representation; [`trace`] JSON import/export
-//! so real traces can replace the synthetic substitutes.
+//! [`Workload`]/[`FlowSpec`] representation.
 
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr)]
@@ -26,7 +25,6 @@ pub mod dist;
 pub mod interactive;
 pub mod spec;
 pub mod synthetic;
-pub mod trace;
 pub mod youtube;
 
 pub use datacenter::DatacenterConfig;

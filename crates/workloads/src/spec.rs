@@ -74,19 +74,6 @@ impl Workload {
         self.flows.iter().map(|f| f.size_bytes).sum()
     }
 
-    /// Drop control flows (the paper's second video experiment: "excluding
-    /// the video control flows").
-    pub fn without_control(&self) -> Workload {
-        Workload {
-            flows: self
-                .flows
-                .iter()
-                .copied()
-                .filter(|f| f.kind != FlowKind::Control)
-                .collect(),
-        }
-    }
-
     /// Merge two workloads (re-sorting by arrival).
     pub fn merged(mut self, other: Workload) -> Workload {
         self.flows.extend(other.flows);
@@ -113,18 +100,6 @@ mod tests {
         let w = Workload::new(vec![f(3.0, FlowKind::Video), f(1.0, FlowKind::Control)]);
         assert_eq!(w.flows[0].arrival, 1.0);
         assert_eq!(w.len(), 2);
-    }
-
-    #[test]
-    fn without_control_filters() {
-        let w = Workload::new(vec![
-            f(1.0, FlowKind::Control),
-            f(2.0, FlowKind::Video),
-            f(3.0, FlowKind::Control),
-        ]);
-        let v = w.without_control();
-        assert_eq!(v.len(), 1);
-        assert_eq!(v.flows[0].kind, FlowKind::Video);
     }
 
     #[test]

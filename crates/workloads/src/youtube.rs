@@ -24,7 +24,7 @@ use crate::spec::{FlowDirection, FlowKind, FlowSpec, Workload};
 /// "a maximum size limit of about 30MB for most", a thin tail to ~90 MB.
 /// Use with [`YouTubeConfig::use_empirical_sizes`] to replace the
 /// log-normal body with the published buckets.
-pub fn published_size_cdf() -> EmpiricalCdf {
+fn published_size_cdf() -> EmpiricalCdf {
     EmpiricalCdf::new(vec![
         (1.0e6, 0.08),
         (3.0e6, 0.25),
@@ -64,7 +64,7 @@ pub struct YouTubeConfig {
     /// Largest oversize video (the paper's AFCT axis reaches 90 MB).
     pub oversize_max: f64,
     /// Draw video sizes from the published bucket CDF
-    /// ([`published_size_cdf`]) instead of the log-normal body.
+    /// (`published_size_cdf`) instead of the log-normal body.
     pub use_empirical_sizes: bool,
     /// RNG seed.
     pub seed: u64,

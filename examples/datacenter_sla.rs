@@ -1,5 +1,5 @@
-//! SLA machinery walkthrough: priorities, reservations, realtime violation
-//! detection and the mitigation ladder (§IV of the paper).
+//! SLA machinery walkthrough: priorities, realtime violation detection and
+//! the mitigation ladder (§IV of the paper).
 //!
 //! Uses the control-plane API directly — no full simulation — to show how
 //! the pieces a cloud operator would script against fit together. The whole
@@ -12,13 +12,12 @@
 //! ```
 
 use scda::core::rate_metric::LinkSample;
-use scda::core::reservation::ReservationBook;
-use scda::core::sla::{Mitigation, SlaPolicy};
+use scda::core::sla::Mitigation;
 use scda::core::tree::{RateCaps, Telemetry};
 use scda::core::{ControlTree, MetricKind, Params, PriorityPolicy, SlaMonitor};
 use scda::obs::{phase, Obs};
 use scda::prelude::*;
-use scda::simnet::{FlowId, LinkId};
+use scda::simnet::LinkId;
 
 /// Telemetry with a dial-a-load knob on every link.
 struct Load(f64);
@@ -65,23 +64,11 @@ fn main() {
         scda::core::priority::weight_for_target(2.0 * fair, fair)
     );
 
-    // --- 2. Reservations (§IV-C) with admission control.
-    println!("\n== explicit reservations ==");
-    let mut book = ReservationBook::new();
-    let ok = book.reserve(FlowId(1), 0.4 * x_bytes, x_bytes);
-    println!("reserve 40% of an X link for flow 1: {ok}");
-    let too_much = book.reserve(FlowId(2), 0.7 * x_bytes, x_bytes);
-    println!("reserve another 70% for flow 2:     {too_much} (admission control)");
-    println!(
-        "shareable capacity left for best-effort flows: {:.0}% of X",
-        100.0 * book.shareable_capacity(x_bytes) / x_bytes
-    );
-
-    // --- 3. Realtime violation detection (§IV-A) and the mitigation
+    // --- 2. Realtime violation detection (§IV-A) and the mitigation
     //        ladder: drive the whole cloud into overload for a few control
     //        intervals and watch the monitor escalate.
     println!("\n== SLA violation detection and mitigation ==");
-    let mut monitor = SlaMonitor::new(SlaPolicy::default());
+    let mut monitor = SlaMonitor::new();
     for round in 0..4 {
         let now = round as f64 * 2.0; // > episode window so episodes count up
         let violations = ct.control_round(now, &mut Load(3.0 * x_bytes));
@@ -99,13 +86,8 @@ fn main() {
             }
         }
     }
-    println!(
-        "monitor log: {} violations on {} distinct links",
-        monitor.log().len(),
-        monitor.violated_links()
-    );
 
-    // --- 4. After load clears, advertised rates recover.
+    // --- 3. After load clears, advertised rates recover.
     println!("\n== recovery ==");
     for _ in 0..8 {
         obs.time_phase(phase::CONTROL, || ct.control_round(10.0, &mut Load(0.0)));
@@ -118,7 +100,7 @@ fn main() {
         100.0 * rate / x_bytes
     );
 
-    // --- 5. What the observability handle saw (§I: metrics offloaded to
+    // --- 4. What the observability handle saw (§I: metrics offloaded to
     //        an external server for off-line diagnosis).
     println!("\n== observability ==");
     if let Some(reg) = obs.metrics_snapshot() {

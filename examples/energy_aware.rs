@@ -9,6 +9,7 @@
 use scda::core::energy::PowerModelConfig;
 use scda::core::rate_metric::LinkSample;
 use scda::core::tree::{RateCaps, Telemetry};
+use scda::core::{NoDiscount, PlaceQuery, PlacementIndex};
 use scda::prelude::*;
 use scda::simnet::LinkId;
 
@@ -103,18 +104,24 @@ fn main() {
     );
 
     // Passive content goes to a dormant server; interactive avoids them.
-    let sel = Selector::new(&metrics, Some(&energy), &cfg);
+    let mut index = PlacementIndex::new();
+    index.refresh(&metrics);
+    let q = PlaceQuery {
+        energy: Some(&energy),
+        cfg: &cfg,
+        discount: &NoDiscount,
+    };
     let primary = metrics
         .iter()
         .max_by(|a, b| a.path_down.total_cmp(&b.path_down))
         .expect("fleet is non-empty")
         .server;
-    let (passive_replica, _) = sel
-        .replica_target(ContentClass::Passive, primary, &NodeSet::new())
+    let (passive_replica, _) = index
+        .replica_target(ContentClass::Passive, primary, &NodeSet::new(), &q)
         .expect("a replica target exists");
     println!("passive replica  -> {passive_replica} (dormant, stays asleep for cold data)");
-    let (interactive, _) = sel
-        .write_target(ContentClass::Interactive, &NodeSet::new())
+    let (interactive, _) = index
+        .write_target(ContentClass::Interactive, &NodeSet::new(), &q)
         .expect("an active server exists");
     println!("interactive write -> {interactive} (active server, not reserved for passive data)");
     assert_ne!(passive_replica, interactive);
@@ -124,9 +131,16 @@ fn main() {
         r_scale: f64::INFINITY,
         power_aware: true,
     };
-    let sel_power = Selector::new(&metrics, Some(&energy), &cfg_power);
-    let (efficient, score) = sel_power
-        .write_target(ContentClass::SemiInteractiveWrite, &NodeSet::new())
+    let q_power = PlaceQuery {
+        cfg: &cfg_power,
+        ..q
+    };
+    let (efficient, score) = index
+        .write_target(
+            ContentClass::SemiInteractiveWrite,
+            &NodeSet::new(),
+            &q_power,
+        )
         .expect("fleet is non-empty");
     println!("\npower-aware write target: {efficient} (best R̂/P = {score:.0} bytes/joule)",);
 

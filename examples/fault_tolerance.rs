@@ -8,8 +8,8 @@
 //! ```
 
 use scda::core::rate_metric::LinkSample;
-use scda::core::sla::SlaPolicy;
 use scda::core::tree::{RateCaps, Telemetry};
+use scda::core::{NoDiscount, PlaceQuery, PlacementIndex};
 use scda::prelude::*;
 use scda::simnet::{FlowId, LinkId, Network, NodeId};
 use scda::transport::{AnyTransport, FlowDriver, ScdaWindow, TickSummary, Transport};
@@ -50,7 +50,7 @@ fn main() {
         ..Default::default()
     };
     let mut ct = ControlTree::from_three_tier(&tree, params, MetricKind::Full);
-    let mut monitor = SlaMonitor::new(SlaPolicy::default());
+    let mut monitor = SlaMonitor::new();
     let (rack0_up, _) = tree.edge_links[0];
     let victim_server = tree.servers[0][0];
     let reader = tree.clients[0];
@@ -135,7 +135,7 @@ fn main() {
         tau * 1e3
     );
 
-    // NNS reassignment: the selector now sends reads for rack-0 content to
+    // NNS reassignment: placement now sends reads for rack-0 content to
     // the replica in rack 1.
     let mut metrics = Vec::new();
     ct.server_metrics_into(&mut metrics);
@@ -143,9 +143,15 @@ fn main() {
         r_scale: f64::INFINITY,
         power_aware: false,
     };
-    let sel = Selector::new(&metrics, None, &cfg);
+    let mut index = PlacementIndex::new();
+    index.refresh(&metrics);
+    let q = PlaceQuery {
+        energy: None,
+        cfg: &cfg,
+        discount: &NoDiscount,
+    };
     let replicas = NodeSet::from_iter([victim_server, tree.servers[1][0]]);
-    let (source, rate) = sel.read_source(&replicas).expect("replicas exist");
+    let (source, rate) = index.read_source(&replicas, &q).expect("replicas exist");
     println!(
         "read reassignment: {} of the two replicas now serves (available uplink {:.1} MB/s)",
         source,

@@ -52,7 +52,7 @@ pub use scda_workloads as workloads;
 pub mod prelude {
     pub use scda_core::{
         ContentClass, ContentId, ControlTree, Direction, EnergyBook, MetricKind, NameService,
-        NodeSet, Params, PriorityPolicy, Selector, SelectorConfig, SlaMonitor,
+        NodeSet, Params, PriorityPolicy, SelectorConfig, SlaMonitor,
     };
     pub use scda_experiments::{build_figure, run_pair, Group, Scale, ScdaOptions, Scenario};
     pub use scda_metrics::{FctStats, FigureReport, ThroughputSeries};

@@ -6,7 +6,6 @@
 //! so nothing exports half-attributed.
 
 use scda_audit::Audit;
-use scda_core::SlaPolicy;
 use scda_experiments::{run_scda, Scale, ScdaOptions, Scenario};
 use serde::Value;
 
@@ -27,7 +26,7 @@ fn every_violation_is_attributed_with_time_to_mitigation() {
     let audit = Audit::enabled();
     let opts = ScdaOptions {
         audit: audit.clone(),
-        mitigation: Some(SlaPolicy::default()),
+        mitigation: true,
         ..Default::default()
     };
     let r = run_scda(&sc, &opts);

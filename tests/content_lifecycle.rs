@@ -6,6 +6,7 @@
 
 use scda::core::nodes::{BlockServer, ContentMeta};
 use scda::core::rate_metric::LinkSample;
+use scda::core::testing::Selector;
 use scda::core::tree::{RateCaps, Telemetry};
 use scda::core::{AccessStats, ClassifierConfig};
 use scda::prelude::*;

@@ -8,6 +8,29 @@ use scda::core::{ControlTree, MetricKind, Params, SnapshotStream, TreeSnapshot};
 use scda::prelude::*;
 use scda::simnet::LinkId;
 
+/// The analysis side's congestion suspects: links whose allocation
+/// collapsed below `frac` of capacity, sorted.
+fn collapsed_links(snap: &TreeSnapshot, frac: f64) -> Vec<LinkId> {
+    let mut out: Vec<LinkId> = snap
+        .nodes
+        .iter()
+        .flat_map(|n| [&n.down, &n.up])
+        .filter(|d| d.rate < frac * d.capacity)
+        .map(|d| d.link)
+        .collect();
+    out.sort();
+    out
+}
+
+/// The analysis side's health indicator: total RM downlink allocation.
+fn total_server_down_rate(snap: &TreeSnapshot) -> f64 {
+    snap.nodes
+        .iter()
+        .filter(|n| n.level == 0)
+        .map(|n| n.down.rate)
+        .sum()
+}
+
 struct HotRack {
     hot_links: Vec<LinkId>,
 }
@@ -54,13 +77,12 @@ fn snapshot_round_trips_and_flags_congested_links() {
     let snap = ct.snapshot(0.3);
     // The offload interface: serialize, "ship", parse on the analysis side.
     let wire = snap.to_json();
-    let parsed = TreeSnapshot::from_json(&wire).expect("valid snapshot JSON");
+    let parsed: TreeSnapshot = serde_json::from_str(&wire).expect("valid snapshot JSON");
     assert_eq!(parsed.time, 0.3);
     assert_eq!(parsed.nodes.len(), ct.len());
 
     // Off-line analysis: collapsed links are exactly the slammed ones.
-    let mut suspects = parsed.collapsed_links(0.05);
-    suspects.sort();
+    let suspects = collapsed_links(&parsed, 0.05);
     let mut expected = hot_links.clone();
     expected.sort();
     assert_eq!(suspects, expected, "diagnosis must point at the hot rack");
@@ -71,7 +93,7 @@ fn snapshot_round_trips_and_flags_congested_links() {
     let per_server_cap = tree.topo.link(tree.server_links[0][0].1).capacity_bytes();
     let healthy_total = per_server_cap * tree.all_servers().len() as f64;
     assert!(
-        parsed.total_server_down_rate() < 0.95 * healthy_total,
+        total_server_down_rate(&parsed) < 0.95 * healthy_total,
         "aggregate health must reflect the congested rack"
     );
 }
@@ -114,9 +136,12 @@ fn snapshot_stream_round_trips_and_tracks_congestion_onset() {
 
     // Ship the whole series as JSONL and parse it back on the analysis side.
     let wire = stream.to_jsonl();
-    let parsed = SnapshotStream::from_jsonl(&wire).expect("valid snapshot JSONL");
-    assert_eq!(parsed.snapshots().len(), stream.snapshots().len());
-    for (a, b) in parsed.snapshots().iter().zip(stream.snapshots()) {
+    let parsed: Vec<TreeSnapshot> = wire
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("valid snapshot JSONL"))
+        .collect();
+    assert_eq!(parsed.len(), stream.snapshots().len());
+    for (a, b) in parsed.iter().zip(stream.snapshots()) {
         assert_eq!(a.time, b.time);
         assert_eq!(a.nodes.len(), b.nodes.len());
     }
@@ -127,21 +152,16 @@ fn snapshot_stream_round_trips_and_tracks_congestion_onset() {
     let mut expected = hot_links.clone();
     expected.sort();
     assert!(
-        parsed.snapshots()[0].collapsed_links(0.05).is_empty(),
+        collapsed_links(&parsed[0], 0.05).is_empty(),
         "the quiet prefix must not raise suspects"
     );
-    let mut suspects = parsed.snapshots().last().unwrap().collapsed_links(0.05);
-    suspects.sort();
+    let suspects = collapsed_links(parsed.last().unwrap(), 0.05);
     assert_eq!(
         suspects, expected,
         "the tail of the stream flags the hot rack"
     );
     // Aggregate health degrades monotonically in time across the stream.
-    let totals: Vec<f64> = parsed
-        .snapshots()
-        .iter()
-        .map(TreeSnapshot::total_server_down_rate)
-        .collect();
+    let totals: Vec<f64> = parsed.iter().map(total_server_down_rate).collect();
     assert!(
         totals.last().unwrap() < totals.first().unwrap(),
         "health indicator must fall after congestion onset: {totals:?}"

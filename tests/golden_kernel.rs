@@ -24,7 +24,7 @@
 //! element is processed when, but must preserve each element's exact
 //! floating-point op sequence.
 
-use scda_core::{PriorityPolicy, ResourceProfile, SelectorConfig, SlaPolicy};
+use scda_core::{PriorityPolicy, ResourceProfile, SelectorConfig};
 use scda_experiments::runner::{
     run_randtcp, run_scda, DataTransport, EnergyOptions, ReservationPlan, RunResult, ScdaOptions,
     SelectionPolicy,
@@ -186,7 +186,7 @@ fn kitchen_sink_matches_pre_refactor_run() {
             gamma: 0.7,
         }),
         energy: Some(EnergyOptions::default()),
-        mitigation: Some(SlaPolicy::default()),
+        mitigation: true,
         replicate_writes: true,
         reservations: Some(ReservationPlan {
             every: 2,

@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 
 use scda::core::rate_metric::LinkSample;
+use scda::core::testing::Selector;
 use scda::core::tree::{RateCaps, Telemetry};
 use scda::core::{ControlTree, Direction, MetricKind, Params};
 use scda::prelude::*;

@@ -3,7 +3,6 @@
 //! replication of completed writes, the OpenFlow SJF weighting, and link
 //! failure handling at the network layer.
 
-use scda::core::sla::SlaPolicy;
 use scda::experiments::{run_scda, ScdaOptions};
 use scda::prelude::*;
 use scda::transport::TickSummary;
@@ -26,8 +25,7 @@ fn mitigation_applies_reserve_bandwidth_and_reduces_violations() {
     let mitigated = run_scda(
         &sc,
         &ScdaOptions {
-            mitigation: Some(SlaPolicy::default()),
-            mitigation_reserve_factor: 1.5,
+            mitigation: true,
             ..Default::default()
         },
     );

@@ -18,6 +18,7 @@
 //! dense round, which re-folds every RA, re-descends every position at
 //! every level and offers every leaf, every round.
 
+use scda::core::{ControlTree, MetricKind, Params};
 use scda::experiments::runner::{run_scda, ScdaOptions};
 use scda::experiments::{Scale, Scenario};
 use scda::obs::{metric, Obs};
@@ -32,7 +33,7 @@ struct Work {
 }
 
 /// What the dense round does over the same rounds: every RA, every
-/// position at each of the three levels, every leaf.
+/// position at each of the `h_max` levels, every leaf.
 #[derive(Debug)]
 struct Dense {
     refolds: u64,
@@ -50,11 +51,12 @@ fn work_of(sc: &Scenario) -> (Work, Dense) {
     let reg = obs.metrics_snapshot().expect("obs is enabled");
     let rounds = reg.counter(metric::CTRL_ROUNDS);
     let tree = sc.topo.build();
+    let ct = ControlTree::from_three_tier(&tree, Params::default(), MetricKind::Full);
     let servers = tree.all_servers().len() as u64;
-    let ras = (tree.edge_links.len() + tree.agg_links.len() + 1) as u64;
+    let ras = ct.len() as u64 - servers;
     let dense = Dense {
         refolds: rounds * ras,
-        redescents: rounds * servers * 3,
+        redescents: rounds * servers * u64::from(ct.hmax()),
         leaves: rounds * servers,
     };
     let work = Work {
